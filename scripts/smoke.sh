@@ -18,21 +18,21 @@ echo "== incremental acceptance benchmark (10k-edge graph) =="
 python -m pytest -x -q benchmarks/bench_incremental.py::test_single_batch_speedup_at_10k_edges
 
 echo
-echo "== subsystem smoke benches (perf trajectory -> BENCH_10.json) =="
+echo "== subsystem smoke benches (perf trajectory -> BENCH_12.json) =="
 # One machine-readable dump per CI run: 2-shard parallel, vectorized
 # executor, dictionary-encoded storage, telemetry overhead, governance
 # overhead, concurrent serving latency and durable warm restart at
-# --quick scale.  smoke.yml uploads BENCH_10.json as an artifact, and the
+# --quick scale.  smoke.yml uploads BENCH_12.json as an artifact, and the
 # committed baseline gates it below.
-python -m repro.bench --quick --only parallel,vectorized,interning,telemetry,resilience,serving,durability --json BENCH_10.json
+python -m repro.bench --quick --only parallel,vectorized,interning,telemetry,resilience,serving,durability --json BENCH_12.json
 
 echo
-echo "== perf-regression gate (BENCH_10.json vs benchmarks/baseline.json) =="
+echo "== perf-regression gate (BENCH_12.json vs benchmarks/baseline.json) =="
 # First prove the gate itself still bites (a doctored 2x slowdown must
 # fail), then diff the fresh run against the committed baseline: any
 # section or row more than 25% slower (and past the noise floor) fails CI.
 python scripts/bench_compare.py --self-test benchmarks/baseline.json > /dev/null
-python scripts/bench_compare.py benchmarks/baseline.json BENCH_10.json
+python scripts/bench_compare.py benchmarks/baseline.json BENCH_12.json
 
 echo
 echo "== concurrent query server (boot, mixed load, clean shutdown) =="

@@ -7,7 +7,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.relational.operators import JoinPlan
+from repro.relational.operators import JoinPlan, SubqueryEvaluator
 from repro.relational.relation import Row
 from repro.relational.storage import StorageManager
 
@@ -56,6 +56,7 @@ class Backend(ABC):
         mode: str = "full",
         continuations: Optional[Sequence[ArtifactFunction]] = None,
         label: str = "node",
+        evaluator: Optional[SubqueryEvaluator] = None,
     ) -> CompiledArtifact:
         """Compile ``plans`` (already join-ordered) into an artifact.
 
@@ -63,6 +64,11 @@ class Backend(ABC):
         (compile only this node's own logic and splice ``continuations`` — one
         callable per plan — back to the interpreter).  Backends that do not
         support snippets fall back to full compilation.
+
+        ``evaluator`` is the configured interpreter of the execution the
+        artifact will run in (style, executor, tracer, governor, batch
+        counters): ``irgen`` artifacts interpret on it, ``lambda`` artifacts
+        are its block kernels; the code-generating backends ignore it.
         """
 
     def _index_view(self, storage: StorageManager, use_indexes: bool):

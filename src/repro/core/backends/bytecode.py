@@ -21,7 +21,7 @@ from repro.core.backends.base import (
 )
 from repro.core.codegen.pyast import build_union_module_ast
 from repro.core.codegen.steps import lower_plan
-from repro.relational.operators import JoinPlan
+from repro.relational.operators import JoinPlan, SubqueryEvaluator
 from repro.relational.storage import DatabaseKind, StorageManager
 
 
@@ -43,6 +43,7 @@ class BytecodeBackend(Backend):
         mode: str = "full",
         continuations: Optional[Sequence[ArtifactFunction]] = None,
         label: str = "node",
+        evaluator: Optional[SubqueryEvaluator] = None,
     ) -> CompiledArtifact:
         # Bytecode generation has no snippet mode: once compiled, control
         # stays inside the generated code (paper §V-C2); fall back to full.

@@ -1,10 +1,11 @@
 """The IRGenerator backend: regenerate the IR, keep interpreting.
 
 The lightest-weight target (paper §V-C4): "compilation" is nothing more than
-handing the reordered plans back to the interpreter, so the overhead of
-applying the optimization is essentially the cost of the reordering itself.
-The flip side is that no specialization happens — the generic sub-query
-evaluator still pays its interpretation overhead per tuple.
+handing the reordered plans back to the *configured* interpreter (evaluator
+style and executor of the execution it was compiled for), so the overhead
+of applying the optimization is essentially the cost of the reordering
+itself.  The flip side is that no specialization happens — the generic
+sub-query evaluator still pays its interpretation overhead.
 """
 
 from __future__ import annotations
@@ -29,9 +30,6 @@ class IRGeneratorBackend(Backend):
     revertible = True
     invokes_compiler = False
 
-    def __init__(self, evaluator_style: str = "push") -> None:
-        self.evaluator_style = evaluator_style
-
     def compile_plans(
         self,
         plans: Sequence[JoinPlan],
@@ -40,16 +38,17 @@ class IRGeneratorBackend(Backend):
         mode: str = "full",
         continuations: Optional[Sequence[ArtifactFunction]] = None,
         label: str = "node",
+        evaluator: Optional[SubqueryEvaluator] = None,
     ) -> CompiledArtifact:
         plan_tuple = tuple(plans)
-        style = self.evaluator_style
+        # Bound to the interpreter's own storage: the one compiled for.
+        interpreter = evaluator if evaluator is not None else SubqueryEvaluator(storage)
 
         def build() -> ArtifactFunction:
             def run(run_storage: StorageManager) -> Set[Row]:
-                evaluator = SubqueryEvaluator(run_storage, style)
                 out: Set[Row] = set()
                 for plan in plan_tuple:
-                    out |= evaluator.evaluate(plan)
+                    out |= interpreter.evaluate(plan)
                 return out
 
             return run

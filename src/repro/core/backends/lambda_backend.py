@@ -1,297 +1,50 @@
-"""The Lambda backend: stitch precompiled closures, no runtime compiler.
+"""The Lambda backend: stitch precompiled block kernels, no runtime compiler.
 
 Carac's lambda backend composes higher-order functions that were compiled
 when Carac itself was compiled; only the *composition* happens at runtime.
-The Python equivalent below builds, per body literal, a small specialized
-step closure chosen from a fixed set of combinators written here (the
-"precompiled procedures"), then chains them.  No ``compile()`` call happens
-at query runtime, the cost of invoking the backend is just closure
-construction, and the specialization is limited to what the combinators
-support — exactly the trade-off described in §V-C3.
+Here the "precompiled procedures" are the batch operators of
+:mod:`repro.relational.operators` — hash join / semi-join / scan,
+anti-join, filter, assign, project — and "compiling" a plan is
+:func:`~repro.relational.operators.lower_plan`: analyse the atom layouts
+once, pick a combinator per body position, bind its accessors.  The
+artifact is that chain of closures, run block-at-a-time; it is the very
+kernel the vectorized interpreter runs, minus the per-call plan lookup.
+No ``compile()`` call happens at query runtime, the cost of invoking the
+backend is just closure construction, and the specialization is limited to
+what the combinators support — exactly the trade-off described in §V-C3.
+
+Indexes are a run-time decision of the join kernel (it probes whatever
+index the relation carries when the batch arrives), so ``use_indexes`` has
+nothing to select here.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Optional, Sequence, Set
 
-from repro.datalog.literals import Assignment, Atom, Comparison
-from repro.datalog.terms import Constant, Term, Variable
 from repro.core.backends.base import (
     ArtifactFunction,
     Backend,
     CompiledArtifact,
     register_backend,
 )
-from repro.relational.operators import JoinPlan
+from repro.relational.operators import JoinPlan, SubqueryEvaluator
 from repro.relational.relation import Row
-from repro.relational.storage import DatabaseKind, StorageManager
-from repro.relational.symbols import IDENTITY
-
-#: A step closure maps a stream of partial binding environments (tuples keyed
-#: by slot index) to an extended stream.
-Environment = List[Any]
-StepFunction = Callable[[StorageManager, Iterator[Environment]], Iterator[Environment]]
+from repro.relational.storage import StorageManager
 
 
-class _SlotAllocator:
-    """Assigns each logic variable a dense slot in the environment list."""
+def _union_of(functions: Sequence[ArtifactFunction]) -> ArtifactFunction:
+    """One artifact returning the union of ``functions``' rows."""
+    if len(functions) == 1:
+        return functions[0]
 
-    def __init__(self) -> None:
-        self.slots: Dict[Variable, int] = {}
+    def union(storage: StorageManager) -> Set[Row]:
+        out: Set[Row] = set()
+        for function in functions:
+            out |= function(storage)
+        return out
 
-    def slot(self, variable: Variable) -> int:
-        if variable not in self.slots:
-            self.slots[variable] = len(self.slots)
-        return self.slots[variable]
-
-    def known(self, variable: Variable) -> Optional[int]:
-        return self.slots.get(variable)
-
-    def count(self) -> int:
-        return len(self.slots)
-
-
-def _value_getter(term: Term, slots: _SlotAllocator) -> Callable[[Environment], Any]:
-    """Precompile a term into a *storage-domain* environment accessor.
-
-    Environments hold storage-domain values (dense symbol ids under
-    dictionary encoding), and plan constants were interned at plan-encode
-    time, so membership probes and head projections over variables and
-    constants need no translation.  Expression terms must not be compiled
-    here — they compute raw values; see :func:`_raw_value_getter` /
-    :func:`_stored_value_getter`.
-    """
-    if isinstance(term, Constant):
-        value = term.value
-        return lambda env: value
-    if isinstance(term, Variable):
-        index = slots.known(term)
-        if index is None:
-            raise KeyError(f"variable {term.name!r} unbound when building lambda step")
-        return lambda env: env[index]
-    raise TypeError(f"cannot compile stored accessor for {term!r}")
-
-
-def _raw_value_getter(term: Term, slots: _SlotAllocator,
-                      symbols) -> Callable[[Environment], Any]:
-    """Precompile a term into a *raw-domain* accessor (builtin operands)."""
-    if isinstance(term, Constant):
-        value = symbols.resolve(term.value)
-        return lambda env: value
-    if isinstance(term, Variable):
-        index = slots.known(term)
-        if index is None:
-            raise KeyError(f"variable {term.name!r} unbound when building lambda step")
-        if symbols.identity:
-            return lambda env: env[index]
-        resolve = symbols.resolve
-        return lambda env: resolve(env[index])
-    # Arithmetic expression: recurse.
-    left = _raw_value_getter(term.left, slots, symbols)  # type: ignore[union-attr]
-    right = _raw_value_getter(term.right, slots, symbols)  # type: ignore[union-attr]
-    op = term.op  # type: ignore[union-attr]
-    import operator as _operator
-
-    ops = {
-        "+": _operator.add, "-": _operator.sub, "*": _operator.mul,
-        "//": _operator.floordiv, "/": _operator.truediv, "%": _operator.mod,
-        "min": min, "max": max,
-    }
-    func = ops[op]
-    return lambda env: func(left(env), right(env))
-
-
-def _stored_value_getter(term: Term, slots: _SlotAllocator,
-                         symbols) -> Callable[[Environment], Any]:
-    """Storage-domain accessor, re-interning computed (expression) values."""
-    if isinstance(term, (Constant, Variable)):
-        return _value_getter(term, slots)
-    raw = _raw_value_getter(term, slots, symbols)
-    if symbols.identity:
-        return raw
-    intern = symbols.intern
-    return lambda env: intern(raw(env))
-
-
-def _atom_step(atom: Atom, kind: DatabaseKind, slots: _SlotAllocator,
-               use_indexes: bool, indexed_columns: Tuple[int, ...]) -> StepFunction:
-    """Combinator: join the stream with one relation copy."""
-    constant_checks: List[Tuple[int, Any]] = []
-    bound_checks: List[Tuple[int, int]] = []       # (column, env slot)
-    new_bindings: List[Tuple[int, int]] = []       # (env slot, column)
-    intra_checks: List[Tuple[int, int]] = []
-    first_position: Dict[Variable, int] = {}
-    for column, term in enumerate(atom.terms):
-        if isinstance(term, Constant):
-            constant_checks.append((column, term.value))
-        elif isinstance(term, Variable):
-            existing = slots.known(term)
-            if existing is not None:
-                bound_checks.append((column, existing))
-            elif term in first_position:
-                intra_checks.append((first_position[term], column))
-            else:
-                first_position[term] = column
-                new_bindings.append((slots.slot(term), column))
-        else:  # pragma: no cover
-            raise TypeError(f"unexpected term {term!r} in body atom")
-
-    lookup_column: Optional[int] = None
-    lookup_constant: Optional[Any] = None
-    lookup_slot: Optional[int] = None
-    if use_indexes:
-        for column, value in constant_checks:
-            if column in indexed_columns:
-                lookup_column, lookup_constant = column, value
-                break
-        if lookup_column is None:
-            for column, slot in bound_checks:
-                if column in indexed_columns:
-                    lookup_column, lookup_slot = column, slot
-                    break
-    remaining_constants = [(c, v) for c, v in constant_checks if c != lookup_column]
-    remaining_bound = [(c, s) for c, s in bound_checks if c != lookup_column]
-    relation_name = atom.relation
-    slot_count_after = slots.count()
-
-    def step(storage: StorageManager, stream: Iterator[Environment]) -> Iterator[Environment]:
-        relation = storage.relation(relation_name, kind)
-        for env in stream:
-            if lookup_column is not None:
-                probe_value = lookup_constant if lookup_slot is None else env[lookup_slot]
-                candidates: Iterable[Row] = relation.lookup(lookup_column, probe_value)
-            elif remaining_constants or remaining_bound:
-                constraints = {c: v for c, v in remaining_constants}
-                constraints.update({c: env[s] for c, s in remaining_bound})
-                candidates = relation.probe(constraints)
-            else:
-                candidates = relation.rows()
-            for row in candidates:
-                ok = True
-                for column, value in remaining_constants:
-                    if row[column] != value:
-                        ok = False
-                        break
-                if ok:
-                    for column, slot in remaining_bound:
-                        if row[column] != env[slot]:
-                            ok = False
-                            break
-                if ok:
-                    for earlier, later in intra_checks:
-                        if row[earlier] != row[later]:
-                            ok = False
-                            break
-                if not ok:
-                    continue
-                extended = list(env)
-                if len(extended) < slot_count_after:
-                    extended.extend([None] * (slot_count_after - len(extended)))
-                for slot, column in new_bindings:
-                    extended[slot] = row[column]
-                yield extended
-
-    return step
-
-
-def _negation_step(atom: Atom, slots: _SlotAllocator) -> StepFunction:
-    getters = [_value_getter(term, slots) for term in atom.terms]
-    relation_name = atom.relation
-
-    def step(storage: StorageManager, stream: Iterator[Environment]) -> Iterator[Environment]:
-        relation = storage.relation(relation_name, DatabaseKind.DERIVED)
-        for env in stream:
-            if tuple(getter(env) for getter in getters) not in relation:
-                yield env
-
-    return step
-
-
-def _comparison_step(comparison: Comparison, slots: _SlotAllocator,
-                     symbols=IDENTITY) -> StepFunction:
-    left = _raw_value_getter(comparison.left, slots, symbols)
-    right = _raw_value_getter(comparison.right, slots, symbols)
-    import operator as _operator
-
-    ops = {
-        "<": _operator.lt, "<=": _operator.le, ">": _operator.gt,
-        ">=": _operator.ge, "==": _operator.eq, "!=": _operator.ne,
-    }
-    func = ops[comparison.op]
-
-    def step(storage: StorageManager, stream: Iterator[Environment]) -> Iterator[Environment]:
-        for env in stream:
-            if func(left(env), right(env)):
-                yield env
-
-    return step
-
-
-def _assignment_step(assignment: Assignment, slots: _SlotAllocator,
-                     symbols=IDENTITY) -> StepFunction:
-    expression = _raw_value_getter(assignment.expression, slots, symbols)
-    existing = slots.known(assignment.target)
-    if existing is not None:
-        target_slot = existing
-        check_only = True
-    else:
-        target_slot = slots.slot(assignment.target)
-        check_only = False
-    slot_count_after = slots.count()
-    resolve = symbols.resolve
-    intern = symbols.intern
-
-    def step(storage: StorageManager, stream: Iterator[Environment]) -> Iterator[Environment]:
-        for env in stream:
-            value = expression(env)
-            if check_only:
-                if resolve(env[target_slot]) == value:
-                    yield env
-                continue
-            extended = list(env)
-            if len(extended) < slot_count_after:
-                extended.extend([None] * (slot_count_after - len(extended)))
-            extended[target_slot] = intern(value)
-            yield extended
-
-    return step
-
-
-def build_plan_pipeline(plan: JoinPlan, use_indexes: bool,
-                        indexed_columns: Callable[[str], Tuple[int, ...]],
-                        symbols=IDENTITY) -> Callable[[StorageManager], Set[Row]]:
-    """Stitch the combinators for one plan into a single callable."""
-    slots = _SlotAllocator()
-    steps: List[StepFunction] = []
-    for source in plan.sources:
-        literal = source.literal
-        if isinstance(literal, Atom) and not literal.negated:
-            steps.append(
-                _atom_step(
-                    literal,
-                    source.kind or DatabaseKind.DERIVED,
-                    slots,
-                    use_indexes,
-                    indexed_columns(literal.relation),
-                )
-            )
-        elif isinstance(literal, Atom):
-            steps.append(_negation_step(literal, slots))
-        elif isinstance(literal, Comparison):
-            steps.append(_comparison_step(literal, slots, symbols))
-        elif isinstance(literal, Assignment):
-            steps.append(_assignment_step(literal, slots, symbols))
-        else:  # pragma: no cover
-            raise TypeError(f"unsupported literal {literal!r}")
-    head_getters = [_stored_value_getter(term, slots, symbols) for term in plan.head_terms]
-
-    def run(storage: StorageManager) -> Set[Row]:
-        stream: Iterator[Environment] = iter(([],))
-        for step in steps:
-            stream = step(storage, stream)
-        return {tuple(getter(env) for getter in head_getters) for env in stream}
-
-    return run
+    return union
 
 
 class LambdaBackend(Backend):
@@ -309,38 +62,14 @@ class LambdaBackend(Backend):
         mode: str = "full",
         continuations: Optional[Sequence[ArtifactFunction]] = None,
         label: str = "node",
+        evaluator: Optional[SubqueryEvaluator] = None,
     ) -> CompiledArtifact:
-        def indexed_columns(relation: str) -> Tuple[int, ...]:
-            if not use_indexes:
-                return ()
-            return storage.registered_indexes(relation)
+        interpreter = evaluator if evaluator is not None else SubqueryEvaluator(storage)
 
         def build() -> ArtifactFunction:
             if mode == "snippet" and continuations is not None:
-                snippet_continuations = tuple(continuations)
-
-                def snippet(run_storage: StorageManager) -> Set[Row]:
-                    out: Set[Row] = set()
-                    for continuation in snippet_continuations:
-                        out |= continuation(run_storage)
-                    return out
-
-                return snippet
-
-            pipelines = [
-                build_plan_pipeline(
-                    plan, use_indexes, indexed_columns, symbols=storage.symbols
-                )
-                for plan in plans
-            ]
-
-            def full(run_storage: StorageManager) -> Set[Row]:
-                out: Set[Row] = set()
-                for pipeline in pipelines:
-                    out |= pipeline(run_storage)
-                return out
-
-            return full
+                return _union_of(tuple(continuations))
+            return _union_of([interpreter.lower(plan) for plan in plans])
 
         function, seconds = self._timed(build)
         return CompiledArtifact(

@@ -30,7 +30,7 @@ from repro.core.codegen.source import (
     render_union_module,
 )
 from repro.core.codegen.steps import lower_plan
-from repro.relational.operators import JoinPlan
+from repro.relational.operators import JoinPlan, SubqueryEvaluator
 from repro.relational.relation import Row
 from repro.relational.storage import DatabaseKind, StorageManager
 
@@ -58,6 +58,7 @@ class QuotesBackend(Backend):
         mode: str = "full",
         continuations: Optional[Sequence[ArtifactFunction]] = None,
         label: str = "node",
+        evaluator: Optional[SubqueryEvaluator] = None,
     ) -> CompiledArtifact:
         index_view = self._index_view(storage, use_indexes)
         module_name = self._next_module_name(label)

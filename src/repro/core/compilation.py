@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from repro.core.backends.base import ArtifactFunction, Backend, CompiledArtifact
-from repro.relational.operators import JoinPlan
+from repro.relational.operators import JoinPlan, SubqueryEvaluator
 from repro.relational.statistics import CardinalitySnapshot
 from repro.relational.storage import StorageManager
 
@@ -143,11 +143,12 @@ class CompilationManager:
         mode: str = "full",
         continuations: Optional[Sequence[ArtifactFunction]] = None,
         label: str = "node",
+        evaluator: Optional[SubqueryEvaluator] = None,
     ) -> CompiledArtifact:
         """Blocking compilation: compile, cache and return the artifact."""
         artifact = self.backend.compile_plans(
             plans, storage, use_indexes=use_indexes, mode=mode,
-            continuations=continuations, label=label,
+            continuations=continuations, label=label, evaluator=evaluator,
         )
         artifact.node_id = node_id
         with self._lock:
@@ -169,12 +170,13 @@ class CompilationManager:
         mode: str = "full",
         continuations: Optional[Sequence[ArtifactFunction]] = None,
         label: str = "node",
+        evaluator: Optional[SubqueryEvaluator] = None,
     ) -> None:
         """Submit a background compilation unless one is already pending."""
         if self._executor is None:
             # Misconfiguration guard: degrade to blocking compilation.
             self.compile_now(node_id, plans, storage, snapshot, use_indexes,
-                             mode, continuations, label)
+                             mode, continuations, label, evaluator)
             return
         with self._lock:
             state = self._state(node_id)
@@ -185,6 +187,7 @@ class CompilationManager:
                 artifact = self.backend.compile_plans(
                     plans, storage, use_indexes=use_indexes, mode=mode,
                     continuations=continuations, label=label,
+                    evaluator=evaluator,
                 )
                 artifact.node_id = node_id
                 return artifact

@@ -107,10 +107,12 @@ class EngineConfig:
     evaluator_style: str = "push"              # "push" or "pull"
     #: Physical sub-query executor: ``"pushdown"`` is the tuple-at-a-time
     #: binding recursion (the oracle every other executor is tested
-    #: against), ``"vectorized"`` the ColumnarBlock batch executor —
+    #: against), ``"vectorized"`` the batch executor (lowered block kernels) —
     #: ``EngineConfig.with_(executor="vectorized")`` turns it on over any
     #: configuration.  Orthogonal to mode/backend/sharding: it changes how
-    #: interpreted sub-queries run, never what they compute.
+    #: interpreted sub-queries run (under the JIT: the seed stage, async
+    #: waits, snippet continuations, ``irgen`` artifacts), never what they
+    #: compute.  ``lambda`` artifacts are batch kernels either way.
     executor: str = "pushdown"                 # "pushdown" or "vectorized"
     #: Dictionary-encoded storage: intern every constant into a dense int
     #: domain at load/insert time and run the whole fixpoint over int

@@ -99,6 +99,11 @@ class IRExecutor:
         if config.mode == ExecutionMode.JIT:
             backend = get_backend(config.backend)
             self.compilation = CompilationManager(backend, config.async_compilation)
+        #: Reordered plans run as block kernels under the vectorized
+        #: interpreter and inside every lambda artifact (profiled as such).
+        self._block_kernels = config.executor == "vectorized" or (
+            self.compilation is not None and config.backend == "lambda"
+        )
 
         self._current_iteration = 0
         # Cardinality snapshots are reused across adaptive nodes within one
@@ -280,13 +285,12 @@ class IRExecutor:
         cardinalities = storage_cardinality_view(self.storage)
         indexes = storage_index_view(self.storage)
         ordered: List[JoinPlan] = []
-        vectorized = self.config.executor == "vectorized"
         for node in nodes:
             optimized, decision = self.optimizer.optimize_plan(
                 node.plan, cardinalities, indexes
             )
             self.profile.record_reorder(node.node_id, node.plan.rule_name, stage, decision)
-            if vectorized:
+            if self._block_kernels:
                 # Profile how the batch executor will run the chosen order.
                 self.profile.record_block_plan(
                     node.plan.rule_name,
@@ -324,10 +328,8 @@ class IRExecutor:
 
         continuations: Optional[List[ArtifactFunction]] = None
         if self.config.compile_mode == "snippet":
-            style = self.config.evaluator_style
             continuations = [
-                _make_continuation(plan, style, self.config.executor)
-                for plan in ordered_plans
+                _make_continuation(plan, self.evaluator) for plan in ordered_plans
             ]
 
         label = getattr(node, "relation", None) or getattr(node, "rule_name", None) or node.kind
@@ -340,6 +342,7 @@ class IRExecutor:
                 node.node_id, ordered_plans, self.storage, current_snapshot,
                 use_indexes=self.config.use_indexes, mode=self.config.compile_mode,
                 continuations=continuations, label=str(label),
+                evaluator=self.evaluator,
             )
             return self._interpret_plans(ordered_plans)
 
@@ -351,6 +354,7 @@ class IRExecutor:
                 node.node_id, ordered_plans, self.storage, current_snapshot,
                 use_indexes=self.config.use_indexes, mode=self.config.compile_mode,
                 continuations=continuations, label=str(label),
+                evaluator=self.evaluator,
             )
         self.profile.record_compiled()
         return artifact(self.storage)
@@ -419,11 +423,12 @@ class IRExecutor:
         return out
 
 
-def _make_continuation(plan: JoinPlan, style: str,
-                       executor: str = "pushdown") -> ArtifactFunction:
-    """A continuation that evaluates one plan through the interpreter."""
+def _make_continuation(plan: JoinPlan,
+                       evaluator: SubqueryEvaluator) -> ArtifactFunction:
+    """A continuation that hands one plan back to the executor's own
+    interpreter (same storage, tracer, governor and batch counters)."""
 
     def continuation(storage: StorageManager) -> Set[Row]:
-        return SubqueryEvaluator(storage, style, executor=executor).evaluate(plan)
+        return evaluator.evaluate(plan)
 
     return continuation

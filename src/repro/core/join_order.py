@@ -28,11 +28,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.datalog.literals import Assignment, Atom
+from repro.datalog.literals import Atom
 from repro.datalog.terms import Constant, Variable
 from repro.ir.planning import legalize_literal_order
 from repro.relational.columnar import choose_build_strategy
-from repro.relational.operators import AtomSource, JoinPlan
+from repro.relational.operators import AtomSource, JoinPlan, join_layouts
 from repro.relational.statistics import SelectivityModel
 from repro.relational.storage import DatabaseKind, StorageManager
 
@@ -74,41 +74,28 @@ def annotate_block_strategies(
     cardinalities: CardinalityView,
     indexes: IndexView = no_index_view,
 ) -> Tuple[str, ...]:
-    """Predict the batch executor's physical strategy per positive atom.
+    """Predict the block kernels' physical strategy per positive atom.
 
-    Walks the plan in its (already optimized) order, tracking which
-    variables are bound, and asks the same
+    Reads the very layouts the kernels are lowered from
+    (:func:`~repro.relational.operators.join_layouts`) and asks the same
     :func:`~repro.relational.columnar.choose_build_strategy` policy the
-    vectorized hash-join applies at runtime: ``"scan"`` for an unkeyed atom,
+    batch join applies at runtime: ``"scan"`` for an unkeyed atom,
     ``"index"`` when the single join column carries an index (the probe side
     is assumed narrower than the stored relation — the actual distinct-key
     count only exists at runtime), ``"build"`` otherwise.  Recorded next to
     each join-order decision so ``explain()`` shows how a reordered plan
     will be executed block-wise.
     """
-    bound: Set[Variable] = set()
     strategies: List[str] = []
-    for source in plan.sources:
-        literal = source.literal
-        if isinstance(literal, Assignment):
-            bound.add(literal.target)
-            continue
-        if not isinstance(literal, Atom) or literal.negated:
-            continue
-        key_positions = [
-            position
-            for position, term in enumerate(literal.terms)
-            if isinstance(term, Variable) and term in bound
-        ]
-        if not key_positions:
+    for layout in join_layouts(plan):
+        if not layout.key_positions:
             strategies.append("scan")
-        else:
-            indexed = len(key_positions) == 1 and indexes(
-                literal.relation, key_positions[0]
-            )
-            rows = cardinalities(literal.relation, source.kind or DatabaseKind.DERIVED)
-            strategies.append(choose_build_strategy(0, rows, indexed))
-        bound.update(literal.variables())
+            continue
+        indexed = len(layout.key_positions) == 1 and indexes(
+            layout.relation, layout.key_positions[0]
+        )
+        rows = cardinalities(layout.relation, layout.kind)
+        strategies.append(choose_build_strategy(0, rows, indexed))
     return tuple(strategies)
 
 

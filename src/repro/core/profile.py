@@ -59,9 +59,10 @@ class RuntimeProfile:
     compile_events: List[object] = field(default_factory=list)
     wall_seconds: float = 0.0
     result_sizes: Dict[str, int] = field(default_factory=dict)
-    #: Vectorized-executor counters: evaluated batches and the physical
-    #: build strategy each keyed batch join took ("index" probe of an
-    #: existing per-column index vs fresh "build" of a hash table).
+    #: Block-kernel counters (vectorized interpreter and lambda artifacts
+    #: alike): evaluated batches and the physical build strategy each keyed
+    #: batch join took ("index" probe of an existing per-column index vs
+    #: fresh "build" of a hash table).
     block_joins: Dict[str, int] = field(default_factory=dict)
     #: Per-plan strategy predictions taken alongside join-order decisions
     #: (rule name -> one strategy per positive atom, in chosen order).
@@ -124,8 +125,9 @@ class RuntimeProfile:
         }
 
     def absorb_block_stats(self, stats: Optional[Dict[str, int]]) -> None:
-        """Fold one evaluator's batch counters into the profile."""
-        if not stats:
+        """Fold one evaluator's batch counters into the profile (a no-op
+        for an evaluator that ran no block kernel)."""
+        if not stats or not stats.get("batches"):
             return
         for key, value in stats.items():
             self.block_joins[key] = self.block_joins.get(key, 0) + value

@@ -1,6 +1,7 @@
 """EXPLAIN ANALYZE: actual per-operator timings merged with predictions.
 
-The vectorized executor records one ``op:*`` span per body position per
+Block kernels — the vectorized interpreter's and the lambda backend's
+artifacts alike — record one ``op:*`` span per body position per
 sub-query evaluation (attributes: ``rule``, ``relation``, ``rows_in``,
 ``rows_out``), and the join-order optimizer records an
 :class:`~repro.core.join_order.OrderingDecision` per optimized rule,
@@ -163,7 +164,8 @@ def render_analyze(
     if not analyzed:
         lines.append(
             "  no per-operator spans in the most recent trace — per-operator "
-            "actuals need executor='vectorized'"
+            "actuals come from block kernels: executor='vectorized' or the "
+            "jit('lambda') backend"
         )
         return "\n".join(lines)
     for entry in analyzed:

@@ -384,10 +384,12 @@ class ShardWorker:
         """Freeze each plan group into its evaluation closure.
 
         Must run before the pool starts (fork children inherit the compiled
-        artifacts; threads share them read-only).  ``executor`` selects the
-        interpreting closure's physical executor (pushdown recursion or the
-        vectorized batch pipeline); compiled artifacts ignore it.  ``trace``
-        attaches a :class:`SpanBuffer` recording per-round worker spans.
+        artifacts; threads share them read-only).  ``style``/``executor``
+        configure the shard's interpreter: the interpreting closure runs
+        on it, and backends whose artifacts hand work back to the
+        interpreter (``irgen``) or its block kernels (``lambda``) are given
+        it too.  ``trace`` attaches a :class:`SpanBuffer` recording
+        per-round worker spans.
         """
         self._evaluate_group = []
         self._evaluators = []
@@ -395,18 +397,19 @@ class ShardWorker:
         self._round = 0
         tracer = self.telemetry if self.telemetry is not None else NOOP_TRACER
         for relation, plans in self.groups:
+            evaluator = SubqueryEvaluator(
+                self.storage, style, executor=executor, tracer=tracer
+            )
             if backend_name:
                 artifact = get_backend(backend_name).compile_plans(
                     plans, self.storage, use_indexes=use_indexes,
                     label=f"shard{self.shard_id}-{relation}",
+                    evaluator=evaluator,
                 )
                 self._evaluate_group.append(
                     (lambda artifact=artifact: artifact(self.storage))
                 )
             else:
-                evaluator = SubqueryEvaluator(
-                    self.storage, style, executor=executor, tracer=tracer
-                )
                 self._evaluators.append(evaluator)
                 def interpret(plans=plans, evaluator=evaluator) -> Set[Row]:
                     rows: Set[Row] = set()

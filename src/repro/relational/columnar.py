@@ -1,26 +1,23 @@
-"""Columnar batches: the interchange format of the vectorized executor.
+"""Columnar batches: the interchange format of the storage plumbing.
 
-A :class:`ColumnarBlock` is an ordered batch of variable bindings — the
-vectorized analogue of the one-`dict`-per-tuple bindings the pushdown
-evaluator threads through its recursion.  One block holds the bindings of
-*every* intermediate tuple of a sub-query at once: one named column per
-bound variable, all columns the same length.
+A :class:`ColumnarBlock` is an ordered batch of variable bindings: one named
+column per variable, all columns the same length.  The storage-layer
+consumers (shard scatter, delta propagation) move row batches around in
+this form.  The block executor's kernels do not: which variable each
+column holds is fixed when a plan is lowered, so they pass bare row lists
+(see :mod:`repro.relational.operators`).
 
 Blocks deliberately keep **two** physical layouts and convert lazily:
 
-* **column-major** (``columns``): per-column tuples, the shape the batch
-  operators' key extraction and the storage layer's scatter/partition
-  helpers want;
-* **row-major** (``rows()``): a list of plain value tuples, the shape the
-  batch hash-join emits (one C-level tuple concatenation per output row).
+* **column-major** (``columns``): per-column tuples, the shape key
+  extraction and the scatter/partition helpers want;
+* **row-major** (``rows()``): a list of plain value tuples.
 
 Both conversions are single ``zip(*...)`` calls, so a block that is built
-row-major by one operator and read column-major by the next pays one
+row-major by one producer and read column-major by the next pays one
 C-level transpose instead of a Python-level loop.  This file also hosts the
-C-level ``dict`` hash build/probe primitives the batch join is made of;
-the operators themselves (batch hash-join, batch negation) live in
-:mod:`repro.relational.operators` next to the tuple-at-a-time evaluators
-they replace.
+C-level ``dict`` hash build/probe primitives the batch join kernels are
+made of, and the build-strategy policy they share with the planner.
 """
 
 from __future__ import annotations
@@ -88,15 +85,6 @@ class ColumnarBlock:
     # -- constructors ------------------------------------------------------------
 
     @classmethod
-    def unit(cls) -> "ColumnarBlock":
-        """The join identity: no columns, exactly one (empty) row."""
-        return cls((), rows=[()])
-
-    @classmethod
-    def empty(cls, variables: Sequence[Variable] = ()) -> "ColumnarBlock":
-        return cls(variables, rows=[])
-
-    @classmethod
     def from_rows(cls, variables: Sequence[Variable],
                   rows: Iterable[Sequence[Any]]) -> "ColumnarBlock":
         return cls(variables, rows=[tuple(row) for row in rows])
@@ -155,13 +143,6 @@ class ColumnarBlock:
     def __bool__(self) -> bool:
         return self._length > 0
 
-    def has(self, variable: Variable) -> bool:
-        return variable in self._slots
-
-    def slot(self, variable: Variable) -> Optional[int]:
-        """The column index of ``variable``, or None when unbound."""
-        return self._slots.get(variable)
-
     # -- layouts (lazily materialised, each computed at most once) ----------------
 
     @property
@@ -206,10 +187,6 @@ class ColumnarBlock:
         return self._rows
 
     # -- derived blocks ------------------------------------------------------------
-
-    def replace_rows(self, rows: List[Row]) -> "ColumnarBlock":
-        """A block with the same variables over a filtered/extended row list."""
-        return ColumnarBlock(self.variables, rows=rows)
 
     def to_columns(self) -> Dict[Variable, Tuple[Any, ...]]:
         """Export: variable -> column tuple (consumed by storage plumbing)."""
@@ -291,14 +268,16 @@ def build_hash_table(
 
 def probe_hash_table(
     table: Dict[Any, List[Tuple[Any, ...]]],
-    keys: Sequence[Any],
+    keys: Iterable[Any],
     bases: Optional[Sequence[Row]],
+    payload_first: bool = False,
 ) -> List[Row]:
     """Probe ``table`` with one key per input row; emit concatenated rows.
 
     ``bases`` carries the input rows' kept columns (None when nothing is
     kept: every output row is just the payload).  The per-match work is one
-    C-level tuple concatenation and one list append.
+    C-level tuple concatenation and one list append; ``payload_first``
+    flips the concatenation for layouts whose fresh columns lead.
     """
     get = table.get
     if bases is None:
@@ -308,6 +287,13 @@ def probe_hash_table(
             if matches:
                 out.extend(matches)
         return out
+    if payload_first:
+        return [
+            payload + base
+            for base, matches in zip(bases, map(get, keys))
+            if matches
+            for payload in matches
+        ]
     return [
         base + payload
         for base, matches in zip(bases, map(get, keys))

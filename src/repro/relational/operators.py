@@ -3,17 +3,28 @@
 A *sub-query* is one member of the union generated for a rule by semi-naive
 evaluation: an ordered sequence of body literals, each relational atom tagged
 with the database copy it reads (Derived or Delta-Known), plus the head
-projection.  This module provides two interchangeable implementations of the
-same physical plan — a pull-based (iterator/generator) evaluator and a
-push-based (callback) evaluator — mirroring the two engine styles Carac has
-been integrated with (§V-D).  Both perform left-deep index-nested-loop joins
-with binding propagation; which is exactly the plan shape the join-order
-optimizer reasons about.
+projection.  This module provides the interchangeable implementations of
+the same physical plan:
+
+* a pull-based (iterator/generator) and a push-based (callback) evaluator,
+  mirroring the two engine styles Carac has been integrated with (§V-D).
+  Both perform left-deep index-nested-loop joins with binding propagation,
+  tuple at a time — the plan shape the join-order optimizer reasons about,
+  and the oracle everything else is tested against;
+* the block executor, split into a **plan-time lowering**
+  (:func:`lower_plan`: atom layouts, live columns, compiled accessors,
+  head-shaped output order — everything the data cannot change, done once
+  per plan) and **run-time kernels** (:class:`BlockKernel`: fetch the
+  relation, pick index probe vs table build, join / anti-join / filter /
+  assign / project a whole batch).  There is exactly one implementation of
+  those batch operators; :class:`VectorizedSubqueryEvaluator` runs it as an
+  interpreter (lower on first sight of a plan, then run) and the lambda JIT
+  backend stitches its artifacts from the same kernels at compile time.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import repeat
 from operator import itemgetter
 from typing import Any, Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
@@ -21,7 +32,6 @@ from typing import Any, Callable, Dict, FrozenSet, Iterable, Iterator, List, Opt
 from repro.datalog.literals import Assignment, Atom, Comparison, Literal, comparison_operator
 from repro.datalog.terms import Aggregate, BinaryExpression, Constant, Term, Variable, binary_operator
 from repro.relational.columnar import (
-    ColumnarBlock,
     build_hash_table,
     choose_build_strategy,
     probe_hash_table,
@@ -36,7 +46,7 @@ Bindings = Dict[Variable, Any]
 
 #: The two interchangeable physical executors for one :class:`JoinPlan`:
 #: ``"pushdown"`` is the tuple-at-a-time binding recursion (push/pull styles),
-#: ``"vectorized"`` the batch executor over :class:`ColumnarBlock`s.
+#: ``"vectorized"`` the batch executor running lowered :class:`BlockKernel`s.
 EXECUTORS = ("pushdown", "vectorized")
 
 
@@ -381,61 +391,251 @@ class PushSubqueryEvaluator:
 
 
 # ---------------------------------------------------------------------------
-# The vectorized (batch) executor
+# The block executor: plan-time lowering, run-time kernels
 # ---------------------------------------------------------------------------
 
+#: A block at run time: every intermediate tuple of a sub-query, as rows.
+#: Which variable each column holds is decided at lowering time.
+Rows = List[Row]
+#: One lowered body position: ``(storage, rows in) -> rows out``.
+Step = Callable[[StorageManager, Rows], Rows]
 
-def _compile_term(term: Term, block: ColumnarBlock,
+#: Kernels one evaluator memoises before it starts over.
+_KERNEL_MEMO_LIMIT = 256
+
+#: The join identity — no columns, exactly one (empty) row.  Never mutated:
+#: every step returns either its input list or a freshly built one.
+_UNIT_ROWS: Rows = [()]
+
+
+def new_block_stats() -> Dict[str, int]:
+    """Kernel counters: batches, and each keyed join's build strategy."""
+    return {"batches": 0, "index": 0, "build": 0}
+
+
+def _needed_after(plan: JoinPlan) -> List[FrozenSet[Variable]]:
+    """Per body position: variables any later literal or the head reads."""
+    needed: Set[Variable] = set()
+    for term in plan.head_terms:
+        needed |= term.variables()
+    out: List[FrozenSet[Variable]] = [frozenset()] * len(plan.sources)
+    for position in range(len(plan.sources) - 1, -1, -1):
+        out[position] = frozenset(needed)
+        needed |= plan.sources[position].literal.variables()
+    return out
+
+
+@dataclass(frozen=True)
+class JoinLayout:
+    """Everything about joining one positive atom into the block that does
+    not depend on the data: computed once per plan, read by the kernel on
+    every batch and by the planner's strategy prediction."""
+
+    relation: str
+    kind: DatabaseKind
+    arity: int
+    #: Atom columns bound by the block, and the block columns binding them.
+    key_positions: Tuple[int, ...]
+    key_slots: Tuple[int, ...]
+    #: ``(column, value)`` checks and ``(column, earlier column)`` repeated-
+    #: variable checks the relation side must pass on its own.
+    constants: Tuple[Tuple[int, Any], ...]
+    dup_checks: Tuple[Tuple[int, int], ...]
+    #: Atom columns that become new block columns, in output order.
+    fresh_positions: Tuple[int, ...]
+    #: Block columns some later literal (or the head) still reads, in
+    #: output order; dropping the rest keeps intermediate tuples narrow.
+    kept_slots: Tuple[int, ...]
+    #: Output rows are ``payload + base`` instead of ``base + payload``.
+    payload_first: bool
+    out_variables: Tuple[Variable, ...]
+
+
+def _join_layout(source: AtomSource, variables: Tuple[Variable, ...],
+                 needed: FrozenSet[Variable],
+                 head: Optional[Tuple[Variable, ...]]) -> JoinLayout:
+    """Lay out one positive atom against a block holding ``variables``.
+
+    ``head`` is the head's variable order when this is the plan's last
+    column-producing position: kept and fresh columns are then ordered so
+    the output rows already *are* head rows wherever concatenation allows.
+    """
+    atom = source.literal
+    assert isinstance(atom, Atom)
+    slots = {variable: slot for slot, variable in enumerate(variables)}
+    key_positions: List[int] = []
+    key_slots: List[int] = []
+    constants: List[Tuple[int, Any]] = []
+    dup_checks: List[Tuple[int, int]] = []
+    first_seen: Dict[Variable, int] = {}
+    fresh: List[Tuple[Variable, int]] = []
+    for position, term in enumerate(atom.terms):
+        if isinstance(term, Constant):
+            constants.append((position, term.value))
+        elif isinstance(term, Variable):
+            slot = slots.get(term)
+            if slot is not None:
+                key_positions.append(position)
+                key_slots.append(slot)
+            elif term in first_seen:
+                dup_checks.append((position, first_seen[term]))
+            else:
+                first_seen[term] = position
+                if term in needed:
+                    fresh.append((term, position))
+        else:  # pragma: no cover - expressions cannot appear in body atoms
+            raise TypeError(f"unexpected term {term!r} in body atom")
+    kept = [(v, slot) for slot, v in enumerate(variables) if v in needed]
+
+    payload_first = False
+    kept_at, fresh_at = dict(kept), dict(fresh)
+    if head is not None and set(head) == kept_at.keys() | fresh_at.keys():
+        if all(v in kept_at for v in head[:len(kept)]):
+            kept = [(v, kept_at[v]) for v in head[:len(kept)]]
+            fresh = [(v, fresh_at[v]) for v in head[len(kept):]]
+        elif all(v in fresh_at for v in head[:len(fresh)]):
+            payload_first = True
+            kept = [(v, kept_at[v]) for v in head[len(fresh):]]
+            fresh = [(v, fresh_at[v]) for v in head[:len(fresh)]]
+    kept_variables = tuple(v for v, _ in kept)
+    fresh_variables = tuple(v for v, _ in fresh)
+    return JoinLayout(
+        relation=atom.relation,
+        kind=source.kind or DatabaseKind.DERIVED,
+        arity=len(atom.terms),
+        key_positions=tuple(key_positions),
+        key_slots=tuple(key_slots),
+        constants=tuple(constants),
+        dup_checks=tuple(dup_checks),
+        fresh_positions=tuple(position for _, position in fresh),
+        kept_slots=tuple(slot for _, slot in kept),
+        payload_first=payload_first,
+        out_variables=(fresh_variables + kept_variables if payload_first
+                       else kept_variables + fresh_variables),
+    )
+
+
+def plan_layouts(
+    plan: JoinPlan,
+) -> Tuple[List[Tuple[Tuple[Variable, ...], Optional[JoinLayout]]],
+           Tuple[Variable, ...]]:
+    """The static shape of a plan's block pipeline.
+
+    Returns, per body position, the block's columns on entry plus the
+    :class:`JoinLayout` of a positive atom (None for negations and
+    built-ins), and the columns the head projection reads from.
+    """
+    needed_after = _needed_after(plan)
+    head: Optional[Tuple[Variable, ...]] = None
+    if all(isinstance(term, Variable) for term in plan.head_terms) and (
+        len(set(plan.head_terms)) == len(plan.head_terms)
+    ):
+        head = tuple(plan.head_terms)  # type: ignore[arg-type]
+    produces_columns = [
+        isinstance(s.literal, Assignment)
+        or (isinstance(s.literal, Atom) and not s.literal.negated)
+        for s in plan.sources
+    ]
+    variables: Tuple[Variable, ...] = ()
+    positions: List[Tuple[Tuple[Variable, ...], Optional[JoinLayout]]] = []
+    for position, source in enumerate(plan.sources):
+        literal = source.literal
+        layout: Optional[JoinLayout] = None
+        entry = variables
+        if isinstance(literal, Atom) and not literal.negated:
+            is_last = not any(produces_columns[position + 1:])
+            layout = _join_layout(
+                source, variables, needed_after[position],
+                head if is_last else None,
+            )
+            variables = layout.out_variables
+        elif isinstance(literal, Assignment) and literal.target not in variables:
+            variables = variables + (literal.target,)
+        positions.append((entry, layout))
+    return positions, variables
+
+
+def join_layouts(plan: JoinPlan) -> List[JoinLayout]:
+    """The layouts of the plan's positive atoms, in plan order."""
+    return [layout for _, layout in plan_layouts(plan)[0] if layout is not None]
+
+
+# -- compiled accessors ---------------------------------------------------------
+
+
+def _slot_of(term: Variable, slots: Dict[Variable, int]) -> int:
+    slot = slots.get(term)
+    if slot is None:
+        raise KeyError(f"unbound variable {term.name!r}")
+    return slot
+
+
+def _compile_term(term: Term, slots: Dict[Variable, int],
                   symbols=IDENTITY) -> Callable[[Row], Any]:
-    """Compile one term into a storage-domain accessor over ``block``.
+    """Compile one term into a storage-domain accessor over block rows.
 
     Variables and constants already live in the storage domain (encoded
     under interning); expression terms compute raw and re-intern — they are
     the only accessors that touch the symbol table per row.
     """
     if isinstance(term, Variable):
-        slot = block.slot(term)
-        if slot is None:
-            raise KeyError(f"unbound variable {term.name!r}")
-        return itemgetter(slot)
+        return itemgetter(_slot_of(term, slots))
     if isinstance(term, Constant):
         value = term.value
         return lambda row: value
     if isinstance(term, BinaryExpression):
-        raw = _compile_raw_term(term, block, symbols)
+        raw = _compile_raw_term(term, slots, symbols)
         if symbols.identity:
             return raw
         intern = symbols.intern
         return lambda row: intern(raw(row))
     if isinstance(term, Aggregate):
         # Mirrors Aggregate.substitute: at tuple level, project the target.
-        return _compile_term(term.target, block, symbols)
+        return _compile_term(term.target, slots, symbols)
     raise TypeError(f"cannot compile term {term!r}")  # pragma: no cover
 
 
-def _compile_raw_term(term: Term, block: ColumnarBlock,
+def _compile_raw_term(term: Term, slots: Dict[Variable, int],
                       symbols=IDENTITY) -> Callable[[Row], Any]:
     """Compile one term into a *raw-domain* accessor (builtin operands)."""
     if isinstance(term, Variable):
-        slot = block.slot(term)
-        if slot is None:
-            raise KeyError(f"unbound variable {term.name!r}")
+        get = itemgetter(_slot_of(term, slots))
         if symbols.identity:
-            return itemgetter(slot)
+            return get
         resolve = symbols.resolve
-        get = itemgetter(slot)
         return lambda row: resolve(get(row))
     if isinstance(term, Constant):
         value = symbols.resolve(term.value)
         return lambda row: value
     if isinstance(term, BinaryExpression):
         func = binary_operator(term.op)
-        left = _compile_raw_term(term.left, block, symbols)
-        right = _compile_raw_term(term.right, block, symbols)
+        left = _compile_raw_term(term.left, slots, symbols)
+        right = _compile_raw_term(term.right, slots, symbols)
         return lambda row: func(left(row), right(row))
     if isinstance(term, Aggregate):
-        return _compile_raw_term(term.target, block, symbols)
+        return _compile_raw_term(term.target, slots, symbols)
     raise TypeError(f"cannot compile term {term!r}")  # pragma: no cover
+
+
+def _same_rows(rows: Rows) -> Rows:
+    return rows
+
+
+def _project_rows(positions: Tuple[int, ...], width: int,
+                  identity: Callable[[Iterable[Row]], Rows],
+                  ) -> Callable[[Iterable[Row]], Rows]:
+    """Compile ``rows -> rows restricted to positions`` (at least one).
+
+    ``identity`` is what to do when the restriction keeps every column in
+    place: pass a block through untouched, or ``list`` a relation scan.
+    """
+    if positions == tuple(range(width)):
+        return identity
+    if len(positions) == 1:
+        column = itemgetter(positions[0])
+        return lambda rows: list(zip(map(column, rows)))
+    getter = itemgetter(*positions)
+    return lambda rows: list(map(getter, rows))
 
 
 def _filtered_relation_rows(
@@ -450,277 +650,379 @@ def _filtered_relation_rows(
     return rows
 
 
-def _kept_projection(block: ColumnarBlock,
-                     needed: FrozenSet[Variable]) -> Tuple[Tuple[Variable, ...], Optional[List[Row]]]:
-    """The block's rows restricted to the still-needed variables.
-
-    Returns ``(kept_variables, bases)`` where ``bases`` is None when no
-    column survives (output rows are then pure join payloads).  Dropping
-    dead columns here is what keeps intermediate tuples narrow as the join
-    pipeline advances — the batch analogue of projection pushdown.
-    """
-    kept = [i for i, v in enumerate(block.variables) if v in needed]
-    variables = tuple(block.variables[i] for i in kept)
-    if not kept:
-        # No column survives: under set semantics the rows are now
-        # indistinguishable, so multiplicity carries no information.
-        return variables, None
-    if len(kept) == len(block.variables):
-        return variables, block.rows()
-    if len(kept) == 1:
-        return variables, list(zip(block.column_at(kept[0])))
-    return variables, list(map(itemgetter(*kept), block.rows()))
+# -- step lowering ---------------------------------------------------------------
 
 
-def _restrict_block(block: ColumnarBlock,
-                    needed: FrozenSet[Variable]) -> ColumnarBlock:
-    """The block itself, minus columns no later literal (or the head) reads."""
-    variables, bases = _kept_projection(block, needed)
-    if len(variables) == len(block.variables):
-        return block
-    if bases is None:
-        # Zero-column blocks clamp to one row: duplicates of () are
-        # semantically inert and would only multiply later cartesians.
-        return ColumnarBlock(variables, rows=[()] if len(block) else [])
-    return ColumnarBlock(variables, rows=bases)
-
-
-def batch_hash_join(
-    block: ColumnarBlock,
-    atom: Atom,
-    relation: Relation,
-    needed: FrozenSet[Variable],
-    stats: Optional[Dict[str, int]] = None,
-) -> ColumnarBlock:
-    """Join an entire block against ``relation`` in one batch.
+def _lower_join(layout: JoinLayout, width: int, stats: Dict[str, int]) -> Step:
+    """Lower one positive atom to its batch join kernel.
 
     The batch counterpart of the pushdown evaluator's per-tuple
-    probe/extend step: analyse the atom once (constants, join keys, fresh
-    variables, repeated variables), build or reuse a hash table over the
-    relation side (:func:`~repro.relational.columnar.choose_build_strategy`
-    decides between a fresh dict build and probing the relation's existing
-    per-column index), then emit every extended row with one C-level tuple
-    concatenation per match.
+    probe/extend step.  Lowering picks the kernel shape — scan / existence
+    filter / cartesian for an unkeyed atom, hash join or semi-join for a
+    keyed one — and compiles every accessor; the kernel fetches the
+    relation, extracts the distinct keys, lets
+    :func:`~repro.relational.columnar.choose_build_strategy` decide between
+    probing the relation's existing per-column index and a fresh dict
+    build, and emits one C-level tuple concatenation per match.
     """
-    # -- atom layout ----------------------------------------------------------
-    key_positions: List[int] = []
-    key_slots: List[int] = []
-    constants: Dict[int, Any] = {}
-    first_seen: Dict[Variable, int] = {}
-    dup_checks: List[Tuple[int, int]] = []
-    fresh_positions: List[int] = []
-    fresh_variables: List[Variable] = []
-    for position, term in enumerate(atom.terms):
-        if isinstance(term, Constant):
-            constants[position] = term.value
-        elif isinstance(term, Variable):
-            slot = block.slot(term)
-            if slot is not None:
-                key_positions.append(position)
-                key_slots.append(slot)
-            elif term in first_seen:
-                dup_checks.append((position, first_seen[term]))
-            else:
-                first_seen[term] = position
-                if term in needed:
-                    fresh_positions.append(position)
-                    fresh_variables.append(term)
-        else:  # pragma: no cover - expressions cannot appear in body atoms
-            raise TypeError(f"unexpected term {term!r} in body atom")
+    name, kind, arity = layout.relation, layout.kind, layout.arity
+    constants = dict(layout.constants)
+    dup_checks = layout.dup_checks
+    key_positions = layout.key_positions
+    fresh = layout.fresh_positions
+    payload_first = layout.payload_first
+    bases_of = (
+        _project_rows(layout.kept_slots, width, _same_rows)
+        if layout.kept_slots else None
+    )
 
-    kept_variables, bases = _kept_projection(block, needed)
-    out_variables = kept_variables + tuple(fresh_variables)
-    if not relation:
-        return ColumnarBlock.empty(out_variables)
-
-    # -- no join key: scan / existence-filter / cartesian ----------------------
     if not key_positions:
-        if not fresh_positions:
-            matched = next(iter(_filtered_relation_rows(relation, constants, dup_checks)), None)
-            if matched is None:
-                return ColumnarBlock.empty(out_variables)
-            return _restrict_block(block, needed)
-        source = _filtered_relation_rows(relation, constants, dup_checks)
-        if not constants and not dup_checks and fresh_positions == list(range(relation.arity)):
-            payloads: List[Row] = list(source)  # rows already match position order
-        elif len(fresh_positions) == 1:
-            position = fresh_positions[0]
-            payloads = [(r[position],) for r in source]
-        else:
-            payloads = list(map(itemgetter(*fresh_positions), source))
-        if bases is None:
-            # All input rows are indistinguishable (no kept columns), so one
-            # copy of the payloads is the whole answer under set semantics.
-            out_rows = payloads
-        else:
-            out_rows = [base + payload for base in bases for payload in payloads]
-        return ColumnarBlock(out_variables, rows=out_rows)
-
-    # -- keyed: hash build (or index probe) + batch probe ----------------------
-    single_key = len(key_positions) == 1
-    if single_key:
-        keys: Sequence[Any] = block.column_at(key_slots[0])
-    else:
-        keys = list(zip(*(block.column_at(s) for s in key_slots)))
-    distinct = set(keys)
-    buckets = None
-    if single_key:
-        key_position = key_positions[0]
-        buckets = relation.index_buckets(key_position)
-        if (
-            buckets is None
-            and relation.has_index(key_position)
-            and len(distinct) < len(relation)
-        ):
-            # A lazily-registered index worth probing: materialise it now.
-            # One build pass costs the same as an ad-hoc table, but the
-            # index persists across batches (delta copies demote it again on
-            # clear, so a per-iteration buffer never accrues maintenance).
-            index = relation.build_index(key_position)
-            assert index is not None
-            buckets = index.buckets()
-    strategy = choose_build_strategy(len(distinct), len(relation), buckets is not None)
-    if stats is not None:
-        stats[strategy] = stats.get(strategy, 0) + 1
-    if strategy == "index":
-        assert buckets is not None  # strategy "index" implies the index exists
-        bucket_of = buckets.get
-        table: Dict[Any, List[Tuple[Any, ...]]] = {}
-        if not constants and not dup_checks and len(fresh_positions) == 1:
-            # The bread-and-butter shape (e.g. pathΔ(x,y) ⋈ edge(y,z)):
-            # per distinct key, one bucket lookup and one list comprehension.
-            fresh_position = fresh_positions[0]
-            for value in distinct:
-                bucket = bucket_of(value)
-                if bucket:
-                    table[value] = [(r[fresh_position],) for r in bucket]
-        else:
-            for value in distinct:
-                bucket = bucket_of(value)
-                if not bucket:
-                    continue
-                payloads = []
-                for r in bucket:
-                    if constants and any(r[p] != c for p, c in constants.items()):
-                        continue
-                    if dup_checks and any(r[p] != r[q] for p, q in dup_checks):
-                        continue
-                    payloads.append(tuple(r[p] for p in fresh_positions))
-                if payloads:
-                    table[value] = payloads
-    else:
-        table = build_hash_table(
-            _filtered_relation_rows(relation, constants, dup_checks),
-            key_positions,
-            fresh_positions,
+        payloads_of = _project_rows(fresh, arity, list) if fresh else None
+        full_row = (
+            tuple(value for _, value in layout.constants)
+            if len(constants) == arity else None
         )
-    return ColumnarBlock(out_variables, rows=probe_hash_table(table, keys, bases))
+
+        def scan(storage: StorageManager, rows: Rows) -> Rows:
+            relation = storage.relation(name, kind)
+            if not relation:
+                return []
+            if payloads_of is None:
+                # Existence filter: the whole block passes or none of it.
+                if full_row is not None:
+                    matched = full_row in relation.rows()
+                else:
+                    matching = _filtered_relation_rows(relation, constants, dup_checks)
+                    matched = next(iter(matching), None) is not None
+                if not matched:
+                    return []
+                # Zero-column blocks clamp to one row: duplicates of () are
+                # semantically inert and would only multiply later cartesians.
+                return bases_of(rows) if bases_of is not None else [()]
+            payloads = payloads_of(
+                _filtered_relation_rows(relation, constants, dup_checks)
+            )
+            if bases_of is None:
+                # No kept columns: all input rows are indistinguishable, so
+                # one copy of the payloads is the whole answer (set semantics).
+                return payloads
+            bases = bases_of(rows)
+            if payload_first:
+                return [payload + base for base in bases for payload in payloads]
+            return [base + payload for base in bases for payload in payloads]
+
+        return scan
+
+    single_key = len(key_positions) == 1
+    key_position = key_positions[0]
+    key_of = itemgetter(*layout.key_slots)
+    relation_key_of = itemgetter(*key_positions)
+    filtered = bool(constants or dup_checks)
+
+    def row_ok(row: Row) -> bool:
+        for position, value in layout.constants:
+            if row[position] != value:
+                return False
+        for position, earlier in dup_checks:
+            if row[position] != row[earlier]:
+                return False
+        return True
+
+    if not fresh:
+        # Semi-join: the atom binds nothing new, so each block row survives
+        # at most once however many relation rows match its key.
+        def from_index(buckets, distinct):
+            if not filtered:
+                return buckets
+            return {
+                value for value in distinct
+                if any(map(row_ok, buckets.get(value, ())))
+            }
+
+        def from_relation(matching):
+            return set(map(relation_key_of, matching))
+
+        def emit(present, keys, distinct, rows):
+            if bases_of is None:
+                return [()] if any(key in present for key in distinct) else []
+            return [
+                base for base, key in zip(bases_of(rows), keys) if key in present
+            ]
+
+    else:
+        plain_fresh = fresh[0] if len(fresh) == 1 and not filtered else None
+        payloads_of = _project_rows(fresh, arity, list)
+
+        def from_index(buckets, distinct):
+            bucket_of = buckets.get
+            table: Dict[Any, List[Row]] = {}
+            if plain_fresh is not None:
+                # The bread-and-butter shape (e.g. pathΔ(x,y) ⋈ edge(y,z)):
+                # per distinct key, one bucket lookup and one comprehension.
+                for value in distinct:
+                    bucket = bucket_of(value)
+                    if bucket:
+                        table[value] = [(r[plain_fresh],) for r in bucket]
+                return table
+            for value in distinct:
+                bucket = bucket_of(value)
+                if bucket and filtered:
+                    bucket = list(filter(row_ok, bucket))
+                if bucket:
+                    table[value] = payloads_of(bucket)
+            return table
+
+        def from_relation(matching):
+            return build_hash_table(matching, key_positions, fresh)
+
+        def emit(table, keys, distinct, rows):
+            if bases_of is None:
+                # Indistinguishable input rows: probe each key once.
+                return probe_hash_table(table, distinct, None)
+            return probe_hash_table(table, keys, bases_of(rows), payload_first)
+
+    def keyed(storage: StorageManager, rows: Rows) -> Rows:
+        relation = storage.relation(name, kind)
+        if not relation:
+            return []
+        keys = list(map(key_of, rows))
+        distinct = set(keys)
+        buckets = None
+        if single_key:
+            buckets = relation.index_buckets(key_position)
+            if (
+                buckets is None
+                and relation.has_index(key_position)
+                and len(distinct) < len(relation)
+            ):
+                # A lazily-registered index worth probing: materialise it
+                # now.  One build pass costs the same as an ad-hoc table,
+                # but the index persists across batches (delta copies demote
+                # it again on clear, so a per-iteration buffer never accrues
+                # maintenance).
+                index = relation.build_index(key_position)
+                assert index is not None
+                buckets = index.buckets()
+        strategy = choose_build_strategy(
+            len(distinct), len(relation), buckets is not None
+        )
+        stats[strategy] += 1
+        if strategy == "index":
+            matches = from_index(buckets, distinct)
+        else:
+            matches = from_relation(
+                _filtered_relation_rows(relation, constants, dup_checks)
+            )
+        return emit(matches, keys, distinct, rows)
+
+    return keyed
 
 
-def batch_negation(block: ColumnarBlock, atom: Atom, relation: Relation) -> ColumnarBlock:
-    """Anti-join an entire block against ``relation`` in one batch.
+def _lower_negation(atom: Atom, slots: Dict[Variable, int], width: int) -> Step:
+    """Lower one negated atom to a batch anti-join.
 
-    Probe tuples for every block row are assembled column-wise (one C-level
-    ``zip`` across columns and constant repeats), then tested against the
-    relation's row set directly — no per-row bindings dictionaries.
+    Probe tuples for every block row are assembled column-wise at C level
+    and tested against the relation's row set directly — no per-row
+    bindings dictionaries.
     """
-    count = len(block)
-    sequences: List[Iterable[Any]] = []
+    name = atom.relation
+    parts: List[Tuple[Optional[int], Any]] = []
     for term in atom.terms:
         if isinstance(term, Constant):
-            sequences.append(repeat(term.value, count))
+            parts.append((None, term.value))
         elif isinstance(term, Variable):
-            slot = block.slot(term)
-            if slot is None:
+            if term not in slots:
                 raise ValueError(
                     f"negated atom {atom!r} reached with unbound variable "
                     f"{term.name!r}; the planner must order it after its binders"
                 )
-            sequences.append(block.column_at(slot))
+            parts.append((slots[term], None))
         else:  # pragma: no cover
             raise TypeError(f"unexpected term {term!r} in negated atom")
-    contained = relation.rows()
-    if not contained:
-        return block
-    if not sequences:  # zero-arity atom: all-or-nothing
-        return block.replace_rows([]) if () in contained else block
-    rows = block.rows()
-    kept = [
-        row for probe, row in zip(zip(*sequences), rows) if probe not in contained
-    ]
-    if len(kept) == count:
-        return block
-    return block.replace_rows(kept)
+    term_slots = tuple(slot for slot, _ in parts if slot is not None)
+    if len(term_slots) < len(parts):
+        def probes_of(rows: Rows) -> Iterable[Row]:
+            return zip(*(
+                repeat(value, len(rows)) if slot is None
+                else map(itemgetter(slot), rows)
+                for slot, value in parts
+            ))
+    else:
+        probes_of = _project_rows(term_slots, width, _same_rows) if parts else None
+
+    def negate(storage: StorageManager, rows: Rows) -> Rows:
+        contained = storage.relation(name, DatabaseKind.DERIVED).rows()
+        if not contained:
+            return rows
+        if probes_of is None:  # zero-arity atom, and it holds
+            return []
+        return [
+            row for probe, row in zip(probes_of(rows), rows)
+            if probe not in contained
+        ]
+
+    return negate
 
 
-def batch_comparison(block: ColumnarBlock, comparison: Comparison,
-                     symbols=IDENTITY) -> ColumnarBlock:
-    """Filter an entire block through one comparison literal (raw domain)."""
+def _lower_comparison(comparison: Comparison, slots: Dict[Variable, int],
+                      symbols) -> Step:
+    """Lower one comparison literal to a batch filter (raw domain)."""
     func = comparison_operator(comparison.op)
-    left = _compile_raw_term(comparison.left, block, symbols)
-    right = _compile_raw_term(comparison.right, block, symbols)
-    return block.replace_rows(
-        [row for row in block.rows() if func(left(row), right(row))]
-    )
+    left = _compile_raw_term(comparison.left, slots, symbols)
+    right = _compile_raw_term(comparison.right, slots, symbols)
+
+    def compare(storage: StorageManager, rows: Rows) -> Rows:
+        return [row for row in rows if func(left(row), right(row))]
+
+    return compare
 
 
-def batch_assignment(block: ColumnarBlock, assignment: Assignment,
-                     symbols=IDENTITY) -> ColumnarBlock:
-    """Extend (or equality-filter) an entire block through one assignment.
+def _lower_assignment(assignment: Assignment, slots: Dict[Variable, int],
+                      symbols) -> Step:
+    """Lower one assignment to a batch extend (or equality filter).
 
     The expression computes raw; extending the block re-interns the result
     (assignments are where a fixpoint can allocate fresh symbols).  The
     re-binding case compares in the raw domain and allocates nothing.
     """
-    expression = _compile_raw_term(assignment.expression, block, symbols)
-    slot = block.slot(assignment.target)
-    rows = block.rows()
-    if slot is not None:  # re-binding degenerates to an equality filter
-        bound = _compile_raw_term(assignment.target, block, symbols)
-        return block.replace_rows(
-            [row for row in rows if bound(row) == expression(row)]
-        )
+    expression = _compile_raw_term(assignment.expression, slots, symbols)
+    if assignment.target in slots:  # re-binding degenerates to an equality filter
+        bound = _compile_raw_term(assignment.target, slots, symbols)
+
+        def rebind(storage: StorageManager, rows: Rows) -> Rows:
+            return [row for row in rows if bound(row) == expression(row)]
+
+        return rebind
     if symbols.identity:
-        return ColumnarBlock(
-            block.variables + (assignment.target,),
-            rows=[row + (expression(row),) for row in rows],
-        )
-    intern = symbols.intern
-    return ColumnarBlock(
-        block.variables + (assignment.target,),
-        rows=[row + (intern(expression(row)),) for row in rows],
-    )
-
-
-def project_block(head_terms: Sequence[Term], block: ColumnarBlock,
-                  symbols=IDENTITY) -> Set[Row]:
-    """Project the head over every block row at once.
-
-    All-variable heads compile to one :func:`operator.itemgetter`, so the
-    entire projection (and the de-duplicating ``set``) runs at C level.
-    """
-    rows = block.rows()
-    if not rows:
-        return set()
-    slots: List[int] = []
-    for term in head_terms:
-        if isinstance(term, Variable):
-            slot = block.slot(term)
-            if slot is None:
-                raise KeyError(f"unbound variable {term.name!r}")
-            slots.append(slot)
-        else:
-            break
+        def extend(storage: StorageManager, rows: Rows) -> Rows:
+            return [row + (expression(row),) for row in rows]
     else:
-        if not slots:
-            return {()}
-        if slots == list(range(len(block.variables))):
-            return set(rows)  # block rows already have the head shape
-        if len(slots) == 1:
-            return set(zip(block.column_at(slots[0])))
-        return set(map(itemgetter(*slots), rows))
-    compiled = [_compile_term(term, block, symbols) for term in head_terms]
-    return {tuple(fn(row) for fn in compiled) for row in rows}
+        intern = symbols.intern
+
+        def extend(storage: StorageManager, rows: Rows) -> Rows:
+            return [row + (intern(expression(row)),) for row in rows]
+
+    return extend
+
+
+def _lower_projection(head_terms: Sequence[Term],
+                      variables: Tuple[Variable, ...],
+                      symbols) -> Callable[[Rows], Set[Row]]:
+    """Lower the head projection over the final (non-empty) block.
+
+    All-variable heads compile to one :func:`operator.itemgetter` — or to
+    plain ``set`` when the last join already emitted head-shaped rows — so
+    the entire projection and its de-duplication run at C level.
+    """
+    slots = {variable: slot for slot, variable in enumerate(variables)}
+    if all(isinstance(term, Variable) for term in head_terms):
+        head_slots = tuple(_slot_of(term, slots) for term in head_terms)  # type: ignore[arg-type]
+        if not head_slots:
+            return lambda rows: {()}
+        if head_slots == tuple(range(len(variables))):
+            return set
+        if len(head_slots) == 1:
+            column = itemgetter(head_slots[0])
+            return lambda rows: set(zip(map(column, rows)))
+        getter = itemgetter(*head_slots)
+        return lambda rows: set(map(getter, rows))
+    compiled = [_compile_term(term, slots, symbols) for term in head_terms]
+    return lambda rows: {tuple(fn(row) for fn in compiled) for row in rows}
+
+
+class BlockKernel:
+    """One lowered :class:`JoinPlan`: call it on a storage, get head rows.
+    Only the data-dependent work is left to do per call."""
+
+    __slots__ = ("rule_name", "operators", "steps", "project", "tracer",
+                 "governor", "stats")
+
+    def __init__(self, rule_name: str,
+                 operators: Sequence[Tuple[str, Optional[str]]],
+                 steps: Sequence[Step],
+                 project: Callable[[Rows], Set[Row]],
+                 tracer, governor, stats: Dict[str, int]) -> None:
+        self.rule_name = rule_name
+        #: ``(span name, relation)`` per body position, for tracing.
+        self.operators = tuple(operators)
+        self.steps = tuple(steps)
+        #: Plain ``set`` when the final block's rows are head rows as they stand.
+        self.project = project
+        self.tracer = tracer
+        self.governor = governor
+        self.stats = stats
+
+    def __call__(self, storage: StorageManager) -> Set[Row]:
+        # Cooperative cancellation once per plan: the finest granularity at
+        # which storage is consistent (a plan either fully evaluates or
+        # contributes nothing).
+        if self.governor.active:
+            self.governor.check()
+        self.stats["batches"] += 1
+        if self.tracer.enabled:
+            rows = self._traced(storage)
+        else:
+            rows = _UNIT_ROWS
+            for step in self.steps:
+                rows = step(storage, rows)
+                if not rows:
+                    break
+        return self.project(rows) if rows else set()
+
+    def _traced(self, storage: StorageManager) -> Rows:
+        """The same pipeline with one ``op:*`` span per body position."""
+        rows = _UNIT_ROWS
+        tracer = self.tracer
+        for (name, relation), step in zip(self.operators, self.steps):
+            span = tracer.span(
+                name, ambient=False, rule=self.rule_name,
+                relation=relation, rows_in=len(rows),
+            )
+            try:
+                rows = step(storage, rows)
+            finally:
+                span.set(rows_out=len(rows)).finish()
+            if not rows:
+                break
+        return rows
+
+
+def lower_plan(plan: JoinPlan, symbols=IDENTITY, tracer=NOOP_TRACER,
+               governor=NOOP_GOVERNOR,
+               stats: Optional[Dict[str, int]] = None) -> BlockKernel:
+    """Stage the block executor for one plan.
+
+    Does, once, everything about evaluating ``plan`` block-at-a-time that
+    the data cannot change: atom layouts (:class:`JoinLayout`), which
+    columns stay alive after each position, compiled term accessors, and a
+    column order that leaves the last join's output head-shaped.  The
+    interpreter (:class:`VectorizedSubqueryEvaluator`) and the lambda JIT
+    backend run the very same kernels.
+    """
+    if stats is None:
+        stats = new_block_stats()
+    positions, final_variables = plan_layouts(plan)
+    operators: List[Tuple[str, Optional[str]]] = []
+    steps: List[Step] = []
+    for source, (variables, layout) in zip(plan.sources, positions):
+        literal = source.literal
+        slots = {variable: slot for slot, variable in enumerate(variables)}
+        if layout is not None:
+            steps.append(_lower_join(layout, len(variables), stats))
+        elif isinstance(literal, Atom):
+            steps.append(_lower_negation(literal, slots, len(variables)))
+        elif isinstance(literal, Comparison):
+            steps.append(_lower_comparison(literal, slots, symbols))
+        elif isinstance(literal, Assignment):
+            steps.append(_lower_assignment(literal, slots, symbols))
+        else:  # pragma: no cover
+            raise TypeError(f"unsupported literal {literal!r}")
+        operators.append(
+            (_operator_span_name(literal), getattr(literal, "relation", None))
+        )
+    project = _lower_projection(plan.head_terms, final_variables, symbols)
+    return BlockKernel(plan.rule_name, operators, steps, project,
+                       tracer, governor, stats)
 
 
 class VectorizedSubqueryEvaluator:
@@ -729,72 +1031,38 @@ class VectorizedSubqueryEvaluator:
     Produces exactly the same result set as the push/pull evaluators — the
     differential property suite holds it to bit-for-bit equality — but
     processes the whole intermediate result per body position instead of
-    recursing per tuple.  ``stats`` counts evaluated batches and which
-    build strategy each keyed join took (folded into the runtime profile by
-    the executor).
+    recursing per tuple.  Evaluation is "lower, then run": kernels are
+    memoised per live plan object, so a plan that is evaluated every
+    iteration is analysed once.  ``stats`` counts evaluated batches and
+    which build strategy each keyed join took (folded into the runtime
+    profile by the executor).
     """
 
-    def __init__(self, storage: StorageManager, tracer=NOOP_TRACER) -> None:
+    def __init__(self, storage: StorageManager, tracer=NOOP_TRACER,
+                 governor=NOOP_GOVERNOR) -> None:
         self.storage = storage
         self.symbols = storage.symbols
         self.tracer = tracer
-        self.stats: Dict[str, int] = {"batches": 0, "index": 0, "build": 0}
+        self.governor = governor
+        self.stats = new_block_stats()
+        #: id(plan) -> (plan, kernel); holding the plan keeps its id unique.
+        self._kernels: Dict[int, Tuple[JoinPlan, BlockKernel]] = {}
+
+    def lower(self, plan: JoinPlan) -> BlockKernel:
+        """A kernel for ``plan`` wired to this evaluator's tracer, governor
+        and counters (what a JIT backend stitches its artifacts from)."""
+        return lower_plan(plan, self.symbols, self.tracer, self.governor,
+                          self.stats)
 
     def evaluate(self, plan: JoinPlan) -> Set[Row]:
-        self.stats["batches"] += 1
-        needed_after = self._needed_after(plan)
-        block = ColumnarBlock.unit()
-        tracer = self.tracer
-        for position, source in enumerate(plan.sources):
-            if not block:
-                return set()
-            if tracer.enabled:
-                literal = source.literal
-                span = tracer.span(
-                    _operator_span_name(literal), ambient=False,
-                    rule=plan.rule_name,
-                    relation=getattr(literal, "relation", None),
-                    rows_in=len(block),
-                )
-                try:
-                    block = self._apply(source, block, needed_after[position])
-                finally:
-                    span.set(rows_out=len(block)).finish()
-            else:
-                block = self._apply(source, block, needed_after[position])
-        return project_block(plan.head_terms, block, self.symbols)
-
-    def _apply(self, source, block: "ColumnarBlock",
-               needed: FrozenSet[Variable]) -> "ColumnarBlock":
-        """One body position: join/negate/filter/assign over the block."""
-        literal = source.literal
-        if isinstance(literal, Atom):
-            if literal.negated:
-                relation = self.storage.relation(
-                    literal.relation, DatabaseKind.DERIVED
-                )
-                return batch_negation(block, literal, relation)
-            relation = self.storage.relation(
-                literal.relation, source.kind or DatabaseKind.DERIVED
-            )
-            return batch_hash_join(block, literal, relation, needed, self.stats)
-        if isinstance(literal, Comparison):
-            return batch_comparison(block, literal, self.symbols)
-        if isinstance(literal, Assignment):
-            return batch_assignment(block, literal, self.symbols)
-        raise TypeError(f"unsupported literal {literal!r}")  # pragma: no cover
-
-    @staticmethod
-    def _needed_after(plan: JoinPlan) -> List[FrozenSet[Variable]]:
-        """Per body position: variables any later literal or the head reads."""
-        needed: Set[Variable] = set()
-        for term in plan.head_terms:
-            needed |= term.variables()
-        out: List[FrozenSet[Variable]] = [frozenset()] * len(plan.sources)
-        for position in range(len(plan.sources) - 1, -1, -1):
-            out[position] = frozenset(needed)
-            needed |= plan.sources[position].literal.variables()
-        return out
+        entry = self._kernels.get(id(plan))
+        if entry is None:
+            if len(self._kernels) >= _KERNEL_MEMO_LIMIT:
+                # Reorder-only execution mints fresh plan objects every
+                # iteration; dropping the memo bounds what they pin.
+                self._kernels.clear()
+            entry = self._kernels[id(plan)] = (plan, self.lower(plan))
+        return entry[1](self.storage)
 
 
 class SubqueryEvaluator:
@@ -805,7 +1073,9 @@ class SubqueryEvaluator:
     the vectorized batch executor.  :meth:`bindings` and
     :meth:`satisfiable` always run pull-style — aggregation grouping and
     DRed's targeted re-derivation need complete per-tuple bindings, which a
-    batch pipeline does not materialise.
+    batch pipeline does not materialise.  :meth:`lower` hands out block
+    kernels whatever the executor, which is how compiled artifacts share
+    this evaluator's tracer, governor and batch counters.
     """
 
     def __init__(self, storage: StorageManager, style: str = "push",
@@ -817,6 +1087,7 @@ class SubqueryEvaluator:
             raise ValueError(
                 f"unknown executor {executor!r}; expected one of {EXECUTORS}"
             )
+        self.storage = storage
         self.style = style
         self.executor = executor
         #: Cooperative cancellation: checked once per sub-query plan, the
@@ -825,24 +1096,27 @@ class SubqueryEvaluator:
         self.governor = governor
         self._push = PushSubqueryEvaluator(storage)
         self._pull = PullSubqueryEvaluator(storage)
-        self._vectorized: Optional[VectorizedSubqueryEvaluator] = (
-            VectorizedSubqueryEvaluator(storage, tracer=tracer)
-            if executor == "vectorized" else None
+        self._blocks = VectorizedSubqueryEvaluator(
+            storage, tracer=tracer, governor=governor
         )
 
     def evaluate(self, plan: JoinPlan) -> Set[Row]:
+        if self.executor == "vectorized":
+            return self._blocks.evaluate(plan)  # kernels check the governor
         if self.governor.active:
             self.governor.check()
-        if self._vectorized is not None:
-            return self._vectorized.evaluate(plan)
         if self.style == "push":
             return self._push.evaluate(plan)
         return self._pull.evaluate(plan)
 
+    def lower(self, plan: JoinPlan) -> BlockKernel:
+        """Stage ``plan`` as a block kernel (see :func:`lower_plan`)."""
+        return self._blocks.lower(plan)
+
     @property
-    def vectorized_stats(self) -> Optional[Dict[str, int]]:
-        """Batch/strategy counters of the vectorized executor (else None)."""
-        return None if self._vectorized is None else self._vectorized.stats
+    def vectorized_stats(self) -> Dict[str, int]:
+        """Batch/strategy counters of every kernel this evaluator lowered."""
+        return self._blocks.stats
 
     def bindings(self, plan: JoinPlan,
                  initial: Optional[Bindings] = None) -> Iterator[Bindings]:

@@ -117,6 +117,91 @@ class TestCompilationCorrectness:
         assert indexed(storage) == result_without
 
 
+class TestLambdaBlockKernels:
+    """Lambda artifacts are the interpreter's own lowered block kernels."""
+
+    @staticmethod
+    def wide_storage(edges=40):
+        storage = StorageManager()
+        storage.declare("edge", 2)
+        storage.declare("path", 2)
+        storage.register_index("edge", 0)
+        for i in range(edges):
+            storage.insert_derived("edge", (i, i + 1))
+        return storage
+
+    @staticmethod
+    def compile_counted(plan, storage):
+        from repro.relational.operators import SubqueryEvaluator, evaluate_subquery
+
+        evaluator = SubqueryEvaluator(storage)
+        artifact = LambdaBackend().compile_plans([plan], storage, evaluator=evaluator)
+
+        def run():
+            rows = artifact(storage)
+            assert rows == evaluate_subquery(storage, plan)
+            return dict(evaluator.vectorized_stats)
+
+        return run
+
+    def test_one_artifact_serves_both_sides_of_the_index_build_switch(self):
+        storage = self.wide_storage(edges=40)
+        run = self.compile_counted(tc_plan(delta=True), storage)
+        storage.force_delta("path", [(0, 5), (1, 5), (2, 6)])   # 2 keys < 40 rows
+        assert run() == {"batches": 1, "index": 1, "build": 0}
+        # A probe side as wide as the relation: the same artifact now builds.
+        storage.force_delta("path", [(0, k) for k in range(40)])
+        assert run() == {"batches": 2, "index": 1, "build": 1}
+        storage.clear_deltas(["path"])
+        storage.force_delta("path", [(9, 3)])
+        assert run() == {"batches": 3, "index": 2, "build": 1}
+
+    def test_artifact_picks_up_an_index_registered_after_compilation(self):
+        storage = graph_storage()
+        for i in range(10, 30):
+            storage.insert_derived("edge", (i, i + 1))
+        run = self.compile_counted(tc_plan(delta=True), storage)
+        assert run() == {"batches": 1, "index": 0, "build": 1}
+        storage.register_index("edge", 0)
+        assert run() == {"batches": 2, "index": 1, "build": 1}
+        assert storage.derived("edge").indexed_columns() == (0,)
+
+    def test_lowering_runs_once_per_plan_not_once_per_call(self, monkeypatch):
+        from repro.relational import operators
+
+        calls = []
+        real = operators.lower_plan
+
+        def counting(plan, *args, **kwargs):
+            calls.append(plan)
+            return real(plan, *args, **kwargs)
+
+        monkeypatch.setattr(operators, "lower_plan", counting)
+        storage = graph_storage()
+        plans = [tc_plan(True), builtin_plan()]
+        artifact = LambdaBackend().compile_plans(plans, storage)
+        assert len(calls) == 2
+        for _ in range(3):
+            artifact(storage)
+        assert len(calls) == 2
+        # The interpreter memoises per plan object the same way.
+        evaluator = operators.SubqueryEvaluator(storage, executor="vectorized")
+        for _ in range(3):
+            evaluator.evaluate(plans[0])
+        assert len(calls) == 3
+
+    def test_irgen_interprets_on_the_evaluator_it_was_given(self):
+        from repro.relational.operators import SubqueryEvaluator
+
+        storage = graph_storage()
+        evaluator = SubqueryEvaluator(storage, executor="vectorized")
+        artifact = IRGeneratorBackend().compile_plans(
+            [tc_plan()], storage, evaluator=evaluator
+        )
+        assert artifact(storage) == {(1, 3), (2, 4)}
+        assert evaluator.vectorized_stats["batches"] == 1
+
+
 class TestBackendProperties:
     def test_compile_seconds_recorded(self):
         storage = graph_storage()

@@ -107,6 +107,45 @@ class TestProfileBookkeeping:
         assert summary["compile_seconds"] > 0
         assert summary["subqueries_compiled"] > 0
 
+    def test_irgen_artifacts_run_on_the_configured_executor(self):
+        config = EngineConfig.jit("irgen").with_(executor="vectorized")
+        engine = ExecutionEngine(parse_program(TC_SOURCE), config)
+        assert engine.evaluate()["path"] == REFERENCE_TC
+        summary = engine.profile.summary()
+        assert summary["subqueries_compiled"] > 0
+        # Batches beyond the interpreted (seed-stage) sub-queries ran
+        # inside irgen artifacts: they did not silently fall back to pushdown.
+        assert summary["block_joins"]["batches"] > summary["subqueries_vectorized"]
+
+    def test_lambda_artifacts_feed_the_batch_counters(self):
+        engine = ExecutionEngine(parse_program(TC_SOURCE), EngineConfig.jit("lambda"))
+        assert engine.evaluate()["path"] == REFERENCE_TC
+        summary = engine.profile.summary()
+        joins = summary["block_joins"]
+        assert joins["batches"] == summary["subqueries_compiled"] > 0
+        assert joins["index"] + joins["build"] > 0
+        assert engine.profile.block_plans  # predicted strategies recorded too
+
+    def test_snippet_continuations_share_the_executors_interpreter(self, monkeypatch):
+        from repro.core import executor as executor_module
+
+        built = []
+
+        class Counting(executor_module.SubqueryEvaluator):
+            def __init__(self, *args, **kwargs):
+                built.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(executor_module, "SubqueryEvaluator", Counting)
+        config = EngineConfig.jit("lambda", compile_mode="snippet").with_(
+            executor="vectorized"
+        )
+        engine = ExecutionEngine(parse_program(TC_SOURCE), config)
+        assert engine.evaluate()["path"] == REFERENCE_TC
+        assert len(built) == 1  # not one evaluator per continuation call
+        summary = engine.profile.summary()
+        assert summary["block_joins"]["batches"] > summary["subqueries_vectorized"]
+
     def test_aot_profile_records_aot_reorders(self):
         engine = ExecutionEngine(
             parse_program(TC_SOURCE), EngineConfig.aot(sort=AOTSortMode.FACTS_AND_RULES)

@@ -250,3 +250,38 @@ class TestBlockStrategyAnnotation:
         )
         # Second num atom joins on the assigned z: single indexed key.
         assert strategies == ("scan", "index")
+
+    def test_prediction_agrees_with_the_kernels_runtime_choice(self):
+        """Prediction and kernel read the same layout, so whenever the probe
+        side is narrower than the relation they pick the same strategy."""
+        from repro.core.join_order import (
+            annotate_block_strategies,
+            storage_cardinality_view,
+            storage_index_view,
+        )
+        from repro.relational.operators import lower_plan
+        from repro.relational.storage import StorageManager
+
+        w = Variable("w")
+        rule = Rule(
+            Atom("out", (x, w)),
+            (Atom("path", (x, y)), Atom("edge", (y, z)), Atom("label", (z, w))),
+        )
+        plan = build_join_plan(rule, delta_index=0)
+        storage = StorageManager()
+        for name in ("path", "edge", "label", "out"):
+            storage.declare(name, 2)
+        storage.register_index("edge", 0)            # label stays unindexed
+        for i in range(50):
+            storage.insert_derived("edge", (i, i + 1))
+            storage.insert_derived("label", (i, f"l{i % 3}"))
+        storage.force_delta("path", [(0, 1), (0, 2), (7, 2)])
+
+        predicted = annotate_block_strategies(
+            plan, storage_cardinality_view(storage), storage_index_view(storage)
+        )
+        assert predicted == ("scan", "index", "build")
+        stats = {"batches": 0, "index": 0, "build": 0}
+        assert lower_plan(plan, stats=stats)(storage)
+        assert stats == {"batches": 1, "index": predicted.count("index"),
+                         "build": predicted.count("build")}

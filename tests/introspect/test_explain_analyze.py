@@ -118,13 +118,13 @@ class TestRenderFallbacks:
         text = render_analyze(RuntimeProfile(), None)
         assert "no trace captured" in text
 
-    def test_trace_without_op_spans_points_at_vectorized(self):
+    def test_trace_without_op_spans_points_at_block_kernels(self):
         ring = RingBufferSink(capacity=2)
         tracer = Tracer(sinks=(ring,))
         with tracer.span("query", root=True):
             pass
         text = render_analyze(RuntimeProfile(), ring.latest())
-        assert "executor='vectorized'" in text
+        assert "executor='vectorized'" in text and "jit('lambda')" in text
 
 
 class TestConnectionExplainAnalyze:
@@ -139,6 +139,43 @@ class TestConnectionExplainAnalyze:
         assert "op:join" in text
         assert "predicted~" in text
         assert "rows_out=" in text
+
+    def test_analyze_works_for_lambda_jit_artifacts(self):
+        """Lambda artifacts are block kernels: same op:* spans as the
+        vectorized interpreter emits, under a pushdown interpreter."""
+        config = EngineConfig.jit("lambda").with_(telemetry=tracing())
+        with Database(tc_program(), config) as db, db.connect() as conn:
+            conn.query("path")
+            text = conn.explain(analyze=True)
+            trace = conn.session.last_trace
+        assert "op:join" in text
+        assert "predicted~" in text and "rows_out=" in text
+        joins = [s for s in trace.spans if s.name == "op:join"]
+        assert joins
+        assert all(
+            {"rule", "relation", "rows_in", "rows_out"} <= set(s.attributes)
+            for s in joins
+        )
+
+    def test_misestimates_are_flagged_under_lambda_jit(self):
+        # 40 starts funnel through one hub with 40 exits: the first compiled
+        # iteration derives 1600 rows where the selectivity model, asked
+        # again for the last (40-row) delta, predicts 164.
+        facts = (
+            [f"start({i}, 0)." for i in range(1, 41)]
+            + [f"hop(0, {100 + j})." for j in range(1, 41)]
+            + ["hop(101, 300)."]
+        )
+        source = (
+            "reach(X, Y) :- start(X, Y).\n"
+            "reach(X, Z) :- reach(X, Y), hop(Y, Z).\n" + "\n".join(facts)
+        )
+        config = EngineConfig.jit("lambda").with_(telemetry=tracing())
+        with Database(source, config) as db, db.connect() as conn:
+            assert conn.query("reach").count() == 40 + 1600 + 40
+            text = conn.explain(analyze=True)
+        (flagged,) = [line for line in text.splitlines() if "** misestimate **" in line]
+        assert "op:join hop" in flagged and "(max 1600)" in flagged
 
     def test_analyze_without_telemetry_says_so(self):
         with Database(tc_program()) as db, db.connect() as conn:

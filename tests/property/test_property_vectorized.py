@@ -1,13 +1,17 @@
-"""Property tests: the vectorized executor equals the pushdown oracle.
+"""Property tests: the block kernels equal the pushdown oracle.
 
 The vectorized batch executor's contract is *exact* equivalence: for any
 program and any fact base, ``EngineConfig.with_(executor="vectorized")``
 computes bit-for-bit the fixpoint of the tuple-at-a-time pushdown executor
 — whatever the execution mode (interpreted, JIT, AOT), whatever the shard
 count, and also inside an :class:`~repro.incremental.IncrementalSession`
-absorbing randomized insert/retract sequences.  The pushdown recursion is
-the oracle; any future executor lands against this same harness (see
-``tests/README.md``).
+absorbing randomized insert/retract sequences.  The lambda JIT backend
+stitches its artifacts from the same lowered kernels, so full-mode
+``jit("lambda")`` is held to the same oracle here, over rule shapes that
+put every kernel variant (semi-join, existence filter, anti-join, filter,
+symbol-allocating assignment, zero-arity head, empty relation) *inside*
+the compiled loop.  The pushdown recursion is the oracle; any future
+executor lands against this same harness (see ``tests/README.md``).
 """
 
 import pytest
@@ -18,12 +22,17 @@ from repro.analyses.micro import build_transitive_closure_program
 from repro.core.config import EngineConfig
 from repro.datalog.literals import Assignment, Atom, Comparison
 from repro.datalog.program import DatalogProgram
-from repro.datalog.terms import Variable
+from repro.datalog.terms import Constant, Variable
 from repro.engine.engine import ExecutionEngine
 from repro.incremental import IncrementalSession
 
 SHARD_COUNTS = (1, 2, 4)
 RULE_SHAPES = ("linear", "nonlinear", "mutual", "filtered", "negated")
+#: Shapes whose interesting literal sits in a *recursive* rule, i.e. inside
+#: the loop the JIT compiles (the five above keep theirs in the seed stage
+#: or a non-recursive stratum, which the interpreter runs).
+LOOP_SHAPES = ("loop_negated", "loop_filtered", "allocating", "semi_join",
+               "repeated", "constants", "zero_arity", "empty_relation")
 
 edges_strategy = st.lists(
     st.tuples(st.integers(min_value=0, max_value=7), st.integers(min_value=0, max_value=7)),
@@ -42,15 +51,18 @@ mutations_strategy = st.lists(
 
 
 def build_random_program(edges, rule_shape):
-    """One of five rule shapes over the same random edge set.
+    """One rule shape over the same random edge set.
 
     ``linear``/``nonlinear``/``mutual`` mirror the shard-parallel property
     suite (aligned pivot, self-join, two-relation stratum); ``filtered``
     adds comparison and assignment literals (batch filter/extend
     operators); ``negated`` adds a stratified anti-join (batch negation).
+    The :data:`LOOP_SHAPES` move those literals — plus repeated variables,
+    body constants, a zero-arity head and a relation without facts — into
+    the recursive rule.
     """
     program = DatalogProgram(f"prop_vec_{rule_shape}")
-    x, y, z, s = (Variable(v) for v in ("x", "y", "z", "s"))
+    x, y, z, s, w = (Variable(v) for v in ("x", "y", "z", "s", "w"))
     path = lambda a, b: Atom("path", (a, b))  # noqa: E731
     edge = lambda a, b: Atom("edge", (a, b))  # noqa: E731
     hop = lambda a, b: Atom("hop", (a, b))    # noqa: E731
@@ -71,9 +83,60 @@ def build_random_program(edges, rule_shape):
             Atom("weight", (x, s)),
             [edge(x, y), Assignment(s, x + y), Comparison("<=", s, 10)],
         )
-    else:  # negated: two_hop is a lower stratum for the anti-join
+    elif rule_shape == "negated":  # two_hop is a lower stratum for the anti-join
         program.add_rule(hop(x, z), [edge(x, y), edge(y, z)])
         program.add_rule(Atom("skip", (x, z)), [hop(x, z), ~edge(x, z)])
+    elif rule_shape == "loop_negated":
+        # Anti-joins on all columns, a column subset and a constant.
+        program.add_rule(hop(x, z), [edge(x, y), edge(y, z)])
+        program.add_rule(
+            path(x, z),
+            [path(x, y), edge(y, z), ~hop(x, z), ~Atom("sink", (z,)),
+             ~edge(z, Constant(0))],
+        )
+        program.add_rule(Atom("sink", (x,)), [edge(y, x), ~edge(x, x)])
+    elif rule_shape == "loop_filtered":
+        program.add_rule(
+            path(x, z),
+            [path(x, y), edge(y, z), Comparison("!=", x, z),
+             Comparison("<", x + 1, z + 7)],
+        )
+    elif rule_shape == "allocating":
+        # Every round's assignment mints symbols no fact ever mentioned.
+        dist = lambda a, b: Atom("dist", (a, b))  # noqa: E731
+        program.add_rule(dist(x, s), [edge(x, y), Assignment(s, Constant(100))])
+        program.add_rule(
+            dist(y, w),
+            [dist(x, s), edge(x, y), Assignment(w, s + 3), Comparison("<=", w, 118)],
+        )
+        # Re-binding a bound variable is an equality filter.
+        program.add_rule(
+            Atom("odd", (x, y)),
+            [dist(x, s), dist(y, w), edge(x, y), Assignment(w, s + 3)],
+        )
+    elif rule_shape == "semi_join":
+        # edge(z, w) binds nothing the head reads: a key-only filter.
+        program.add_rule(path(x, z), [path(x, y), edge(y, z), edge(z, w)])
+    elif rule_shape == "repeated":
+        program.add_rule(path(x, x), [edge(x, y), edge(y, x)])
+        program.add_rule(path(x, z), [path(x, y), edge(y, z), path(z, z)])
+        program.add_rule(hop(x, z), [path(x, y), edge(y, z), edge(w, w)])
+    elif rule_shape == "constants":
+        program.add_rule(
+            path(x, z), [path(x, y), edge(y, z), edge(Constant(0), w), path(w, z)]
+        )
+        program.add_rule(
+            path(Constant(7), z),
+            [path(x, z), edge(Constant(1), Constant(2)), edge(x, Constant(3))],
+        )
+    elif rule_shape == "zero_arity":
+        on = Atom("on", ())
+        program.add_rule(on, [path(x, y), edge(y, x)])
+        program.add_rule(path(x, z), [path(x, y), edge(y, z), on])
+        program.add_rule(Atom("off", ()), [edge(x, y), ~Atom("on", ())])
+    else:  # empty_relation: ghost is declared by use, never populated
+        program.add_rule(path(x, z), [path(x, y), Atom("ghost", (y, z))])
+        program.add_rule(path(x, z), [path(x, y), edge(y, z), ~Atom("ghost", (x, z))])
     program.add_facts("edge", sorted(set(edges)))
     return program
 
@@ -119,13 +182,38 @@ def test_vectorized_matches_across_modes_and_shards(base, edges):
         )
 
 
+@pytest.mark.parametrize("interning", [True, False], ids=["interned", "raw"])
+@pytest.mark.parametrize("shards", [1, 4])
+@pytest.mark.parametrize("rule_shape", RULE_SHAPES + LOOP_SHAPES)
+@settings(max_examples=5, deadline=None)
+@given(edges=edges_strategy)
+def test_lambda_artifacts_match_pushdown_oracle(rule_shape, shards, interning, edges):
+    """Full-mode lambda artifacts, bit-for-bit, over every kernel variant."""
+    if rule_shape == "zero_arity" and shards > 1:
+        pytest.skip("the shard router cannot partition a zero-arity relation "
+                    "derived inside a recursive stratum (any backend)")
+    program = build_random_program(edges, rule_shape)
+    reference = evaluate(program.copy(), EngineConfig.interpreted())
+    config = EngineConfig.jit("lambda").with_(interning=interning)
+    if shards > 1:
+        config = EngineConfig.parallel(shards=shards, base=config)
+    compiled = evaluate(program.copy(), config)
+    assert compiled == reference, f"{rule_shape} diverged under {config.describe()}"
+    for relation in reference:
+        assert list(compiled[relation]) == list(reference[relation])
+
+
+@pytest.mark.parametrize("base", [
+    EngineConfig.interpreted().with_(executor="vectorized"),
+    EngineConfig.jit("lambda"),
+    EngineConfig.jit("lambda").with_(interning=False),
+], ids=lambda c: c.describe())
 @pytest.mark.parametrize("shards", [1, 2])
 @settings(max_examples=6, deadline=None)
 @given(edges=edges_strategy, mutations=mutations_strategy)
-def test_vectorized_sessions_replay_update_sequences(shards, edges, mutations):
-    """Incremental insert/retract sequences under the vectorized executor."""
+def test_block_kernel_sessions_replay_update_sequences(base, shards, edges, mutations):
+    """Incremental insert/retract sequences through the block kernels."""
     edges = [e for e in edges if e[0] != e[1]] or [(0, 1)]
-    base = EngineConfig.interpreted().with_(executor="vectorized")
     config = (
         EngineConfig.parallel(shards=shards, base=base) if shards > 1 else base
     )

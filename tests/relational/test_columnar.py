@@ -1,9 +1,10 @@
-"""Unit tests for ColumnarBlock and the batch (vectorized) operators."""
+"""Unit tests for ColumnarBlock, the hash build/probe primitives and the
+vectorized evaluator (the lowered kernels themselves: test_operators.py)."""
 
 import pytest
 
-from repro.datalog.literals import Assignment, Atom, Comparison
-from repro.datalog.terms import Constant, Variable
+from repro.datalog.literals import Atom
+from repro.datalog.terms import Variable
 from repro.relational.columnar import (
     ColumnarBlock,
     build_hash_table,
@@ -14,12 +15,7 @@ from repro.relational.operators import (
     AtomSource,
     JoinPlan,
     VectorizedSubqueryEvaluator,
-    batch_assignment,
-    batch_comparison,
-    batch_hash_join,
-    batch_negation,
     evaluate_subquery,
-    project_block,
 )
 from repro.relational.relation import Relation
 from repro.relational.storage import DatabaseKind, StorageManager
@@ -28,14 +24,10 @@ x, y, z = Variable("x"), Variable("y"), Variable("z")
 
 
 class TestColumnarBlock:
-    def test_unit_and_empty(self):
-        unit = ColumnarBlock.unit()
-        assert len(unit) == 1
-        assert unit.rows() == [()]
-        empty = ColumnarBlock.empty((x,))
+    def test_empty_block(self):
+        empty = ColumnarBlock.from_rows((x,), [])
         assert len(empty) == 0 and not empty
-        assert empty.rows() == []
-        assert empty.columns == ((),)
+        assert empty.rows() == [] and empty.columns == ((),)
 
     def test_round_trip_between_layouts(self):
         from_rows = ColumnarBlock.from_rows((x, y), [(1, 2), (3, 4)])
@@ -55,12 +47,6 @@ class TestColumnarBlock:
             ColumnarBlock.from_columns((x, y), [(1, 2), (3,)])
         with pytest.raises(ValueError):
             ColumnarBlock.from_columns((x,), [(1,), (2,)])
-
-    def test_slot_lookup(self):
-        block = ColumnarBlock.from_rows((x, y), [(1, 2)])
-        assert block.slot(x) == 0 and block.slot(y) == 1
-        assert block.slot(z) is None
-        assert block.has(x) and not block.has(z)
 
     def test_from_relation_and_partition(self):
         relation = Relation("edge", 2)
@@ -88,6 +74,11 @@ class TestHashPrimitives:
         table = build_hash_table([(1, "a"), (2, "b")], [0], [1])
         assert sorted(probe_hash_table(table, [2, 2], None)) == [("b",), ("b",)]
 
+    def test_probe_payload_first_flips_the_concatenation(self):
+        table = build_hash_table([(1, "a"), (1, "b")], [0], [1])
+        out = probe_hash_table(table, [1, 7], [(10,), (70,)], payload_first=True)
+        assert sorted(out) == [("a", 10), ("b", 10)]
+
     def test_multi_column_keys(self):
         table = build_hash_table([(1, 2, 3)], [0, 1], [2])
         assert table == {(1, 2): [(3,)]}
@@ -103,85 +94,6 @@ def make_storage():
     storage.declare("edge", 2)
     storage.declare("path", 2)
     return storage
-
-
-class TestBatchOperators:
-    def test_join_extends_block(self):
-        storage = make_storage()
-        edge = storage.derived("edge")
-        edge.insert_many([(1, 2), (2, 3), (2, 4)])
-        block = ColumnarBlock.from_rows((x, y), [(0, 1), (0, 2)])
-        out = batch_hash_join(block, Atom("edge", (y, z)), edge,
-                              needed=frozenset({x, y, z}))
-        assert out.variables == (x, y, z)
-        assert sorted(out.rows()) == [(0, 1, 2), (0, 2, 3), (0, 2, 4)]
-
-    def test_join_prunes_dead_columns(self):
-        storage = make_storage()
-        edge = storage.derived("edge")
-        edge.insert((1, 2))
-        block = ColumnarBlock.from_rows((x, y), [(0, 1)])
-        out = batch_hash_join(block, Atom("edge", (y, z)), edge,
-                              needed=frozenset({x, z}))
-        assert out.variables == (x, z)
-        assert out.rows() == [(0, 2)]
-
-    def test_join_respects_constants_and_repeated_variables(self):
-        storage = make_storage()
-        edge = storage.derived("edge")
-        edge.insert_many([(1, 1), (1, 2), (2, 2)])
-        unit = ColumnarBlock.unit()
-        same = batch_hash_join(unit, Atom("edge", (x, x)), edge, frozenset({x}))
-        assert sorted(same.rows()) == [(1,), (2,)]
-        pinned = batch_hash_join(unit, Atom("edge", (Constant(1), y)), edge,
-                                 frozenset({y}))
-        assert sorted(pinned.rows()) == [(1,), (2,)]
-
-    def test_join_existence_filter_keeps_or_drops_whole_block(self):
-        storage = make_storage()
-        edge = storage.derived("edge")
-        edge.insert((1, 2))
-        block = ColumnarBlock.from_rows((z,), [(7,), (8,)])
-        kept = batch_hash_join(block, Atom("edge", (Constant(1), Constant(2))),
-                               edge, frozenset({z}))
-        assert sorted(kept.rows()) == [(7,), (8,)]
-        dropped = batch_hash_join(block, Atom("edge", (Constant(9), Constant(9))),
-                                  edge, frozenset({z}))
-        assert len(dropped) == 0
-
-    def test_negation_filters_members(self):
-        storage = make_storage()
-        storage.derived("edge").insert((1, 2))
-        block = ColumnarBlock.from_rows((x, y), [(1, 2), (3, 4)])
-        out = batch_negation(block, Atom("edge", (x, y), negated=True),
-                             storage.derived("edge"))
-        assert out.rows() == [(3, 4)]
-
-    def test_negation_requires_bound_variables(self):
-        storage = make_storage()
-        block = ColumnarBlock.from_rows((x,), [(1,)])
-        with pytest.raises(ValueError, match="unbound variable"):
-            batch_negation(block, Atom("edge", (x, z), negated=True),
-                           storage.derived("edge"))
-
-    def test_comparison_and_assignment(self):
-        block = ColumnarBlock.from_rows((x, y), [(1, 2), (5, 2)])
-        filtered = batch_comparison(block, Comparison("<", x, y))
-        assert filtered.rows() == [(1, 2)]
-        extended = batch_assignment(filtered, Assignment(z, x + y))
-        assert extended.variables == (x, y, z)
-        assert extended.rows() == [(1, 2, 3)]
-        # Re-binding an existing variable degenerates to an equality filter.
-        rebound = batch_assignment(extended, Assignment(z, Constant(3)))
-        assert rebound.rows() == [(1, 2, 3)]
-        assert batch_assignment(extended, Assignment(z, Constant(9))).rows() == []
-
-    def test_project_block_shapes(self):
-        block = ColumnarBlock.from_rows((x, y), [(1, 2), (3, 4)])
-        assert project_block((x, y), block) == {(1, 2), (3, 4)}
-        assert project_block((y,), block) == {(2,), (4,)}
-        assert project_block((y, x), block) == {(2, 1), (4, 3)}
-        assert project_block((x, x + y), block) == {(1, 3), (3, 7)}
 
 
 class TestVectorizedEvaluator:

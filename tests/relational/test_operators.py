@@ -1,4 +1,6 @@
-"""Unit tests for the push/pull sub-query evaluators."""
+"""Unit tests for the push/pull sub-query evaluators and the lowered block
+kernels (``lower_plan``) both the vectorized interpreter and the lambda
+backend run."""
 
 import pytest
 
@@ -12,6 +14,8 @@ from repro.relational.operators import (
     SubqueryEvaluator,
     bound_constraints,
     evaluate_subquery,
+    join_layouts,
+    lower_plan,
     match_atom,
     project_head,
 )
@@ -199,3 +203,201 @@ class TestEvaluation:
         storage.register_index("path", 1)
         with_indexes = evaluate_subquery(storage, simple_plan())
         assert without == with_indexes
+
+
+# -- lowered block kernels ----------------------------------------------------
+
+w = Variable("w")
+
+
+def kernel_storage(**relations) -> StorageManager:
+    """A storage holding ``relations`` (name -> rows) in Derived."""
+    storage = StorageManager()
+    for name, rows in relations.items():
+        rows = list(rows)
+        storage.declare(name, len(rows[0]) if rows else 2)
+        storage.derived(name).insert_many(rows)
+    return storage
+
+
+def plan_of(head_terms, *literals) -> JoinPlan:
+    return JoinPlan(
+        head_relation="out",
+        head_terms=tuple(head_terms),
+        sources=tuple(
+            AtomSource(
+                literal,
+                DatabaseKind.DERIVED
+                if isinstance(literal, Atom) and not literal.negated else None,
+            )
+            for literal in literals
+        ),
+        rule_name="r",
+    )
+
+
+def run_kernel(storage, plan):
+    """Lower and run; the pushdown oracle must agree."""
+    rows = lower_plan(plan, storage.symbols)(storage)
+    assert rows == evaluate_subquery(storage, plan)
+    return rows
+
+
+class TestLoweredJoin:
+    def test_join_extends_block(self):
+        storage = kernel_storage(src=[(0, 1), (0, 2)], edge=[(1, 2), (2, 3), (2, 4)])
+        plan = plan_of((x, y, z), Atom("src", (x, y)), Atom("edge", (y, z)))
+        assert run_kernel(storage, plan) == {(0, 1, 2), (0, 2, 3), (0, 2, 4)}
+
+    def test_join_prunes_dead_columns(self):
+        plan = plan_of((x, z), Atom("src", (x, y)), Atom("edge", (y, z)))
+        first, second = join_layouts(plan)
+        assert first.out_variables == (x, y)
+        assert second.kept_slots == (0,) and second.out_variables == (x, z)
+        storage = kernel_storage(src=[(0, 1)], edge=[(1, 2)])
+        assert run_kernel(storage, plan) == {(0, 2)}
+
+    def test_constants_and_repeated_variables(self):
+        storage = kernel_storage(edge=[(1, 1), (1, 2), (2, 2)])
+        assert run_kernel(storage, plan_of((x,), Atom("edge", (x, x)))) == {(1,), (2,)}
+        pinned = plan_of((y,), Atom("edge", (Constant(1), y)))
+        assert run_kernel(storage, pinned) == {(1,), (2,)}
+
+    def test_keyed_join_filters_constants_through_the_index(self):
+        storage = kernel_storage(src=[(1,), (2,)], t=[(1, 7, 5), (1, 8, 6), (2, 7, 9)])
+        storage.register_index("t", 0)
+        storage.derived("t").build_index(0)
+        plan = plan_of((x, z), Atom("src", (x,)), Atom("t", (x, Constant(7), z)))
+        stats = {"batches": 0, "index": 0, "build": 0}
+        kernel = lower_plan(plan, stats=stats)
+        assert kernel(storage) == {(1, 5), (2, 9)}
+        assert stats == {"batches": 1, "index": 1, "build": 0}
+
+    def test_all_constant_atom_keeps_or_drops_the_whole_block(self):
+        storage = kernel_storage(src=[(7,), (8,)], edge=[(1, 2)])
+        kept = plan_of((z,), Atom("src", (z,)), Atom("edge", (Constant(1), Constant(2))))
+        assert run_kernel(storage, kept) == {(7,), (8,)}
+        dropped = plan_of((z,), Atom("src", (z,)), Atom("edge", (Constant(9), Constant(9))))
+        assert run_kernel(storage, dropped) == set()
+
+    def test_key_only_atom_is_a_semi_join(self):
+        """An atom that binds nothing new filters; it never multiplies rows."""
+        storage = kernel_storage(src=[(1, 5), (2, 6), (3, 7)],
+                                 edge=[(1, 10), (1, 11), (1, 12), (3, 13)])
+        plan = plan_of((x, y), Atom("src", (x, y)), Atom("edge", (x, w)))
+        (_, semi) = join_layouts(plan)
+        assert semi.fresh_positions == () and semi.key_positions == (0,)
+        kernel = lower_plan(plan)
+        assert kernel.steps[1](storage, [(1, 5), (2, 6), (3, 7)]) == [(1, 5), (3, 7)]
+        assert run_kernel(storage, plan) == {(1, 5), (3, 7)}
+        # The same through a live index, with a constant to filter on.
+        storage.register_index("edge", 0)
+        storage.derived("edge").build_index(0)
+        pinned = plan_of((x, y), Atom("src", (x, y)), Atom("edge", (x, Constant(13))))
+        assert run_kernel(storage, pinned) == {(3, 7)}
+
+    def test_cartesian_product(self):
+        storage = kernel_storage(a=[(1,), (2,)], b=[(8,), (9,)])
+        plan = plan_of((x, y), Atom("a", (x,)), Atom("b", (y,)))
+        assert join_layouts(plan)[1].key_positions == ()
+        assert run_kernel(storage, plan) == {(1, 8), (1, 9), (2, 8), (2, 9)}
+
+    def test_empty_relation_short_circuits(self):
+        storage = kernel_storage(src=[(0, 1)], edge=[])
+        plan = plan_of((x, z), Atom("src", (x, y)), Atom("edge", (y, z)))
+        assert run_kernel(storage, plan) == set()
+
+    def test_multi_column_key(self):
+        storage = kernel_storage(src=[(1, 2), (3, 4)], t=[(1, 2, 9), (3, 5, 8)])
+        plan = plan_of((x, z), Atom("src", (x, y)), Atom("t", (x, y, z)))
+        assert join_layouts(plan)[1].key_positions == (0, 1)
+        assert run_kernel(storage, plan) == {(1, 9)}
+
+
+class TestHeadShapedLastJoin:
+    def test_last_join_emits_head_rows(self):
+        storage = kernel_storage(path=[(1, 2), (2, 3)], edge=[(2, 3), (3, 4)])
+        plan = plan_of((x, z), Atom("path", (x, y)), Atom("edge", (y, z)))
+        kernel = lower_plan(plan)
+        assert kernel.project is set
+        assert run_kernel(storage, plan) == {(1, 3), (2, 4)}
+
+    def test_fresh_columns_may_lead(self):
+        """edge first, path second: the head's x is fresh, its z is kept."""
+        storage = kernel_storage(path=[(1, 2), (2, 3)], edge=[(2, 3), (3, 4)])
+        plan = plan_of((x, z), Atom("edge", (y, z)), Atom("path", (x, y)))
+        layout = join_layouts(plan)[1]
+        assert layout.payload_first and layout.out_variables == (x, z)
+        assert lower_plan(plan).project is set
+        assert run_kernel(storage, plan) == {(1, 3), (2, 4)}
+
+    def test_kept_columns_are_permuted_into_head_order(self):
+        storage = kernel_storage(src=[(1, 2, 3)], edge=[(3, 4)])
+        plan = plan_of((y, x, w), Atom("src", (x, y, z)), Atom("edge", (z, w)))
+        layout = join_layouts(plan)[1]
+        assert layout.kept_slots == (1, 0) and layout.out_variables == (y, x, w)
+        assert lower_plan(plan).project is set
+        assert run_kernel(storage, plan) == {(2, 1, 4)}
+
+    def test_interleaved_head_falls_back_to_a_projection(self):
+        storage = kernel_storage(src=[(1, 2, 3)], t=[(3, 4, 5)])
+        plan = plan_of((x, w, y, z), Atom("src", (x, y, z)), Atom("t", (z, w, Variable("v"))))
+        assert lower_plan(plan).project is not set
+        assert run_kernel(storage, plan) == {(1, 4, 2, 3)}
+
+    def test_head_constants_and_expressions_project(self):
+        storage = kernel_storage(edge=[(1, 2), (3, 4)])
+        plan = plan_of((x, Constant(0), x + y), Atom("edge", (x, y)))
+        assert lower_plan(plan).project is not set
+        assert run_kernel(storage, plan) == {(1, 0, 3), (3, 0, 7)}
+
+    def test_projection_shapes(self):
+        storage = kernel_storage(edge=[(1, 2), (3, 4)])
+        edge = Atom("edge", (x, y))
+        assert run_kernel(storage, plan_of((x, y), edge)) == {(1, 2), (3, 4)}
+        assert run_kernel(storage, plan_of((y,), edge)) == {(2,), (4,)}
+        assert run_kernel(storage, plan_of((y, x), edge)) == {(2, 1), (4, 3)}
+        assert run_kernel(storage, plan_of((x, x), edge)) == {(1, 1), (3, 3)}
+        assert run_kernel(storage, plan_of((), edge)) == {()}
+
+    def test_zero_arity_head_over_an_empty_block_is_empty(self):
+        storage = kernel_storage(edge=[])
+        assert run_kernel(storage, plan_of((), Atom("edge", (x, y)))) == set()
+
+
+class TestLoweredBuiltins:
+    def test_negation_filters_members(self):
+        storage = kernel_storage(src=[(1, 2), (3, 4)], edge=[(1, 2)])
+        plan = plan_of((x, y), Atom("src", (x, y)), Atom("edge", (x, y), negated=True))
+        assert run_kernel(storage, plan) == {(3, 4)}
+
+    def test_negation_with_constants_and_column_subsets(self):
+        storage = kernel_storage(src=[(1, 2), (3, 4)], edge=[(2, 0)], flag=[(3,)])
+        constant = plan_of((x,), Atom("src", (x, y)),
+                           Atom("edge", (y, Constant(0)), negated=True))
+        assert run_kernel(storage, constant) == {(3,)}
+        subset = plan_of((y,), Atom("src", (x, y)), Atom("flag", (x,), negated=True))
+        assert run_kernel(storage, subset) == {(2,)}
+
+    def test_negation_requires_bound_variables(self):
+        plan = plan_of((x,), Atom("src", (x,)), Atom("edge", (x, z), negated=True))
+        with pytest.raises(ValueError, match="unbound variable"):
+            lower_plan(plan)
+
+    def test_comparison_and_assignment(self):
+        storage = kernel_storage(src=[(1, 2), (5, 2)])
+        plan = plan_of((x, y, z), Atom("src", (x, y)), Comparison("<", x, y),
+                       Assignment(z, x + y))
+        assert run_kernel(storage, plan) == {(1, 2, 3)}
+
+    def test_rebinding_an_assignment_is_an_equality_filter(self):
+        storage = kernel_storage(src=[(1, 2), (5, 2)])
+        hit = plan_of((x,), Atom("src", (x, y)), Assignment(y, x + 1))
+        assert run_kernel(storage, hit) == {(1,)}
+        miss = plan_of((x,), Atom("src", (x, y)), Assignment(y, Constant(9)))
+        assert run_kernel(storage, miss) == set()
+
+    def test_unbound_comparison_operand_is_rejected_at_lowering(self):
+        plan = plan_of((x,), Atom("src", (x,)), Comparison("<", x, z))
+        with pytest.raises(KeyError, match="unbound variable"):
+            lower_plan(plan)

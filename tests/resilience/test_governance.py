@@ -87,6 +87,56 @@ class TestDeadline:
             database.close()
 
 
+class TestDeadlineInsideCompiledIterations:
+    """Lambda artifacts are block kernels; each one polls the governor."""
+
+    def test_deadline_aborts_a_jit_lambda_closure_and_leaves_storage_consistent(self):
+        from repro.workloads.graphs import random_edges
+
+        edges = random_edges(12_000, 10_000, seed=7)
+        database = Database(build_transitive_closure_program(edges),
+                            EngineConfig.jit("lambda"))
+        try:
+            with database.connect() as conn:
+                started = time.perf_counter()
+                with pytest.raises(DeadlineExceeded):
+                    conn.query(
+                        "path", limits=QueryLimits(deadline_seconds=DEADLINE)
+                    )
+                assert time.perf_counter() - started < 4 * DEADLINE
+                # The abort left no half-applied fixpoint behind: the next
+                # un-governed query agrees with from-scratch evaluation.
+                rows = set(conn.query("path").rows())
+                conn.self_check()
+        finally:
+            database.close()
+        with Database(build_transitive_closure_program(edges)) as oracle:
+            assert rows == set(oracle.query("path").rows())
+
+    def test_a_kernel_checks_its_governor_before_touching_storage(self):
+        from repro.datalog.literals import Atom
+        from repro.datalog.terms import Variable
+        from repro.relational.operators import AtomSource, JoinPlan, lower_plan
+        from repro.relational.storage import DatabaseKind, StorageManager
+        from repro.resilience.limits import governor_of
+
+        x, y = Variable("x"), Variable("y")
+        plan = JoinPlan("out", (x, y), (
+            AtomSource(Atom("edge", (x, y)), DatabaseKind.DERIVED),
+        ))
+        token = CancellationToken()
+        stats = {"batches": 0, "index": 0, "build": 0}
+        kernel = lower_plan(plan, governor=governor_of(token=token), stats=stats)
+        storage = StorageManager()
+        storage.declare("edge", 2)
+        storage.insert_derived("edge", (1, 2))
+        assert kernel(storage) == {(1, 2)}
+        token.cancel()
+        with pytest.raises(Cancelled):
+            kernel(storage)
+        assert stats["batches"] == 1
+
+
 class TestResourceCaps:
     def test_max_rounds_aborts_unbounded_growth(self):
         database = Database(build_transitive_closure_program(SLOW_EDGES))
