@@ -20,6 +20,14 @@ load while that mutation is running.  It asserts
   batch was submitted — i.e. readers genuinely overlapped the writer;
 * the final snapshot advanced by exactly one version and grew the result.
 
+``test_fresh_page_after_small_batch_is_delta_priced`` gates what the first
+read at a new version costs: after an 8-edge batch on the same closure, the
+first page of ``query_snapshot`` (which derives its order from the previous
+version's, see :mod:`repro.incremental.snapshots`) must take at most 0.35x
+a cold build of that very version (``Connection.query``, which sorts) and
+return identical rows — median of five back-to-back per-round ratios.
+Before the order was carried across versions the ratio was 1.0.
+
 The reader clock runs with a shortened GIL switch interval: server and
 clients share one process here, and the writer's fixpoint is a CPython
 compute loop that would otherwise starve the asyncio loop in 5ms slices,
@@ -52,6 +60,11 @@ CHAIN_BASE = 20_000_000
 READ_CLIENTS = 4
 READS_PER_CLIENT = 30
 READ_LIMIT = 16
+
+#: Fresh-page gate: rounds, batch size, page size and the ceiling on
+#: (derived first page) / (cold build of the same version).
+FRESH_ROUNDS, FRESH_BATCH_EDGES, FRESH_PAGE = 5, 8, 32
+FRESH_RATIO_CEILING = 0.35
 
 #: p99 noise floor: below ~10ms, a single scheduler preemption can exceed
 #: the 2x relative bound on its own.
@@ -161,4 +174,51 @@ def test_snapshot_reads_under_mutation_batch():
     assert loaded_p99 <= ceiling, (
         f"loaded p99 {loaded_p99 * 1000:.1f}ms exceeds "
         f"{ceiling * 1000:.1f}ms (idle p99 {idle_p99 * 1000:.1f}ms)"
+    )
+
+
+def test_fresh_page_after_small_batch_is_delta_priced():
+    """Acceptance: first page at a new version <= 0.35x a cold build of it."""
+    edges = random_edges(NODES, EDGES, seed=2024)
+    present = set(edges)
+    fresh_edges = [
+        edge for edge in random_edges(NODES, EDGES + 200, seed=2025)
+        if edge not in present
+    ]
+    database = Database(build_transitive_closure_program(edges))
+    ratios = []
+    try:
+        conn = database.connect()
+        conn.session.enable_snapshots()
+        conn.query_snapshot("path").take(FRESH_PAGE)  # the one cold build
+        for round_index in range(FRESH_ROUNDS):
+            batch = fresh_edges[round_index * FRESH_BATCH_EDGES:
+                                (round_index + 1) * FRESH_BATCH_EDGES]
+            conn.apply(inserts={"edge": batch})
+
+            started = time.perf_counter()
+            derived = conn.query_snapshot("path").take(FRESH_PAGE)
+            derived_s = time.perf_counter() - started
+
+            started = time.perf_counter()
+            cold = conn.query("path").take(FRESH_PAGE)
+            cold_s = time.perf_counter() - started
+
+            assert derived == cold
+            ratios.append(derived_s / cold_s)
+        views = {
+            key: value for key, value in database.metrics().items()
+            if key.startswith("ordered_views_total")
+        }
+    finally:
+        database.close()
+    assert views == {
+        "ordered_views_total{how=sorted,reason=no-base}": 1,
+        "ordered_views_total{how=merged}": FRESH_ROUNDS,
+    }, views
+    ratio = percentile(ratios, 0.5)
+    assert ratio <= FRESH_RATIO_CEILING, (
+        f"first page after an {FRESH_BATCH_EDGES}-edge batch costs "
+        f"{ratio:.2f}x a cold build (ceiling {FRESH_RATIO_CEILING}); "
+        f"per-round ratios {[round(r, 2) for r in ratios]}"
     )

@@ -38,7 +38,7 @@ from typing import Dict, List, Tuple
 #: Column-name fragments marking a value as a measurement, not an identity.
 MEASUREMENT_HINTS = (
     "seconds", "speedup", "overhead", "span", "rows", "mb", "ratio",
-    "p50", "p99", "per_sec", "requests", "errors",
+    "p50", "p99", "_ms", "per_sec", "requests", "errors",
 )
 
 #: Ignore regressions smaller than this many seconds outright.

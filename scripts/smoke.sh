@@ -18,27 +18,30 @@ echo "== incremental acceptance benchmark (10k-edge graph) =="
 python -m pytest -x -q benchmarks/bench_incremental.py::test_single_batch_speedup_at_10k_edges
 
 echo
-echo "== subsystem smoke benches (perf trajectory -> BENCH_12.json) =="
+echo "== subsystem smoke benches (perf trajectory -> BENCH_13.json) =="
 # One machine-readable dump per CI run: 2-shard parallel, vectorized
 # executor, dictionary-encoded storage, telemetry overhead, governance
 # overhead, concurrent serving latency and durable warm restart at
-# --quick scale.  smoke.yml uploads BENCH_12.json as an artifact, and the
+# --quick scale.  smoke.yml uploads BENCH_13.json as an artifact, and the
 # committed baseline gates it below.
-python -m repro.bench --quick --only parallel,vectorized,interning,telemetry,resilience,serving,durability --json BENCH_12.json
+python -m repro.bench --quick --only parallel,vectorized,interning,telemetry,resilience,serving,durability --json BENCH_13.json
 
 echo
-echo "== perf-regression gate (BENCH_12.json vs benchmarks/baseline.json) =="
+echo "== perf-regression gate (BENCH_13.json vs benchmarks/baseline.json) =="
 # First prove the gate itself still bites (a doctored 2x slowdown must
 # fail), then diff the fresh run against the committed baseline: any
 # section or row more than 25% slower (and past the noise floor) fails CI.
 python scripts/bench_compare.py --self-test benchmarks/baseline.json > /dev/null
-python scripts/bench_compare.py benchmarks/baseline.json BENCH_12.json
+python scripts/bench_compare.py benchmarks/baseline.json BENCH_13.json
 
 echo
 echo "== concurrent query server (boot, mixed load, clean shutdown) =="
 # Boot the asyncio server on a background thread, drive it with the
 # serving load generator (4 clients, 90/10 read/write mix), then check
-# the self-reported counters over the wire before shutting down.
+# the self-reported counters over the wire before shutting down —
+# including that reads at new versions *derived* their row order from the
+# previous version (merged) instead of re-sorting the relation: one cold
+# sort per relation first read, and nothing else.
 python - <<'PY'
 from repro.analyses.micro import build_transitive_closure_program
 from repro.api.database import Database
@@ -49,6 +52,8 @@ database = Database(
     build_transitive_closure_program([(i, i + 1) for i in range(50)])
 )
 with ServerThread(database) as server:
+    with BlockingClient(server.host, server.port) as client:
+        client.query("path", limit=1)  # the one cold build: no base yet
     outcome = run_mixed_load(server.host, server.port, clients=4,
                              requests_per_client=25, write_ratio=0.1)
     assert outcome["errors"] == 0, outcome
@@ -57,8 +62,18 @@ with ServerThread(database) as server:
         assert stats["mutations_applied"] > 0
         assert stats["snapshot_version"] == stats["mutations_applied"]
         assert len(client.query("sys_server")) == 1
+        views = {
+            labels: value
+            for name, labels, _, value in client.query("sys_metrics")
+            if name == "ordered_views_total"
+        }
+        merged = views.pop("how=merged", 0)
+        assert 0 < merged <= stats["snapshot_version"], (views, merged)
+        assert views == {"how=sorted,reason=no-base": 1}, views
+        assert stats["snapshots"]["ordered_merged"] == merged
     print(f"served {len(outcome['latencies'])} requests over 4 connections; "
-          f"{stats['mutations_applied']} mutation batches committed")
+          f"{stats['mutations_applied']} mutation batches committed; "
+          f"{int(merged)} versions ordered by merge, 1 by sort")
 database.close()
 PY
 

@@ -310,6 +310,10 @@ class Connection:
         to call from reader threads while a writer repairs the fixpoint —
         the returned result carries ``snapshot_version`` and holds a pin on
         that version until it is released or garbage-collected.
+
+        The result orders itself through the manager's carried order: its
+        first page costs a merge of what changed since the last ordered
+        version of ``relation``, not a sort of the relation.
         """
         self._check_open()
         session = self._session
@@ -331,6 +335,7 @@ class Connection:
             schema, rows, symbols=snapshot.symbols,
             version=snapshot.version,
             on_release=manager.releaser(snapshot.version),
+            order=manager.order_carrier(relation, snapshot.version),
         )
 
     def refresh(self) -> None:

@@ -9,8 +9,10 @@ One result object knows
   a ``repr``-keyed total order otherwise — the same batch of rows always
   iterates identically, across runs and across execution modes),
 * **lazy materialisation**: a result may be built from a thunk, in which case
-  rows are fetched on first access; sorting happens only when an ordered view
-  is actually requested (``count()``/``__contains__`` never sort),
+  rows are fetched on first access; ordering happens only when an ordered
+  view is actually requested (``count()``/``__contains__`` never sort) — and
+  a snapshot result *derives* its order from the previous materialised
+  version's instead of sorting, whenever one exists (see "Carried order"),
 * **pagination** (:meth:`QueryResult.rows` with offset/limit,
   :meth:`QueryResult.take`), **columnar export**
   (:meth:`QueryResult.to_columns`, :meth:`QueryResult.to_dicts`) and
@@ -25,6 +27,22 @@ plain ``set`` objects (a derived result has no single source relation).
 :class:`ResultSet` is the multi-relation analogue — an immutable mapping of
 relation name to :class:`QueryResult` — and compares equal to the plain
 ``Dict[str, Set[Row]]`` the legacy ``ExecutionEngine.run()`` returned.
+
+Carried order
+-------------
+
+This module is the one place row order is computed.  A result built with an
+``order`` carrier (the snapshot layer's per-relation seat, see
+:mod:`repro.incremental.snapshots`) asks it for a *base* — the row set and
+canonical order of the most recently ordered version of the relation — and
+derives its own order from it: two set differences, one filtering pass, and
+a binary-search merge of the (decoded-key-sorted) additions that decodes
+only the probed rows.  The cost scales with what changed between the two
+versions, not with the relation.  The cold build (a full sort by decoded
+key) remains for the first read, for deltas past the measured crossover, for
+incomparable keys (where only a full sort can decide between the natural
+and the ``repr``-keyed order) and for identity-codec results; each
+construction is reported to the carrier with how it was built and why.
 """
 
 from __future__ import annotations
@@ -44,6 +62,7 @@ from typing import (
     List,
     Mapping,
     Optional,
+    Sequence,
     Tuple,
     Union,
 )
@@ -84,6 +103,33 @@ class ResultSchema:
         return ResultSchema(relation=relation, arity=arity, columns=names)
 
 
+#: Largest delta (added + removed rows, as a share of the new row count) a
+#: view is still derived across.  The merge costs ~3.2 us per added row
+#: (log2(n) probe decodes) and one cheap pass when anything was removed; the
+#: cold sort ~0.53 us per row of the relation.  Measured on the 62 842-row
+#: ``path`` closure the two cross at a delta of ~n/6 when it is all additions
+#: (8 000 added: 29 vs 37 ms; 12 000: 39 vs 40; 14 000: 45 vs 40) and, for
+#: wholesale removals, once the base is ~7x the surviving rows (60 000
+#: removed, 2 842 left: 4.3 vs 1.0 ms).  n/8 is on the winning side of both.
+_MERGE_MAX_DELTA_SHARE = 0.125
+
+
+def _freeze(rows: Iterable[Row]) -> FrozenSet[Row]:
+    """``rows`` as the result's immutable row set.
+
+    Row *sets* are trusted — storage rows are tuples by invariant — so a
+    frozenset (the session result cache's, a snapshot's) is adopted as-is
+    and a set (``StorageManager.tuples``) frozen without a per-row pass:
+    no per-query re-tupling of a potentially huge result.  Any other
+    iterable may yield lists and is re-tupled.
+    """
+    if isinstance(rows, frozenset):
+        return rows
+    if isinstance(rows, set):
+        return frozenset(rows)
+    return frozenset(tuple(row) for row in rows)
+
+
 def ordered_rows(rows: Iterable[Row]) -> Tuple[Row, ...]:
     """Rows in the canonical deterministic order.
 
@@ -91,10 +137,93 @@ def ordered_rows(rows: Iterable[Row]) -> Tuple[Row, ...]:
     (mixed int/str columns) the ``repr``-keyed total order used throughout
     the code base.  Both are stable across runs and execution modes.
     """
+    return _sort_rows(rows)[0]
+
+
+def _sort_rows(rows: Iterable[Row],
+               key: Optional[Callable[[Row], Row]] = None
+               ) -> Tuple[Tuple[Row, ...], bool]:
+    """The cold build: ``(ordered, natural)`` by a full sort under ``key``.
+
+    ``natural`` is False when the keys were incomparable and the
+    ``repr``-keyed order decided instead.
+    """
     try:
-        return tuple(sorted(rows))
+        return tuple(sorted(rows, key=key)), True
     except TypeError:
-        return tuple(sorted(rows, key=repr))
+        by_repr = repr if key is None else (lambda row: repr(key(row)))
+        return tuple(sorted(rows, key=by_repr)), False
+
+
+def _merge_ordered(kept: Sequence[Row], additions: List[Row],
+                   key: Callable[[Row], Row]) -> Tuple[Row, ...]:
+    """Merge key-sorted ``additions`` into key-sorted ``kept``.
+
+    A hand-rolled bisect (``bisect(key=)`` is Python 3.10+) that decodes
+    only the rows it probes.  Each addition resumes where the previous one
+    landed, and the output is assembled from slices of ``kept``, so the
+    cost is ``len(additions) * log2(len(kept))`` decodes plus one copy.
+    Raises ``TypeError`` when an addition is incomparable with a row it
+    must be ordered against.
+    """
+    out: List[Row] = []
+    size = len(kept)
+    lo = 0
+    for row in additions:
+        probe = key(row)
+        start, hi = lo, size
+        while lo < hi:
+            mid = (lo + hi) >> 1
+            if probe < key(kept[mid]):
+                hi = mid
+            else:
+                lo = mid + 1
+        out += kept[start:lo]
+        out.append(row)
+    out += kept[lo:]
+    return tuple(out)
+
+
+def _derive_order(
+    rows: FrozenSet[Row],
+    base: Optional[Tuple[FrozenSet[Row], Tuple[Row, ...]]],
+    key: Optional[Callable[[Row], Row]],
+) -> Tuple[Optional[Tuple[Row, ...]], Optional[str]]:
+    """``rows`` ordered by derivation from ``base`` — or why not.
+
+    ``(ordered, None)`` on success; ``(None, reason)`` when the caller must
+    build cold, with ``reason`` the typed cause reported to the carrier.
+
+    The result is the order a full sort would produce, bit for bit.  Decoded
+    keys of distinct rows are distinct, so a natural order is unique; and
+    the merge cannot quietly succeed where a full sort would have raised
+    ``TypeError`` (and fallen back to the ``repr``-keyed order): every
+    adjacent pair of its output was either adjacent-or-ordered in the base
+    (itself a completed natural sort) or directly compared here, and a set
+    of rows sorts without error exactly when such a chain of successful
+    adjacent comparisons exists.  Any ``TypeError`` here hands over to the
+    cold build, which decides between the two orders as it always did.
+    """
+    if key is None:
+        return None, "identity-codec"
+    if base is None:
+        return None, "no-base"
+    base_rows, base_ordered = base
+    if rows is base_rows:  # republished, unchanged since the base
+        return base_ordered, None
+    added = rows - base_rows
+    removed = base_rows - rows
+    if len(added) + len(removed) > _MERGE_MAX_DELTA_SHARE * len(rows):
+        return None, "delta-too-large"
+    kept: Sequence[Row] = base_ordered
+    if removed:
+        kept = [row for row in base_ordered if row not in removed]
+    if not added:
+        return tuple(kept), None
+    try:
+        return _merge_ordered(kept, sorted(added, key=key), key), None
+    except TypeError:
+        return None, "incomparable-keys"
 
 
 class QueryResult(SetABC):
@@ -109,13 +238,14 @@ class QueryResult(SetABC):
 
     __slots__ = ("_schema", "_frozen", "_thunk", "_sorted", "_decoded",
                  "_explain_fn", "_symbols", "_trace_fn", "_version",
-                 "_finalizer", "__weakref__")
+                 "_finalizer", "_order", "__weakref__")
 
     def __init__(self, schema: ResultSchema, rows: RowSource,
                  explain: Optional[ExplainFn] = None, symbols=None,
                  trace: Optional[Callable[[], Any]] = None,
                  version: Optional[int] = None,
-                 on_release: Optional[Callable[[], None]] = None) -> None:
+                 on_release: Optional[Callable[[], None]] = None,
+                 order=None) -> None:
         """``symbols`` marks ``rows`` as dictionary-encoded.
 
         When a (non-identity) symbol table is attached, the result holds
@@ -131,6 +261,13 @@ class QueryResult(SetABC):
         version it was computed against, and ``on_release`` — registered as
         a weakref finalizer — unpins it when the result is released or
         garbage-collected, whichever comes first.
+
+        ``order`` is the snapshot layer's carrier for this relation's
+        canonical order (:class:`~repro.incremental.snapshots.OrderCarrier`):
+        ``order.base()`` yields the ``(row set, ordered rows)`` of the most
+        recently ordered version, or ``None``; ``order.built(rows, ordered,
+        how, reason)`` reports every construction (``ordered`` is ``None``
+        when the view is not fit to derive from).
         """
         self._schema = schema
         self._frozen: Optional[FrozenSet[Row]] = None
@@ -140,17 +277,14 @@ class QueryResult(SetABC):
         self._symbols = symbols
         if callable(rows):
             self._thunk = rows
-        elif isinstance(rows, frozenset):
-            # Already-frozen row sets (e.g. the session result cache's) are
-            # adopted as-is: no per-query copy of a potentially huge result.
-            self._frozen = rows
         else:
-            self._frozen = frozenset(tuple(row) for row in rows)
+            self._frozen = _freeze(rows)
         self._sorted: Optional[Tuple[Row, ...]] = None
         self._decoded: Optional[Tuple[Row, ...]] = None
         self._explain_fn = explain
         self._trace_fn = trace
         self._version = version
+        self._order = order
         self._finalizer = (
             weakref.finalize(self, on_release) if on_release is not None else None
         )
@@ -174,25 +308,44 @@ class QueryResult(SetABC):
     def _materialise(self) -> FrozenSet[Row]:
         if self._frozen is None:
             assert self._thunk is not None
-            self._frozen = frozenset(tuple(row) for row in self._thunk())
+            self._frozen = _freeze(self._thunk())
             self._thunk = None
         return self._frozen
 
     def _ordered(self) -> Tuple[Row, ...]:
-        """Storage-domain rows in canonical order (sorted by decoded key)."""
-        if self._sorted is None:
-            if self._symbols is None:
-                self._sorted = ordered_rows(self._materialise())
+        """Storage-domain rows in canonical order (sorted by decoded key).
+
+        Derived from the carrier's base when there is one, built cold
+        otherwise.  Computed into locals and published by one assignment:
+        reader-pool threads page a result the event loop is paging too, and
+        a racing duplicate build yields an equal tuple.
+        """
+        ordered = self._sorted
+        if ordered is None:
+            rows = self._materialise()
+            order = self._order
+            base = None if order is None else order.base()
+            key = self._decode_key()
+            ordered, reason = _derive_order(rows, base, key)
+            if ordered is not None:
+                how, carry = "merged", ordered
             else:
-                decode = self._symbols.resolve_row
-                rows = self._materialise()
-                try:
-                    self._sorted = tuple(sorted(rows, key=decode))
-                except TypeError:
-                    self._sorted = tuple(
-                        sorted(rows, key=lambda row: repr(decode(row)))
-                    )
-        return self._sorted
+                how = "sorted"
+                ordered, natural = _sort_rows(rows, key)
+                # Only a decoded-key-ordered view can be derived from: a
+                # ``repr``-keyed one says nothing about that order, and
+                # identity-codec results always build cold.
+                carry = ordered if natural and key is not None else None
+            if order is not None:
+                order.built(rows, carry, how, reason)
+            self._sorted = ordered
+        return ordered
+
+    def _decode_key(self) -> Optional[Callable[[Row], Row]]:
+        """The ordering key: the decoded row (``None`` when not encoded)."""
+        if self._symbols is None:
+            return None
+        return self._symbols.row_key(self._schema.arity)
 
     def _decode_page(self, rows: Iterable[Row]) -> Iterator[Row]:
         """Decode one page of ordered rows (identity when not encoded)."""

@@ -14,7 +14,10 @@ row reports wall-clock ``seconds`` for the whole run, aggregate
 ``ops_per_sec`` and the client-observed ``p50_ms``/``p99_ms`` request
 latency.  ``errors`` counts structured error responses (0 under the
 default block policy; the backpressure benches in ``tests/server``
-exercise reject/shed).
+exercise reject/shed).  ``fresh_page_ms`` is the wire latency of the first
+page read at a new snapshot version, right after an 8-edge batch — the one
+read that has to order the relation, which it does by merging the batch's
+delta into the previous version's order (median of three batches).
 
 :func:`run_mixed_load` is the reusable load generator — the smoke script
 and the ``benchmarks/bench_serving.py`` acceptance gate drive it too.
@@ -29,13 +32,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analyses.micro import build_transitive_closure_program
 from repro.api.database import Database
-from repro.server.client import AsyncClient, ServerError
+from repro.server.client import AsyncClient, BlockingClient, ServerError
 from repro.server.runtime import ServerThread
 from repro.workloads.graphs import random_edges
 
 SERVING_COLUMNS = (
     "workload", "clients", "mix", "requests", "seconds", "ops_per_sec",
-    "p50_ms", "p99_ms", "errors",
+    "p50_ms", "p99_ms", "fresh_page_ms", "errors",
 )
 
 #: Full scale matches the telemetry/incremental benches' 10k-edge closure.
@@ -51,6 +54,10 @@ MIXES: Tuple[Tuple[str, float], ...] = (("90/10", 0.10), ("50/50", 0.50))
 #: Fresh write targets start far above any workload node id, so every
 #: insert is a genuinely new edge (forces real mutation work per write).
 WRITE_NODE_BASE = 10_000_000
+#: The fresh-page probe's batches: chains of fresh nodes above every writer's.
+FRESH_NODE_BASE = 1_000_000_000
+FRESH_BATCH_EDGES = 8
+FRESH_ROUNDS = 3
 
 
 def percentile(samples: Sequence[float], fraction: float) -> float:
@@ -138,6 +145,31 @@ def run_mixed_load(
     }
 
 
+def fresh_page_ms(host: str, port: int, cell: int,
+                  read_relation: str = "path", write_relation: str = "edge",
+                  read_limit: int = 32) -> float:
+    """Median wire latency (ms) of the first page read after a small batch.
+
+    ``cell`` keeps the inserted chains distinct across calls on one server.
+    """
+    samples = []
+    with BlockingClient(host, port) as client:
+        for round_index in range(FRESH_ROUNDS):
+            start = FRESH_NODE_BASE + (
+                (cell * FRESH_ROUNDS + round_index) * (FRESH_BATCH_EDGES + 1)
+            )
+            client.insert(write_relation, [
+                (start + step, start + step + 1)
+                for step in range(FRESH_BATCH_EDGES)
+            ])
+            started = time.perf_counter()
+            client.request({
+                "op": "query", "relation": read_relation, "limit": read_limit,
+            })
+            samples.append(time.perf_counter() - started)
+    return percentile(samples, 0.5) * 1_000
+
+
 def run_serving(
     repeat: int = 1,
     quick: bool = False,
@@ -187,6 +219,9 @@ def run_serving(
                         "ops_per_sec": total / seconds if seconds else 0.0,
                         "p50_ms": percentile(latencies, 0.50) * 1_000,
                         "p99_ms": percentile(latencies, 0.99) * 1_000,
+                        "fresh_page_ms": fresh_page_ms(
+                            server.host, server.port, cell=len(rows)
+                        ),
                         "errors": best["errors"],
                     })
     finally:

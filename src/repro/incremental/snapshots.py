@@ -1,4 +1,5 @@
-"""MVCC storage snapshots: immutable committed versions readers can pin.
+"""MVCC storage snapshots: immutable committed versions readers can pin,
+and the canonical row order carried from one version to the next.
 
 This generalizes the cardinality-level :class:`~repro.relational.statistics.
 SnapshotCache` (PR 5) into full copy-on-write *row* snapshots: a
@@ -32,8 +33,34 @@ release) drops every version that is neither pinned nor latest; the frozen
 row sets themselves stay alive exactly as long as some live snapshot (or
 the storage's own copy-on-write cache) still shares them.
 
+Carried order
+-------------
+
+Row sets are shared across versions; so is the work of ordering them.  The
+manager keeps, per relation, one *order base*: the row set and the canonical
+ordered tuple of the newest version any reader has ordered so far.  A
+:class:`~repro.api.result.QueryResult` reaches it through an
+:class:`OrderCarrier` and derives its own order from the base by set
+difference and merge (the algorithm lives in :mod:`repro.api.result`, the
+one place order is computed), then offers the result back as the next base.
+The write path is not involved: :meth:`SnapshotManager.publish` and the
+session's ``apply`` compute, diff and sort nothing — the delta is recovered
+from the two frozensets at read time, so it is right whatever produced the
+new version (an incremental batch, a recompute fallback, a checkpoint
+restore) and however many versions went unread in between.
+
+The manager owns the base because results do not live long enough to: the
+server drops a version's result when the next version is first read, and an
+embedded caller releases each result after one page.  There is **no chain**:
+one base per relation, replaced (never linked) by a newer one, and never
+overwritten by an older pinned result that happens to order late.  A derived
+result holds no reference to the base it came from, so old row sets stay
+exactly as collectable as before — the base pins one row set per relation,
+the one the most recent reader was already holding.
+
 The manager is thread-safe: the writer publishes from its own thread while
-any number of reader threads acquire/release concurrently.
+any number of reader threads acquire/release — and order, on the server's
+reader pool — concurrently.
 """
 
 from __future__ import annotations
@@ -98,6 +125,35 @@ class StorageSnapshot:
         )
 
 
+class OrderCarrier:
+    """One result's seat at its relation's carried order.
+
+    Handed to a :class:`~repro.api.result.QueryResult` by
+    :meth:`SnapshotManager.order_carrier`; holds the manager, not a base,
+    so an unordered result keeps no earlier version's rows alive.
+    """
+
+    __slots__ = ("_manager", "_relation", "_version")
+
+    def __init__(self, manager: "SnapshotManager", relation: str,
+                 version: int) -> None:
+        self._manager = manager
+        self._relation = relation
+        self._version = version
+
+    def base(self) -> Optional[Tuple[FrozenSet[Row], Tuple[Row, ...]]]:
+        """``(row set, ordered rows)`` of the newest ordered version, if any."""
+        held = self._manager._order_bases.get(self._relation)
+        return None if held is None else held[1:]
+
+    def built(self, rows: FrozenSet[Row], ordered: Optional[Tuple[Row, ...]],
+              how: str, reason: Optional[str]) -> None:
+        """Record one construction; ``ordered`` (unless None) is the next base."""
+        self._manager._order_built(
+            self._relation, self._version, rows, ordered, how, reason
+        )
+
+
 class SnapshotManager:
     """Publishes, pins and garbage-collects :class:`StorageSnapshot`s.
 
@@ -116,9 +172,16 @@ class SnapshotManager:
         self._pins: Dict[int, int] = {}
         self._latest: Optional[StorageSnapshot] = None
         self._next_version = 0
+        #: relation -> (version, row set, ordered rows): see "Carried order".
+        self._order_bases: Dict[
+            str, Tuple[int, FrozenSet[Row], Tuple[Row, ...]]
+        ] = {}
         #: Lifetime counters (also surfaced through ``sys_server``).
         self.published = 0
         self.collected = 0
+        #: Ordered views built, by how: ``merged`` from a base or ``sorted``
+        #: cold (the typed reasons are in ``ordered_views_total``).
+        self.ordered_views = {"merged": 0, "sorted": 0}
 
     # -- writer side -------------------------------------------------------------
 
@@ -223,6 +286,28 @@ class SnapshotManager:
 
         return _release
 
+    # -- carried order -----------------------------------------------------------
+
+    def order_carrier(self, relation: str, version: int) -> OrderCarrier:
+        """The carrier a result of ``relation`` at ``version`` orders through."""
+        return OrderCarrier(self, relation, version)
+
+    def _order_built(self, relation: str, version: int,
+                     rows: FrozenSet[Row],
+                     ordered: Optional[Tuple[Row, ...]],
+                     how: str, reason: Optional[str]) -> None:
+        with self._lock:
+            self.ordered_views[how] += 1
+            held = self._order_bases.get(relation)
+            # An old pin that orders late must not regress the base.
+            if ordered is not None and (held is None or held[0] <= version):
+                self._order_bases[relation] = (version, rows, ordered)
+        if self._metrics is not None:
+            labels = {"how": how}
+            if reason is not None:
+                labels["reason"] = reason
+            self._metrics.counter("ordered_views_total", **labels).inc()
+
     # -- garbage collection ------------------------------------------------------
 
     def _collect_locked(self) -> int:
@@ -265,6 +350,8 @@ class SnapshotManager:
                 "pinned": sum(self._pins.values()),
                 "published": self.published,
                 "collected": self.collected,
+                "ordered_merged": self.ordered_views["merged"],
+                "ordered_sorted": self.ordered_views["sorted"],
             }
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Mapping, Sequence, Tuple
 
-from repro.parallel.partition import PartitionSpec, shard_of
+from repro.parallel.partition import ZERO_ARITY_OWNER, PartitionSpec, shard_of
 from repro.relational.relation import Row
 
 #: owner shard -> relation -> rows destined for that owner.
@@ -57,7 +57,7 @@ class ExchangeRouter:
         shards = self.spec.shards
         for row in rows:
             row = tuple(row)
-            owner = shard_of(row[column], shards)
+            owner = shard_of(row[column], shards) if row else ZERO_ARITY_OWNER
             if owner == local_shard:
                 local.append(row)
             else:

@@ -92,6 +92,11 @@ def shard_of(value: Any, shards: int) -> int:
     return stable_hash(value) % shards
 
 
+#: A zero-arity row has no partition column to hash; one fixed shard owns the
+#: (at most one) row of every zero-arity relation.
+ZERO_ARITY_OWNER = 0
+
+
 @dataclass(frozen=True)
 class PartitionSpec:
     """The placement decision for every relation touched by one shard run.
@@ -116,6 +121,8 @@ class PartitionSpec:
 
     def owner(self, relation: str, row: Sequence[Any]) -> int:
         """The shard that owns ``row`` of ``relation``."""
+        if not row:
+            return ZERO_ARITY_OWNER
         return shard_of(row[self.columns[relation]], self.shards)
 
     def split(self, relation: str, rows: Iterable[Sequence[Any]]) -> List[List[Row]]:
@@ -124,7 +131,8 @@ class PartitionSpec:
         shards = self.shards
         buckets: List[List[Row]] = [[] for _ in range(shards)]
         for row in rows:
-            buckets[shard_of(row[column], shards)].append(tuple(row))
+            owner = shard_of(row[column], shards) if row else ZERO_ARITY_OWNER
+            buckets[owner].append(tuple(row))
         return buckets
 
     def relations(self) -> List[str]:

@@ -102,6 +102,28 @@ class TestQueryResult:
         assert result.count() == 2
         assert calls == [1]  # fetched exactly once
 
+    @pytest.mark.parametrize("lazy", [True, False], ids=["thunk", "eager"])
+    def test_row_sets_are_adopted_other_iterables_are_retupled(self, lazy):
+        schema = ResultSchema.of("path", 2)
+
+        def result_over(rows):
+            return QueryResult(schema, (lambda: rows) if lazy else rows)
+
+        # Trusted: a set's rows (storage tuples by invariant) are frozen
+        # without a per-row pass — the very same row objects come back.
+        rows = {(1, 2), (2, 3)}
+        adopted = result_over(rows)
+        assert adopted == rows
+        assert {id(row) for row in adopted.to_frozenset()} == {
+            id(row) for row in rows
+        }
+        frozen = frozenset(rows)
+        assert result_over(frozen).to_frozenset() is frozen
+        # Untrusted: any other iterable may yield lists and is re-tupled.
+        retupled = result_over([[1, 2], [2, 3], [1, 2]])
+        assert retupled.to_list() == [(1, 2), (2, 3)]
+        assert (1, 2) in retupled and retupled.count() == 2
+
     def test_columnar_and_dict_exports(self):
         result = self.make({(1, 2), (3, 4)}, columns=("src", "dst"))
         assert result.to_columns() == {"src": [1, 3], "dst": [2, 4]}

@@ -1,6 +1,10 @@
-"""Unit tests for MVCC storage snapshots: publish, pin, COW sharing, GC."""
+"""Unit tests for MVCC storage snapshots: publish, pin, COW sharing, GC,
+and the canonical order carried from one version to the next."""
 
 import gc
+import sys
+import threading
+import weakref
 
 import pytest
 
@@ -146,6 +150,7 @@ class TestPinningAndGC:
         stats = session.snapshots.stats()
         assert stats == {
             "live": 1, "pinned": 1, "published": 1, "collected": 0,
+            "ordered_merged": 0, "ordered_sorted": 0,
         }
 
 
@@ -221,4 +226,155 @@ class TestQueryResultPinning:
         with pytest.raises(KeyError):
             conn.query_snapshot("nope")
         assert manager.pin_count() == 0
+        database.close()
+
+
+CHAIN = [(node, node + 1) for node in range(40)]  # 820 path rows
+
+
+def ordered_views(database):
+    """``{(how, reason)}: count`` from the database's metrics registry."""
+    prefix = "ordered_views_total"
+    return {
+        key[len(prefix):]: value
+        for key, value in database.metrics().items()
+        if key.startswith(prefix)
+    }
+
+
+def first_page(conn, relation="path"):
+    """What a served read does: resolve, page, release."""
+    result = conn.query_snapshot(relation)
+    page = result.take(8)
+    result.release()
+    return page
+
+
+class TestCarriedOrder:
+    def test_read_after_a_small_batch_is_merged_not_sorted(self):
+        database = Database(build_transitive_closure_program(CHAIN))
+        conn = database.connect()
+        conn.session.enable_snapshots()
+        first_page(conn)
+        assert ordered_views(database) == {"{how=sorted,reason=no-base}": 1}
+        conn.apply(inserts={"edge": [(100, 101)]})
+        assert first_page(conn)[0] == (0, 1)
+        conn.apply(retracts={"edge": [(100, 101)]})
+        first_page(conn)
+        assert ordered_views(database) == {
+            "{how=sorted,reason=no-base}": 1, "{how=merged}": 2,
+        }
+        database.close()
+
+    def test_read_after_a_mixed_type_insert_is_sorted_and_says_why(self):
+        source = "seen(X) :- item(X).\n" + "".join(
+            f"item({value}).\n" for value in range(40)
+        )
+        database = Database(source)
+        conn = database.connect()
+        conn.session.enable_snapshots()
+        first_page(conn, "seen")
+        conn.apply(inserts={"item": [("forty",)]})
+        result = conn.query_snapshot("seen")
+        # ints and a str do not compare: the repr-keyed order decides, and
+        # only a full sort can find that out.
+        assert result.to_list() == sorted(result.to_set(), key=repr)
+        assert ordered_views(database) == {
+            "{how=sorted,reason=no-base}": 1,
+            "{how=sorted,reason=incomparable-keys}": 1,
+        }
+        # Back to comparable rows: derived again, from the last natural view.
+        conn.apply(retracts={"item": [("forty",)]})
+        assert first_page(conn, "seen") == [(value,) for value in range(8)]
+        assert ordered_views(database)["{how=merged}"] == 1
+        database.close()
+
+    def test_a_delta_past_the_crossover_builds_cold(self):
+        database = Database(build_transitive_closure_program(CHAIN))
+        conn = database.connect()
+        conn.session.enable_snapshots()
+        first_page(conn)
+        conn.apply(retracts={"edge": [(20, 21)]})  # cuts the chain in half
+        first_page(conn)
+        assert ordered_views(database) == {
+            "{how=sorted,reason=no-base}": 1,
+            "{how=sorted,reason=delta-too-large}": 1,
+        }
+        database.close()
+
+    def test_identity_codec_results_build_cold_and_carry_nothing(self):
+        database = Database(
+            build_transitive_closure_program(CHAIN),
+            EngineConfig().with_(interning=False),
+        )
+        conn = database.connect()
+        manager = conn.session.enable_snapshots()
+        first_page(conn)
+        conn.apply(inserts={"edge": [(100, 101)]})
+        first_page(conn)
+        assert ordered_views(database) == {
+            "{how=sorted,reason=identity-codec}": 2,
+        }
+        assert manager.order_carrier("path", 1).base() is None
+        database.close()
+
+    def test_there_is_no_chain_of_bases(self):
+        database = Database(build_transitive_closure_program(CHAIN))
+        conn = database.connect()
+        manager = conn.session.enable_snapshots()
+        row_sets = []
+        for step in range(3):
+            conn.apply(inserts={"edge": [(100 + step, 101 + step)]})
+            first_page(conn)
+            row_sets.append(weakref.ref(manager.latest().rows_of("path")))
+        gc.collect()
+        # Version k was derived from k-1, k-1 from k-2: only the newest base
+        # (and through it nothing older) is still reachable.
+        assert row_sets[0]() is None and row_sets[1]() is None
+        assert row_sets[2]() is manager.order_carrier("path", 3).base()[0]
+        database.close()
+
+    def test_deriving_takes_no_pin_and_keeps_no_version_alive(self):
+        database = Database(build_transitive_closure_program(CHAIN))
+        conn = database.connect()
+        manager = conn.session.enable_snapshots()
+        first_page(conn)
+        conn.apply(inserts={"edge": [(100, 101)]})
+        result = conn.query_snapshot("path")
+        live, pins = manager.live_versions(), manager.pin_count()
+        assert result.take(8)  # derives version 1 from version 0's order
+        assert (manager.live_versions(), manager.pin_count()) == (live, pins)
+        result.release()
+        assert manager.live_versions() == (1,) and manager.pin_count() == 0
+        database.close()
+
+    def test_two_threads_paging_one_fresh_result_agree(self):
+        database = Database(build_transitive_closure_program(CHAIN))
+        conn = database.connect()
+        conn.session.enable_snapshots()
+        first_page(conn)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for step in range(20):
+                conn.apply(inserts={"edge": [(100 + step, 101 + step)]})
+                result = conn.query_snapshot("path")
+                barrier = threading.Barrier(4)
+                pages = []
+
+                def page():
+                    barrier.wait(timeout=30)
+                    pages.append(list(result.rows(offset=3, limit=50)))
+
+                threads = [threading.Thread(target=page) for _ in range(4)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30)
+                assert not any(thread.is_alive() for thread in threads)
+                expected = sorted(result.to_set())[3:53]
+                assert pages == [expected] * 4
+                result.release()
+        finally:
+            sys.setswitchinterval(interval)
         database.close()

@@ -25,6 +25,23 @@ class TestRouting:
         shipped = sum(len(b["path"]) for b in outboxes.values())
         assert len(local) + shipped == 16
 
+    def test_zero_arity_rows_route_to_one_fixed_owner(self):
+        # ``row[column]`` on ``()`` used to raise IndexError; every shard
+        # must agree on the owner, and owner()/split()/route() with it.
+        spec = PartitionSpec(shards=4, columns={"on": 0})
+        router = ExchangeRouter(spec)
+        owner = router.owner("on", ())
+        for shard in range(4):
+            local, outboxes = router.route("on", [()], local_shard=shard)
+            if shard == owner:
+                assert local == [()] and outboxes == {}
+            else:
+                assert local == [] and outboxes == {owner: {"on": [()]}}
+        buckets = spec.split("on", [()])
+        assert [len(bucket) for bucket in buckets] == [
+            int(shard == owner) for shard in range(4)
+        ]
+
     def test_merge_outboxes_regroups_by_destination(self):
         router = make_router(shards=2)
         _, from_zero = router.route("path", [(1, 0), (3, 0)], local_shard=0)

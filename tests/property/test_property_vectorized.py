@@ -189,9 +189,6 @@ def test_vectorized_matches_across_modes_and_shards(base, edges):
 @given(edges=edges_strategy)
 def test_lambda_artifacts_match_pushdown_oracle(rule_shape, shards, interning, edges):
     """Full-mode lambda artifacts, bit-for-bit, over every kernel variant."""
-    if rule_shape == "zero_arity" and shards > 1:
-        pytest.skip("the shard router cannot partition a zero-arity relation "
-                    "derived inside a recursive stratum (any backend)")
     program = build_random_program(edges, rule_shape)
     reference = evaluate(program.copy(), EngineConfig.interpreted())
     config = EngineConfig.jit("lambda").with_(interning=interning)

@@ -172,6 +172,28 @@ class TestObservability:
         assert stats["snapshot_version"] == 0
         assert stats["snapshots"]["live"] >= 1
 
+    def test_ordered_view_constructions_are_visible_over_the_wire(self):
+        # A 5-10x change in what a read costs must be explainable from the
+        # server's own outputs: how each ordered view was built, and why.
+        chain = [(node, node + 1) for node in range(40)]
+        database = Database(build_transitive_closure_program(chain))
+        with ServerThread(database) as thread:
+            with BlockingClient(thread.host, thread.port) as client:
+                client.query("path", limit=4)           # sorted: no base yet
+                client.insert("edge", [[100, 101]])
+                client.query("path", limit=4)           # merged: one new row
+                client.query("path", limit=4)           # memoised: no build
+                stats = client.server_stats()["snapshots"]
+                assert stats["ordered_sorted"] == 1
+                assert stats["ordered_merged"] == 1
+                views = {
+                    labels: value
+                    for name, labels, _, value in client.query("sys_metrics")
+                    if name == "ordered_views_total"
+                }
+        database.close()
+        assert views == {"how=sorted,reason=no-base": 1, "how=merged": 1}
+
 
 class TestWireModes:
     def test_line_mode_speaks_newline_json(self, served):
