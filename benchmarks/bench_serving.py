@@ -28,6 +28,19 @@ a cold build of that very version (``Connection.query``, which sorts) and
 return identical rows — median of five back-to-back per-round ratios.
 Before the order was carried across versions the ratio was 1.0.
 
+``test_full_read_is_served_from_encoded_bytes`` gates what a *repeated*
+unbounded read costs the server.  The first one at a version encodes the
+relation from symbol ids through the per-symbol fragment table and leaves
+the encoded body on the server's per-version memo; every later one hands
+those bytes to the socket.  The time inside ``QueryServer._dispatch`` for a
+memoised full read (median of five back-to-back rounds) must be at most
+0.1x what the reference encoding of the same result costs
+(``encode_frame`` of the response built with ``jsonify_rows(result.rows())``
+— what the server did per request before), the collector must not run at
+all during it (the reference path allocates a list per row, and the
+collections that provokes were a quarter of the old wire latency), and the
+bytes on the wire must be the reference's, bit for bit.
+
 The reader clock runs with a shortened GIL switch interval: server and
 clients share one process here, and the writer's fixpoint is a CPython
 compute loop that would otherwise starve the asyncio loop in 5ms slices,
@@ -37,6 +50,8 @@ benchmarks/bench_serving.py``.
 """
 
 import asyncio
+import gc
+import socket
 import sys
 import threading
 import time
@@ -45,6 +60,7 @@ from repro.analyses.micro import build_transitive_closure_program
 from repro.api.database import Database
 from repro.bench.serving import percentile
 from repro.server.client import AsyncClient, BlockingClient
+from repro.server.protocol import encode_frame, jsonify_rows
 from repro.server.runtime import ServerThread
 from repro.workloads.graphs import random_edges
 
@@ -65,6 +81,11 @@ READ_LIMIT = 16
 #: (derived first page) / (cold build of the same version).
 FRESH_ROUNDS, FRESH_BATCH_EDGES, FRESH_PAGE = 5, 8, 32
 FRESH_RATIO_CEILING = 0.35
+
+#: Memoised-full-read gate: rounds, and the ceiling on (time inside
+#: ``_dispatch``) / (reference encoding of the same response).
+FULL_ROUNDS = 5
+FULL_RATIO_CEILING = 0.1
 
 #: p99 noise floor: below ~10ms, a single scheduler preemption can exceed
 #: the 2x relative bound on its own.
@@ -221,4 +242,94 @@ def test_fresh_page_after_small_batch_is_delta_priced():
         f"first page after an {FRESH_BATCH_EDGES}-edge batch costs "
         f"{ratio:.2f}x a cold build (ceiling {FRESH_RATIO_CEILING}); "
         f"per-round ratios {[round(r, 2) for r in ratios]}"
+    )
+
+
+def _recv_exactly(sock, size):
+    buffer = bytearray(size)
+    view, filled = memoryview(buffer), 0
+    while filled < size:
+        received = sock.recv_into(view[filled:])
+        assert received, "server closed mid-frame"
+        filled += received
+    return bytes(buffer)
+
+
+def _raw_full_read(sock, message_id):
+    """One unbounded read over a raw socket: the frame exactly as written."""
+    sock.sendall(encode_frame(
+        {"op": "query", "relation": "path", "id": message_id}
+    ))
+    prefix = _recv_exactly(sock, 4)
+    return prefix + _recv_exactly(sock, int.from_bytes(prefix, "big"))
+
+
+def test_full_read_is_served_from_encoded_bytes():
+    """Acceptance: a memoised full read costs the server <= 0.1x the
+    reference encoding, runs no collection, and writes identical bytes."""
+    database = Database(build_transitive_closure_program(
+        random_edges(NODES, EDGES, seed=2024)
+    ))
+    dispatches = []  # (seconds, collections) per request, server side
+    try:
+        with ServerThread(database) as thread:
+            server = thread.server
+            dispatch = server._dispatch
+
+            async def observed(*args):
+                before = sum(g["collections"] for g in gc.get_stats())
+                started = time.perf_counter()
+                try:
+                    return await dispatch(*args)
+                finally:
+                    dispatches.append((
+                        time.perf_counter() - started,
+                        sum(g["collections"] for g in gc.get_stats())
+                        - before,
+                    ))
+
+            server._dispatch = observed
+            with socket.create_connection((thread.host, thread.port)) as sock:
+                frames = [
+                    _raw_full_read(sock, message_id)
+                    for message_id in range(1 + FULL_ROUNDS)
+                ]
+            metrics = server.metrics.snapshot()
+
+            result = server.conn.query_snapshot("path")
+            try:
+                references = []
+                for message_id in range(1 + FULL_ROUNDS):
+                    started = time.perf_counter()
+                    reference = encode_frame({
+                        "ok": True, "relation": "path",
+                        "rows": jsonify_rows(result.rows()),
+                        "count": result.count(),
+                        "snapshot_version": result.snapshot_version,
+                        "id": message_id,
+                    })
+                    references.append(time.perf_counter() - started)
+                    assert frames[message_id] == reference, (
+                        f"read {message_id} differs from the reference bytes"
+                    )
+                rows = result.count()
+            finally:
+                result.release()
+    finally:
+        database.close()
+
+    assert metrics["server_rows_served_total{how=fragments}"] == rows
+    assert metrics["server_rows_served_total{how=memo}"] == FULL_ROUNDS * rows
+    memoised = dispatches[1:]
+    collections = [count for _, count in memoised]
+    assert collections == [0] * FULL_ROUNDS, (
+        f"the collector ran during memoised full reads: {collections}"
+    )
+    served_s = percentile([seconds for seconds, _ in memoised], 0.5)
+    reference_s = percentile(references[1:], 0.5)
+    assert served_s <= FULL_RATIO_CEILING * reference_s, (
+        f"a memoised full read of {rows} rows costs the server "
+        f"{served_s * 1000:.2f}ms, {served_s / reference_s:.3f}x the "
+        f"reference encoding ({reference_s * 1000:.1f}ms; ceiling "
+        f"{FULL_RATIO_CEILING})"
     )

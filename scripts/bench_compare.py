@@ -4,7 +4,7 @@ committed baseline.
 
 Usage::
 
-    python scripts/bench_compare.py benchmarks/baseline.json BENCH_7.json
+    python scripts/bench_compare.py benchmarks/baseline.json BENCH.json
     python scripts/bench_compare.py --self-test benchmarks/baseline.json
 
 Both files are the ``--json`` output of ``python -m repro.bench`` (shape:

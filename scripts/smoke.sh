@@ -18,21 +18,21 @@ echo "== incremental acceptance benchmark (10k-edge graph) =="
 python -m pytest -x -q benchmarks/bench_incremental.py::test_single_batch_speedup_at_10k_edges
 
 echo
-echo "== subsystem smoke benches (perf trajectory -> BENCH_13.json) =="
+echo "== subsystem smoke benches (perf trajectory -> BENCH.json) =="
 # One machine-readable dump per CI run: 2-shard parallel, vectorized
 # executor, dictionary-encoded storage, telemetry overhead, governance
 # overhead, concurrent serving latency and durable warm restart at
-# --quick scale.  smoke.yml uploads BENCH_13.json as an artifact, and the
+# --quick scale.  smoke.yml uploads BENCH.json as an artifact, and the
 # committed baseline gates it below.
-python -m repro.bench --quick --only parallel,vectorized,interning,telemetry,resilience,serving,durability --json BENCH_13.json
+python -m repro.bench --quick --only parallel,vectorized,interning,telemetry,resilience,serving,durability --json BENCH.json
 
 echo
-echo "== perf-regression gate (BENCH_13.json vs benchmarks/baseline.json) =="
+echo "== perf-regression gate (BENCH.json vs benchmarks/baseline.json) =="
 # First prove the gate itself still bites (a doctored 2x slowdown must
 # fail), then diff the fresh run against the committed baseline: any
 # section or row more than 25% slower (and past the noise floor) fails CI.
 python scripts/bench_compare.py --self-test benchmarks/baseline.json > /dev/null
-python scripts/bench_compare.py benchmarks/baseline.json BENCH_13.json
+python scripts/bench_compare.py benchmarks/baseline.json BENCH.json
 
 echo
 echo "== concurrent query server (boot, mixed load, clean shutdown) =="
@@ -40,8 +40,9 @@ echo "== concurrent query server (boot, mixed load, clean shutdown) =="
 # serving load generator (4 clients, 90/10 read/write mix), then check
 # the self-reported counters over the wire before shutting down —
 # including that reads at new versions *derived* their row order from the
-# previous version (merged) instead of re-sorting the relation: one cold
-# sort per relation first read, and nothing else.
+# previous version (merged) instead of re-sorting the relation (one cold
+# sort per relation first read, and nothing else), and that a repeated full
+# read was answered from the version's encoded body.
 python - <<'PY'
 from repro.analyses.micro import build_transitive_closure_program
 from repro.api.database import Database
@@ -71,6 +72,18 @@ with ServerThread(database) as server:
         assert 0 < merged <= stats["snapshot_version"], (views, merged)
         assert views == {"how=sorted,reason=no-base": 1}, views
         assert stats["snapshots"]["ordered_merged"] == merged
+        # How rows reached the wire is the server's own output too: the
+        # load's pages were joined from symbol ids; two unbounded reads of
+        # one version are one encode and one answer from the encoded memo.
+        count = client.query_response("path")["count"]
+        client.query_response("path")
+        served = {
+            labels: value
+            for name, labels, _, value in client.query("sys_metrics")
+            if name == "server_rows_served_total"
+        }
+        assert served["how=memo"] == count, served
+        assert served["how=fragments"] > count, served
     print(f"served {len(outcome['latencies'])} requests over 4 connections; "
           f"{stats['mutations_applied']} mutation batches committed; "
           f"{int(merged)} versions ordered by merge, 1 by sort")

@@ -43,11 +43,23 @@ key) remains for the first read, for deltas past the measured crossover, for
 incomparable keys (where only a full sort can decide between the natural
 and the ``repr``-keyed order) and for identity-codec results; each
 construction is reported to the carrier with how it was built and why.
+
+Storage-domain pages
+--------------------
+
+The order is kept over *storage-domain* rows — id tuples when the result is
+dictionary-encoded — and decoding is a per-consumer choice.  ``rows()`` /
+iteration / the exports decode (a full view once, memoised in ``_decoded``);
+:meth:`QueryResult.stored_rows` hands out a page of the ordered rows as
+stored, together with :attr:`QueryResult.symbols`, for a consumer that has
+its own per-symbol representation.  The query server is that consumer: it
+turns ids into wire bytes through the symbol table's memo, so a served
+result only ever holds its row set and its order — the decoded view is
+never built on the served path.
 """
 
 from __future__ import annotations
 
-import itertools
 import weakref
 from collections.abc import Mapping as MappingABC
 from collections.abc import Set as SetABC
@@ -224,6 +236,15 @@ def _derive_order(
         return _merge_ordered(kept, sorted(added, key=key), key), None
     except TypeError:
         return None, "incomparable-keys"
+
+
+def _window(offset: int, limit: Optional[int]) -> slice:
+    """The slice one ``offset``/``limit`` page takes of an ordered view."""
+    if offset < 0:
+        raise ValueError(f"offset must be >= 0, got {offset}")
+    if limit is not None and limit < 0:
+        raise ValueError(f"limit must be >= 0, got {limit}")
+    return slice(offset, None if limit is None else offset + limit)
 
 
 class QueryResult(SetABC):
@@ -407,14 +428,28 @@ class QueryResult(SetABC):
     def rows(self, offset: int = 0,
              limit: Optional[int] = None) -> Iterator[Row]:
         """Iterate rows in deterministic order, with offset/limit pagination."""
-        if offset < 0:
-            raise ValueError(f"offset must be >= 0, got {offset}")
-        if limit is not None and limit < 0:
-            raise ValueError(f"limit must be >= 0, got {limit}")
-        stop = None if limit is None else offset + limit
+        window = _window(offset, limit)
         if self._decoded is not None or (offset == 0 and limit is None):
-            return iter(self._decoded_ordered()[offset:stop])
-        return self._decode_page(itertools.islice(iter(self._ordered()), offset, stop))
+            return iter(self._decoded_ordered()[window])
+        return self._decode_page(self._ordered()[window])
+
+    @property
+    def symbols(self):
+        """The table the rows are encoded against; ``None`` for raw values."""
+        return self._symbols
+
+    def stored_rows(self, offset: int = 0,
+                    limit: Optional[int] = None) -> Tuple[Row, ...]:
+        """One page of *storage-domain* rows in deterministic order.
+
+        Id tuples when :attr:`symbols` is set, the values themselves
+        otherwise.  Nothing is decoded and nothing but the order is
+        memoised: a consumer with its own per-symbol representation (the
+        query server's wire fragments) reads a relation without this
+        result ever building the decoded view.
+        """
+        window = _window(offset, limit)
+        return self._ordered()[window]
 
     def take(self, n: int) -> List[Row]:
         """The first ``n`` rows in deterministic order."""

@@ -18,6 +18,10 @@ exercise reject/shed).  ``fresh_page_ms`` is the wire latency of the first
 page read at a new snapshot version, right after an 8-edge batch — the one
 read that has to order the relation, which it does by merging the batch's
 delta into the previous version's order (median of three batches).
+``full_read_ms`` is the wire latency of an unbounded read of ``path`` that
+the server answers from its per-version encoded body (median of three,
+after one read that builds it): the socket write and this client's own
+``json.loads``, with no per-row work left on the server.
 
 :func:`run_mixed_load` is the reusable load generator — the smoke script
 and the ``benchmarks/bench_serving.py`` acceptance gate drive it too.
@@ -38,7 +42,7 @@ from repro.workloads.graphs import random_edges
 
 SERVING_COLUMNS = (
     "workload", "clients", "mix", "requests", "seconds", "ops_per_sec",
-    "p50_ms", "p99_ms", "fresh_page_ms", "errors",
+    "p50_ms", "p99_ms", "fresh_page_ms", "full_read_ms", "errors",
 )
 
 #: Full scale matches the telemetry/incremental benches' 10k-edge closure.
@@ -170,6 +174,18 @@ def fresh_page_ms(host: str, port: int, cell: int,
     return percentile(samples, 0.5) * 1_000
 
 
+def full_read_ms(host: str, port: int, read_relation: str = "path") -> float:
+    """Median wire latency (ms) of a full read served from the encoded memo."""
+    samples = []
+    with BlockingClient(host, port) as client:
+        client.query_response(read_relation)  # builds the body at this version
+        for _ in range(FRESH_ROUNDS):
+            started = time.perf_counter()
+            client.query_response(read_relation)
+            samples.append(time.perf_counter() - started)
+    return percentile(samples, 0.5) * 1_000
+
+
 def run_serving(
     repeat: int = 1,
     quick: bool = False,
@@ -221,6 +237,9 @@ def run_serving(
                         "p99_ms": percentile(latencies, 0.99) * 1_000,
                         "fresh_page_ms": fresh_page_ms(
                             server.host, server.port, cell=len(rows)
+                        ),
+                        "full_read_ms": full_read_ms(
+                            server.host, server.port
                         ),
                         "errors": best["errors"],
                     })

@@ -48,6 +48,22 @@ The table is **append-only** and safe to share:
   rebuilt on load), so spawn-style workers can ship the whole table, and
   :meth:`entries_since` / :meth:`extend` ship incremental deltas: the
   receiver replays the sender's appended suffix and ends up id-identical.
+
+Per-symbol memo
+---------------
+
+Because ids are dense and never change, a pure function of a value can be
+computed once per symbol and looked up by id afterwards: :meth:`SymbolTable.memo`
+keeps a list ``[fn(value_0), fn(value_1), ...]`` that is only ever appended
+to.  There is one such list per table, pinned to the function that first
+asked for it — the query server's wire rule (the JSON text of one value), so
+a row goes from ids to bytes without being decoded.  A missing suffix is
+computed outside the table's lock (the writer keeps interning meanwhile) and
+appended under it only if the list still ends where the suffix starts — two
+reader threads paging the same new version both compute it, one appends —
+and only as far as the caller asks.  Lookups take no lock: a published
+prefix is never rewritten, and every id in a committed row was allocated
+before the row was readable.  The memo is derived state and is not pickled.
 """
 
 from __future__ import annotations
@@ -103,12 +119,14 @@ class SymbolTable:
     #: table never does.
     identity = False
 
-    __slots__ = ("_ids", "_values", "_lock", "rows_encoded", "rows_decoded")
+    __slots__ = ("_ids", "_values", "_lock", "_memo", "rows_encoded",
+                 "rows_decoded")
 
     def __init__(self, values: Optional[Iterable[Any]] = None) -> None:
         self._ids: dict = {}
         self._values: List[Any] = []
         self._lock = threading.Lock()
+        self._memo: Optional[Tuple[Callable[[Any], Any], List[Any]]] = None
         #: Boundary counters surfaced by ``explain()``/the profile: rows
         #: interned at load/mutation time and rows decoded at the
         #: QueryResult boundary.  Bulk methods maintain them; single-value
@@ -205,6 +223,33 @@ class SymbolTable:
         not to hand rows out.
         """
         return _row_codec(arity)[1](self._values)
+
+    def memo(self, fn: Callable[[Any], Any],
+             size: Optional[int] = None) -> List[Any]:
+        """``fn`` of the interned values, indexed by id, computed once each.
+
+        The returned list covers at least the first ``size`` ids (default:
+        every id allocated before the call) and is append-only: index it,
+        never mutate it.  A reader of an old snapshot passes the largest id
+        it holds, so it does not pay for symbols a running batch is still
+        interning.  ``fn`` must be pure; the table keeps one memo, for the
+        first function it is asked for.
+        """
+        if self._memo is None:
+            with self._lock:
+                self._memo = self._memo or (fn, [])
+        pinned, out = self._memo
+        if pinned is not fn:
+            raise ValueError(f"this table's memo holds {pinned!r}, not {fn!r}")
+        if size is None:
+            size = len(self._values)
+        while len(out) < size:
+            start = len(out)
+            suffix = list(map(fn, self._values[start:size]))
+            with self._lock:
+                if len(out) == start:
+                    out.extend(suffix)
+        return out
 
     def lookup_row(self, row: Sequence[Any]) -> Optional[Row]:
         """Encode a probe row without allocating; None if any value is unknown."""
@@ -305,6 +350,7 @@ class SymbolTable:
         self._values = list(state["values"])
         self._ids = {value: i for i, value in enumerate(self._values)}
         self._lock = threading.Lock()
+        self._memo = None
         self.rows_encoded = state.get("rows_encoded", 0)
         self.rows_decoded = state.get("rows_decoded", 0)
 

@@ -208,21 +208,35 @@ class BlockingClient:
         return chunk
 
     def _read_response(self) -> dict:
-        if self._framed:
-            while len(self._buffer) < 4:
+        if not self._framed:
+            while b"\n" not in self._buffer:
                 self._buffer += self._recv()
-            length = int.from_bytes(self._buffer[:4], "big")
-            if length > MAX_FRAME:
-                raise ProtocolError(f"oversized response frame ({length})")
-            while len(self._buffer) < 4 + length:
-                self._buffer += self._recv()
-            payload = self._buffer[4:4 + length]
-            self._buffer = self._buffer[4 + length:]
-            return decode_payload(payload)
-        while b"\n" not in self._buffer:
+            line, self._buffer = self._buffer.split(b"\n", 1)
+            return decode_payload(line)
+        while len(self._buffer) < 4:
             self._buffer += self._recv()
-        line, self._buffer = self._buffer.split(b"\n", 1)
-        return decode_payload(line)
+        length = int.from_bytes(self._buffer[:4], "big")
+        if length > MAX_FRAME:
+            raise ProtocolError(f"oversized response frame ({length})")
+        end = 4 + length
+        if len(self._buffer) >= end:
+            # Already here, possibly with the start of the next response.
+            payload, self._buffer = self._buffer[4:end], self._buffer[end:]
+            return decode_payload(payload)
+        # A frame larger than what one recv returned: receive the rest
+        # straight into one buffer of the declared length (growing a bytes
+        # object chunk by chunk copies the frame once per chunk).
+        payload = bytearray(length)
+        filled = len(self._buffer) - 4
+        payload[:filled] = self._buffer[4:]
+        self._buffer = b""
+        view = memoryview(payload)
+        while filled < length:
+            received = self._sock.recv_into(view[filled:])
+            if not received:
+                raise ProtocolError("server closed the connection")
+            filled += received
+        return decode_payload(payload)
 
     # -- ops ---------------------------------------------------------------------
 

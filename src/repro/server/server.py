@@ -38,6 +38,7 @@ from repro.resilience.errors import (
     Cancelled,
     DurabilityError,
     ResilienceError,
+    ResourceExhausted,
 )
 from repro.server.backpressure import (
     BackpressureConfig,
@@ -47,9 +48,9 @@ from repro.server.backpressure import (
 )
 from repro.server.protocol import (
     ProtocolError,
-    encode_frame,
-    encode_line,
-    jsonify_rows,
+    encode_id_rows,
+    encode_response,
+    encode_value_rows,
     jsonify_value,
     read_frame,
     read_line,
@@ -68,6 +69,34 @@ def _error(code: str, message: str, **extra: Any) -> dict:
     body = {"code": code, "message": message}
     body.update(extra)
     return {"ok": False, "error": body}
+
+
+class _Served:
+    """One ``(relation, version)`` entry of the server's result memo.
+
+    ``result`` pins the version and carries its row order; ``body`` is the
+    whole relation in wire form, built by the first unbounded read and
+    dropped with the entry.  Published by one assignment: a reader thread
+    and the loop may both build it, and both build equal bytes.
+    """
+
+    __slots__ = ("result", "body")
+
+    def __init__(self, result) -> None:
+        self.result = result
+        self.body = None
+
+
+class _RowsResponse(dict):
+    """A query response, plus what it counts as once its frame is accepted.
+
+    ``how`` / ``served`` feed ``server_rows_served_total`` when the response
+    is written, not when it is built: a read refused as oversize served no
+    rows.  ``entry`` is the memo entry the rows belong to (``None`` for
+    catalog reads), so a body that can never be written is not kept.
+    """
+
+    __slots__ = ("how", "served", "entry")
 
 
 class QueryServer:
@@ -114,14 +143,14 @@ class QueryServer:
             catalog.bind_connections(self.registry.rows)
             catalog.bind_server(lambda: [self.server_row()])
         self.mutations_applied = 0
-        # One QueryResult per (relation, version), shared by every read
-        # against that version: snapshot results are immutable, so the
-        # deterministic-order/decode memo inside the result amortizes
-        # across requests — a bounded page read costs O(page), not a
-        # fresh O(n log n) sort per request.  The cache owns the snapshot
-        # pins; superseded versions are evicted (unpinned) lazily.  Only
-        # the event-loop thread touches it.
-        self._result_cache: Dict[Tuple[str, int], Any] = {}
+        # One entry per (relation, version), shared by every read against
+        # that version: snapshot results are immutable, so the row order
+        # inside the result and the encoded body beside it amortize across
+        # requests — a page read costs O(page), a repeated full read
+        # costs a write.  The cache owns the snapshot pins; superseded
+        # versions are evicted (unpinned) lazily.  Only the event-loop
+        # thread touches the dict.
+        self._result_cache: Dict[Tuple[str, int], _Served] = {}
         self._writer_pool = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="repro-writer"
         )
@@ -196,7 +225,7 @@ class QueryServer:
             None, lambda: self._reader_pool.shutdown(wait=True)
         )
         while self._result_cache:
-            self._result_cache.popitem()[1].release()
+            self._result_cache.popitem()[1].result.release()
         self.conn.close()
 
     async def serve_forever(self) -> None:
@@ -435,6 +464,7 @@ class QueryServer:
             state.bytes_in += nbytes
             if not message:  # blank line in line mode
                 continue
+            started = time.perf_counter()
             try:
                 response = await self._dispatch(
                     message, state, conn_span, reader
@@ -448,10 +478,27 @@ class QueryServer:
             # An injected send fault behaves exactly like a client that
             # vanished mid-response: the handler tears the connection down.
             faults.fire("server.send", Cancelled)
-            data = encode_frame(response) if framed else encode_line(response)
-            writer.write(data)
+            try:
+                parts = encode_response(response, framed)
+            except ResourceExhausted as exc:
+                # Refused from the part lengths, before a byte was written:
+                # the connection is still in sync and gets a typed answer.
+                if getattr(response, "entry", None) is not None:
+                    response.entry.body = None
+                response = self._query_abort(ResourceExhausted(
+                    f"{exc}; page the read with 'offset' and 'limit'",
+                    reason=exc.reason, **exc.details
+                ), str(message.get("relation")), state, started)
+                if "id" in message:
+                    response["id"] = message["id"]
+                parts = encode_response(response, framed)
+            if isinstance(response, _RowsResponse):
+                self.metrics.counter(
+                    "server_rows_served_total", how=response.how
+                ).inc(response.served)
+            writer.writelines(parts)
             await writer.drain()
-            state.bytes_out += len(data)
+            state.bytes_out += sum(map(len, parts))
             if message.get("op") == "close":
                 return
 
@@ -460,10 +507,7 @@ class QueryServer:
     ) -> None:
         """Write one response, swallowing a peer that is already gone."""
         try:
-            data = (
-                encode_frame(response) if framed else encode_line(response)
-            )
-            writer.write(data)
+            writer.writelines(encode_response(response, framed))
             await writer.drain()
         except (ConnectionResetError, BrokenPipeError, OSError):
             pass
@@ -530,6 +574,12 @@ class QueryServer:
             return _error("bad_request", "'query' needs a string 'relation'")
         offset = message.get("offset", 0)
         limit = message.get("limit")
+        if not isinstance(offset, int) or not isinstance(
+            limit, (int, type(None))
+        ):
+            return _error(
+                "bad_request", "'offset' and 'limit' must be integers"
+            )
         deadline_ms = message.get("deadline_ms")
         token = None
         if deadline_ms is not None:
@@ -543,14 +593,13 @@ class QueryServer:
             token = CancellationToken.with_timeout(deadline_ms / 1000.0)
         state.queries += 1
         started = time.perf_counter()
-        result = version = None
+        served = None
         if not relation.startswith("sys_"):
-            # Resolve the shared snapshot result on the loop: the result
+            # Resolve the shared snapshot entry on the loop: the result
             # cache is event-loop-only state.  The result itself is an
             # immutable pinned snapshot, safe to page from any thread.
             try:
-                result = self._snapshot_result(relation)
-                version = result.snapshot_version
+                served = self._snapshot_result(relation)
             except ResilienceError as exc:
                 return self._query_abort(exc, relation, state, started)
             except KeyError as exc:
@@ -559,7 +608,7 @@ class QueryServer:
                 return _error("bad_request", str(exc))
         if token is None:
             return self._query_body(
-                relation, result, version, offset, limit, None, state, started
+                relation, served, offset, limit, None, state, started
             )
         # Governed read: run it off-loop so the event loop stays free to
         # notice the peer vanishing — the watcher cancels the token, and the
@@ -571,8 +620,7 @@ class QueryServer:
         try:
             return await loop.run_in_executor(
                 self._reader_pool, self._query_body,
-                relation, result, version, offset, limit, token, state,
-                started,
+                relation, served, offset, limit, token, state, started,
             )
         except asyncio.CancelledError:
             # Handler torn down (shutdown): abort the orphaned read so the
@@ -608,17 +656,21 @@ class QueryServer:
             await asyncio.sleep(0.01)
 
     def _query_body(
-        self, relation, result, version, offset, limit, token, state, started
+        self, relation, served, offset, limit, token, state, started
     ) -> dict:
         """The read itself — on the loop (ungoverned) or a reader thread."""
         try:
-            if result is None:
+            if served is None:
                 # Catalog reads are live observability snapshots, not MVCC
                 # reads: they run against the catalog providers.
                 result = self.conn.query(relation, token=token)
+            else:
+                result = served.result
             if token is not None:
                 token.check()
-            rows = jsonify_rows(result.rows(offset=offset, limit=limit))
+            rows, how, served_rows = self._encode_rows(
+                served, result, offset, limit
+            )
             if token is not None:
                 token.check()
         except ResilienceError as exc:
@@ -627,13 +679,38 @@ class QueryServer:
             return _error("unknown_relation", str(exc))
         except (ValueError, RuntimeError) as exc:
             return _error("bad_request", str(exc))
-        response = {
-            "ok": True, "relation": relation,
-            "rows": rows, "count": result.count(),
-        }
-        if version is not None:
-            response["snapshot_version"] = version
+        response = _RowsResponse(
+            ok=True, relation=relation, rows=rows, count=result.count()
+        )
+        response.how, response.served, response.entry = (
+            how, served_rows, served
+        )
+        if served is not None:
+            response["snapshot_version"] = result.snapshot_version
         return response
+
+    def _encode_rows(self, served, result, offset, limit):
+        """``(rows in wire form, how they got there, how many)``.
+
+        A dictionary-encoded result goes from ids to bytes through the
+        symbol table's fragment memo — a page is one join over its ids —
+        and an unbounded read of a snapshot is encoded once per version.
+        A result holding raw values (``interning=False``, the catalog)
+        takes the reference encoding.  ``how`` labels
+        ``server_rows_served_total``.
+        """
+        symbols = result.symbols
+        if symbols is None:
+            page = list(result.rows(offset=offset, limit=limit))
+            return encode_value_rows(page), "raw", len(page)
+        whole = offset == 0 and limit is None
+        if whole and served.body is not None:
+            return served.body, "memo", result.count()
+        page = result.stored_rows(offset, limit)
+        rows = encode_id_rows(symbols, page, result.schema.arity)
+        if whole:
+            served.body = rows
+        return rows, "fragments", len(page)
 
     def _query_abort(
         self, exc: ResilienceError, relation: str, state: ConnectionState,
@@ -651,26 +728,27 @@ class QueryServer:
         return {"ok": False, "error": exc.to_wire()}
 
     def _snapshot_result(self, relation: str):
-        """The shared snapshot result for ``relation`` at the latest version.
+        """The shared memo entry for ``relation`` at the latest version.
 
         Raises the same errors as :meth:`Connection.query_snapshot`.  The
-        returned result is cached (and stays pinned) until a read at a
-        newer version evicts it; callers must not :meth:`release` it.
+        entry's result is cached (and stays pinned) until a read at a
+        newer version evicts it; callers must not ``release`` it.
         """
         latest = self.snapshots.latest_version()
         cached = self._result_cache.get((relation, latest))
         if cached is not None:
             return cached
-        result = self.conn.query_snapshot(relation)
-        version = result.snapshot_version
+        served = _Served(self.conn.query_snapshot(relation))
+        version = served.result.snapshot_version
         stale = [key for key in self._result_cache if key[1] < version]
         for key in stale:
-            # In-flight pages over an evicted result stay valid: the rows
+            # In-flight reads over an evicted entry stay valid: the rows
             # are immutable and held by the result object itself — only
-            # the storage version becomes collectable.
-            self._result_cache.pop(key).release()
-        self._result_cache[(relation, version)] = result
-        return result
+            # the storage version, and the encoded body with the entry,
+            # become collectable.
+            self._result_cache.pop(key).result.release()
+        self._result_cache[(relation, version)] = served
+        return served
 
     async def _op_mutate(
         self, op: str, message: dict, state: ConnectionState

@@ -22,8 +22,17 @@ must equal a from-scratch :func:`~repro.api.result.ordered_rows` of the
 decoded rows — whatever the codec, the column types, the read cadence, the
 strategy that produced the version, and whether the delta was merged or the
 view rebuilt.
+
+The third half holds the *wire encoding* to the reference functions: the
+bytes the server writes for any read — interned or raw storage, framed or
+line mode, arity 0-4, full reads (built, then memoised), pages, ``limit=0``,
+offsets past the end, before and after mutation batches that bring new
+symbols — equal ``encode_frame`` / ``encode_line`` of the plain response
+built with ``jsonify_rows(result.rows(offset, limit))``.
 """
 
+import json
+import socket
 import threading
 import time
 from contextlib import contextmanager
@@ -37,9 +46,24 @@ from repro.api import result as result_module
 from repro.api.database import Database
 from repro.api.result import ordered_rows
 from repro.core.config import EngineConfig
+from repro.datalog.dsl import Program
 from repro.datalog.literals import Atom
 from repro.datalog.terms import Variable
 from repro.incremental import IncrementalSession
+from repro.relational.symbols import SymbolTable
+from repro.server import BlockingClient, ServerThread, protocol
+from repro.server.protocol import (
+    EncodedRows,
+    encode_frame,
+    encode_id_rows,
+    encode_line,
+    encode_payload,
+    encode_response,
+    encode_value_rows,
+    jsonify_rows,
+    jsonify_value,
+    value_fragment,
+)
 
 EDGES = [(1, 2), (2, 3), (3, 4), (4, 5)]
 
@@ -391,3 +415,225 @@ def test_a_late_ordering_old_pin_reads_right_and_leaves_the_newer_base(
         assert_ordered_like_scratch(old, old_rows, 2)
         kept_rows, kept_ordered = carrier.base()
         assert kept_rows is base_rows and kept_ordered is base_ordered
+
+
+# -- the wire encoding ------------------------------------------------------------
+#
+# The server writes a query response without ever building the response the
+# reference functions encode: rows go from symbol ids to bytes through the
+# table's fragment memo, an unbounded read is encoded once per version, and
+# the envelope is spliced around the result.  Whatever it does, the bytes on
+# the socket must be ``encode_frame`` / ``encode_line`` of the plain dict
+# built with ``jsonify_rows(result.rows(offset, limit))``.
+
+NAN = float("nan")
+
+#: Values JSON can carry: these also arrive in mutation batches, so they
+#: extend the fragment table mid-stream.
+json_values = st.one_of(
+    st.integers(min_value=-10**20, max_value=10**20),
+    st.text(max_size=5),
+    st.sampled_from([
+        "", '"', "\\", '\\"', "\n\t\r\x00\x1f\x7f", " ", "é",
+        "\U0001F600", "\ud800", "null", "[1,2]",
+    ]),
+    st.sampled_from([NAN, float("inf"), float("-inf"), 2.5, -0.0, 1e300]),
+    st.none(),
+    st.booleans(),
+)
+#: ... plus values that take the ``repr`` fallback (initial facts only).
+stored_values = st.one_of(
+    json_values,
+    st.tuples(st.integers(0, 3), st.text(max_size=2)),
+    st.frozensets(st.integers(0, 3), max_size=2),
+)
+
+
+def rows_of(arity, values, max_size):
+    return st.lists(st.tuples(*[values] * arity), max_size=max_size)
+
+
+@st.composite
+def served_relations(draw):
+    """``(arity, initial rows, [(retract?, rows) ...])``."""
+    arity = draw(st.integers(min_value=0, max_value=4))
+    initial = draw(rows_of(arity, stored_values, 12))
+    batches = draw(st.lists(
+        st.tuples(st.booleans(), rows_of(arity, json_values, 4)),
+        max_size=3,
+    ))
+    return arity, initial, batches
+
+
+class RawWire:
+    """One raw connection: requests out, response bytes back, unparsed."""
+
+    def __init__(self, host, port, framed):
+        self.framed = framed
+        self.sock = socket.create_connection((host, port), timeout=30)
+        self.buffer = b""
+
+    def _fill(self):
+        chunk = self.sock.recv(65536)
+        assert chunk, "server closed the connection"
+        self.buffer += chunk
+
+    def exchange(self, message):
+        encode = encode_frame if self.framed else encode_line
+        self.sock.sendall(encode(message))
+        if self.framed:
+            while len(self.buffer) < 4:
+                self._fill()
+            size = 4 + int.from_bytes(self.buffer[:4], "big")
+            while len(self.buffer) < size:
+                self._fill()
+        else:
+            while b"\n" not in self.buffer:
+                self._fill()
+            size = self.buffer.index(b"\n") + 1
+        response, self.buffer = self.buffer[:size], self.buffer[size:]
+        return response
+
+    def close(self):
+        self.sock.close()
+
+
+def reference_bytes(server, message, framed):
+    """What the reference functions write for ``message`` right now."""
+    relation = message["relation"]
+    version = server.snapshots.latest_version()
+    result = server._result_cache[(relation, version)].result
+    response = {
+        "ok": True, "relation": relation,
+        "rows": jsonify_rows(result.rows(
+            offset=message.get("offset", 0), limit=message.get("limit"),
+        )),
+        "count": result.count(), "snapshot_version": version,
+    }
+    if "id" in message:
+        response["id"] = message["id"]
+    return (encode_frame if framed else encode_line)(response)
+
+
+def read_requests(count, seed):
+    """Full reads (twice: built, then memoised), pages, the edges."""
+    full = {"op": "query", "relation": "r"}
+    pages = [
+        {"offset": (seed * 7 + step * 3) % (count + 2),
+         "limit": (seed + step * 2) % 6}
+        for step in range(3)
+    ]
+    bounded = pages + [
+        {"offset": 0, "limit": 0},
+        {"offset": count + 5, "limit": 3},
+        {"offset": count + 5},
+        {"offset": 0, "limit": count + 7},
+    ]
+    messages = [dict(full, **page) for page in bounded[:2]]  # pages first
+    messages += [full, dict(full, id=seed), dict(full, id={"rows": None})]
+    messages += [dict(full, id=index, **page)
+                 for index, page in enumerate(bounded[2:])]
+    return messages
+
+
+@pytest.mark.parametrize("framed", [True, False], ids=["framed", "line"])
+@pytest.mark.parametrize("interning", [True, False], ids=["interned", "raw"])
+@settings(max_examples=15, deadline=None)
+@given(relation=served_relations())
+def test_served_bytes_equal_the_reference_encoding(interning, framed, relation):
+    arity, initial, batches = relation
+    program = Program("served")
+    program.relation("r", arity=arity).add_facts(initial)
+    config = EngineConfig().with_(interning=interning)
+    with Database(program, config) as database, \
+            ServerThread(database) as thread:
+        wire = RawWire(thread.host, thread.port, framed)
+        try:
+            with BlockingClient(thread.host, thread.port) as writer:
+                for step in range(len(batches) + 1):
+                    if step:
+                        retract, rows = batches[step - 1]
+                        mutate = writer.retract if retract else writer.insert
+                        mutate("r", rows)
+                    count = writer.request(
+                        {"op": "query", "relation": "r", "limit": 0}
+                    )["count"]
+                    for message in read_requests(count, step):
+                        assert wire.exchange(message) == reference_bytes(
+                            thread.server, message, framed
+                        ), (step, message)
+        finally:
+            wire.close()
+
+
+@settings(max_examples=200, deadline=None)
+@given(arity=st.integers(0, 4), data=st.data())
+def test_id_rows_encode_like_the_values_they_stand_for(arity, data):
+    rows = data.draw(rows_of(arity, stored_values, 40))
+    table = SymbolTable()
+    ids = table.intern_rows(rows)
+    with pytest.MonkeyPatch.context() as patch:
+        # Parts of 3 rows: the joints between parts are exercised too.
+        patch.setattr(protocol, "_ROWS_PER_PART", 3)
+        encoded = encode_id_rows(table, ids, arity)
+    assert isinstance(encoded, EncodedRows)
+    used = 1 + max((symbol for row in ids for symbol in row), default=-1)
+    assert len(table.memo(value_fragment, 0)) == used  # and no further
+    decoded = table.resolve_rows(ids)
+    assert b"".join(encoded) == encode_payload(jsonify_rows(decoded))
+    assert b"".join(encode_value_rows(decoded)) == b"".join(encoded)
+
+
+envelope_values = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.text(max_size=4)),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=2),
+        st.dictionaries(st.sampled_from(["rows", "k"]), inner, max_size=2),
+    ),
+    max_leaves=4,
+)
+
+
+@pytest.mark.parametrize("framed", [True, False], ids=["framed", "line"])
+@settings(max_examples=200, deadline=None)
+@given(
+    before=st.dictionaries(st.sampled_from(["ok", "relation", "a"]),
+                           envelope_values, max_size=3),
+    after=st.dictionaries(st.sampled_from(["count", "id", "b"]),
+                          envelope_values, max_size=3),
+    rows=rows_of(2, json_values, 5),
+)
+def test_the_splice_equals_encoding_the_whole_message(
+    framed, before, after, rows
+):
+    """Rows at the first, a middle or the last key; nested ``"rows"`` keys
+    and ``null`` values around them; empty relations."""
+    plain = dict(before, rows=jsonify_rows(rows), **after)
+    spliced = dict(before, rows=encode_value_rows(rows), **after)
+    assert list(plain) == list(spliced)
+    reference = (encode_frame if framed else encode_line)(plain)
+    assert b"".join(encode_response(spliced, framed)) == reference
+    assert b"".join(encode_response(plain, framed)) == reference
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=rows_of(3, stored_values, 8))
+def test_the_reference_functions_apply_the_wire_rule_value_by_value(rows):
+    """``jsonify_rows`` / ``encode_payload`` are what everything above is
+    held to, so they are held to their definitions: the per-value rule on
+    every column, ``json.dumps`` with compact separators and the ``repr``
+    fallback (compared by ``repr``: ``nan != nan``, ``True == 1``)."""
+    expected = [[jsonify_value(value) for value in row] for row in rows]
+    assert repr(jsonify_rows(rows)) == repr(expected)
+    assert repr(jsonify_rows(iter(rows))) == repr(expected)
+    message = {"ok": True, "rows": expected, "extra": frozenset(rows[:1])}
+    assert encode_payload(message) == json.dumps(
+        message, separators=(",", ":"), default=repr
+    ).encode("utf-8")
+
+
+def test_a_circular_message_is_still_a_value_error():
+    message = {"ok": True}
+    message["self"] = message
+    with pytest.raises(ValueError, match="Circular reference"):
+        encode_payload(message)

@@ -1,6 +1,7 @@
 """Unit tests for the global symbol table (dictionary-encoded storage)."""
 
 import pickle
+import sys
 import threading
 
 import pytest
@@ -161,6 +162,116 @@ class TestShardPlumbing:
         assert all(ids == seen[0] for ids in seen)
         assert len(table) == len(values)
         assert [table.resolve(i) for i in seen[0]] == values
+
+
+class TestPerSymbolMemo:
+    def test_memo_is_indexed_by_id_and_computed_once_per_symbol(self):
+        table = SymbolTable(["a", 2, None])
+        calls = []
+
+        def describe(value):
+            calls.append(value)
+            return f"<{value!r}>"
+
+        memo = table.memo(describe)
+        assert memo == ["<'a'>", "<2>", "<None>"]
+        assert table.memo(describe) is memo and len(calls) == 3
+        late = table.intern(("late", 1))
+        assert table.memo(describe)[late] == "<('late', 1)>"
+        assert calls == ["a", 2, None, ("late", 1)]
+
+    def test_memo_is_prefix_stable_across_extensions(self):
+        table = SymbolTable(range(10))
+        memo = table.memo(repr)
+        before = list(memo)
+        table.extend([f"s{i}" for i in range(10)])
+        after = table.memo(repr)
+        assert after is memo  # same list, appended to
+        assert after[:10] == before
+        assert after == [repr(value) for value in table.values()]
+
+    def test_the_memo_is_pinned_to_its_first_function(self):
+        table = SymbolTable([1, "x"])
+        assert table.memo(repr) == ["1", "'x'"]
+        with pytest.raises(ValueError, match="memo holds"):
+            table.memo(str)
+        assert table.memo(repr) == ["1", "'x'"]
+
+    def test_memo_is_not_part_of_the_pickle(self):
+        table = SymbolTable(["a", "b"])
+        table.memo(repr)
+        state = table.__getstate__()
+        assert sorted(state) == ["rows_decoded", "rows_encoded", "values"]
+        clone = pickle.loads(pickle.dumps(table))
+        assert list(clone.values()) == ["a", "b"]
+        calls = []
+        assert clone.memo(lambda value: calls.append(value) or value) == [
+            "a", "b"
+        ]
+        assert calls == ["a", "b"]  # rebuilt on the far side, not shipped
+
+    def test_a_failing_function_leaves_a_correct_prefix(self):
+        table = SymbolTable([1, 2, 0, 4])
+
+        def inverse(value):
+            return 1 / value
+
+        with pytest.raises(ZeroDivisionError):
+            table.memo(inverse)
+        table._values[2] = 8  # test-only: let the retry get past id 2
+        assert table.memo(inverse) == [1.0, 0.5, 0.125, 0.25]
+
+    def test_threads_extending_while_another_interns_agree_with_sequential(self):
+        """Four readers extend the memo while a fifth interns, under a 1 us
+        switch interval: every lookup equals ``fn(value)``, and the final
+        memo equals a sequential build — no lost, duplicated or shifted
+        entry (what an unlocked ``extend`` produces)."""
+        table = SymbolTable()
+        total = 20_000
+        failures = []
+        done = threading.Event()
+
+        def fragment(value):
+            return f"[{value}]"
+
+        def intern_all():
+            for i in range(total):
+                table.intern(f"sym_{i}")
+            done.set()
+
+        def read_all():
+            try:
+                while True:
+                    finished = done.is_set()
+                    size = len(table)
+                    memo = table.memo(fragment)
+                    if len(memo) < size:
+                        failures.append(f"memo {len(memo)} < table {size}")
+                    for symbol in (0, size // 2, size - 1):
+                        if size and memo[symbol] != f"[sym_{symbol}]":
+                            failures.append((symbol, memo[symbol]))
+                    if finished:
+                        return
+            except Exception as exc:  # surfaced after join
+                failures.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=read_all) for _ in range(4)]
+            threads.append(threading.Thread(target=intern_all))
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not failures, failures[:5]
+        assert table.memo(fragment) == [
+            fragment(value) for value in table.values()
+        ]
+        assert len(table.memo(fragment)) == total
 
 
 class TestIdentityCodec:

@@ -2,12 +2,15 @@
 
 The acceptance bar for the resilience layer: a deadline-governed query over
 an unbounded-growth program must come back as a typed
-:class:`DeadlineExceeded` within 2x the deadline on *every* executor x shard
-configuration — and the session must stay fully usable afterwards.
+:class:`DeadlineExceeded`, having run fewer fixpoint rounds than the
+ungoverned evaluation, on *every* executor x shard configuration — and the
+session must stay fully usable afterwards.  (That it comes back within 2x
+the deadline is a wall-clock gate: ``benchmarks/bench_resilience.py``.)
 """
 
 import threading
 import time
+from contextlib import contextmanager
 
 import pytest
 
@@ -21,6 +24,7 @@ from repro import (
     ResourceExhausted,
 )
 from repro.analyses.micro import build_transitive_closure_program
+from repro.resilience.limits import QueryGovernor
 
 #: A cycle: the closure is all n^2 pairs, far more work than any deadline
 #: below grants — evaluation is effectively unbounded growth.
@@ -46,24 +50,70 @@ def make_config(executor: str, shards: int) -> EngineConfig:
     return config
 
 
+@contextmanager
+def counted_rounds():
+    """Every fixpoint round begun inside the block, on any governor."""
+    begun = []
+    real = QueryGovernor.on_round
+
+    def counting(self, promoted=0):
+        begun.append(promoted)
+        return real(self, promoted)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(QueryGovernor, "on_round", counting)
+        yield begun
+
+
+@contextmanager
+def expiring_after_round(n):
+    """Counts rounds like :func:`counted_rounds`; the governor's deadline
+    is moved into the past as soon as round boundary ``n`` is behind it."""
+    with counted_rounds() as begun:
+        counting = QueryGovernor.on_round
+
+        def expiring(self, promoted=0):
+            counting(self, promoted)
+            if len(begun) == n:
+                self.deadline = 0.0
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(QueryGovernor, "on_round", expiring)
+            yield begun
+
+
 class TestDeadline:
+    # How *soon* the abort lands is a wall-clock bound and lives with the
+    # other timing gates (benchmarks/bench_resilience.py); here only what
+    # does not depend on the machine: the typed error, that the deadline cut
+    # the fixpoint short, and that the session survives it.
     @pytest.mark.parametrize("executor,shards", CONFIG_GRID)
-    def test_deadline_bounds_latency_on_every_configuration(
+    def test_deadline_cuts_the_fixpoint_short_on_every_configuration(
         self, executor, shards
     ):
         database = Database(build_transitive_closure_program(SLOW_EDGES),
                             make_config(executor, shards))
         try:
             with database.connect() as conn:
-                started = time.perf_counter()
-                with pytest.raises(DeadlineExceeded):
-                    conn.query(
-                        "path", limits=QueryLimits(deadline_seconds=DEADLINE)
+                with counted_rounds() as governed:
+                    with pytest.raises(DeadlineExceeded):
+                        conn.query(
+                            "path",
+                            limits=QueryLimits(deadline_seconds=DEADLINE),
+                        )
+                # Usable afterwards: the abort mid-fixpoint left nothing
+                # half-applied, and the same query under a bound that never
+                # trips runs to the end ...
+                with counted_rounds() as ungoverned:
+                    result = conn.query(
+                        "path", limits=QueryLimits(max_rounds=10**9)
                     )
-                elapsed = time.perf_counter() - started
-                assert elapsed < 2 * DEADLINE, (
-                    f"abort took {elapsed * 1000:.1f}ms against a "
-                    f"{DEADLINE * 1000:.0f}ms deadline"
+                assert result.count() == len(SLOW_EDGES) ** 2
+                # ... in more rounds than the deadline let through.
+                assert len(governed) < len(ungoverned), (
+                    f"{len(governed)} rounds ran under a "
+                    f"{DEADLINE * 1000:.0f}ms deadline; the ungoverned "
+                    f"fixpoint takes {len(ungoverned)}"
                 )
         finally:
             database.close()
@@ -98,12 +148,17 @@ class TestDeadlineInsideCompiledIterations:
                             EngineConfig.jit("lambda"))
         try:
             with database.connect() as conn:
-                started = time.perf_counter()
-                with pytest.raises(DeadlineExceeded):
-                    conn.query(
-                        "path", limits=QueryLimits(deadline_seconds=DEADLINE)
-                    )
-                assert time.perf_counter() - started < 4 * DEADLINE
+                # The deadline runs out right after the second round
+                # boundary — made to, not timed, so this holds on any
+                # machine — and must be noticed by a kernel of the third
+                # round, not by the next boundary.  (How soon in wall time:
+                # benchmarks/bench_resilience.py, 4x the deadline.)
+                with expiring_after_round(2) as rounds:
+                    with pytest.raises(DeadlineExceeded):
+                        conn.query(
+                            "path", limits=QueryLimits(deadline_seconds=3600)
+                        )
+                assert len(rounds) == 2
                 # The abort left no half-applied fixpoint behind: the next
                 # un-governed query agrees with from-scratch evaluation.
                 rows = set(conn.query("path").rows())

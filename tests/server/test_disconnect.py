@@ -53,16 +53,16 @@ class TestDisconnectMidQuery:
         # Hold the governed read open on the reader thread so the
         # disconnect deterministically lands mid-query.  The event-loop
         # watcher must notice the dead transport while this read is stuck.
-        real_jsonify = server_module.jsonify_rows
+        real_encode = server_module.encode_id_rows
         read_started = threading.Event()
         release_read = threading.Event()
 
-        def held_jsonify(rows):
+        def held_encode(*args):
             read_started.set()
             release_read.wait(timeout=10.0)
-            return real_jsonify(rows)
+            return real_encode(*args)
 
-        monkeypatch.setattr(server_module, "jsonify_rows", held_jsonify)
+        monkeypatch.setattr(server_module, "encode_id_rows", held_encode)
         with caplog.at_level(logging.INFO, logger="repro.server"):
             victim = socket.create_connection((thread.host, thread.port))
             try:

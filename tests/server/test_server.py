@@ -1,18 +1,22 @@
 """End-to-end tests for the query server over real TCP connections."""
 
+import gc
 import json
 import socket
+import weakref
 
 import pytest
 
 from repro.analyses.micro import build_transitive_closure_program
 from repro.api.database import Database
+from repro.core.config import EngineConfig
 from repro.server import (
     BackpressureConfig,
     BlockingClient,
     ServerThread,
 )
 from repro.server.client import ServerError
+from repro.server.protocol import EncodedRows
 
 EDGES = [(1, 2), (2, 3), (3, 4)]
 CLOSURE = {(1, 2), (2, 3), (3, 4), (1, 3), (2, 4), (1, 4)}
@@ -126,6 +130,118 @@ class TestSnapshotResultCache:
         assert list(cache) == [("path", 1)]
         assert thread.server.snapshots.pin_count(0) == 0
         assert thread.server.snapshots.live_versions() == (1,)
+
+
+    def test_the_encoded_body_is_evicted_with_the_entry_it_lives_in(
+        self, served
+    ):
+        thread, client = served
+        client.query("path")  # unbounded: builds and memoises the body
+        entry = thread.server._result_cache[("path", 0)]
+        assert isinstance(entry.body, EncodedRows)
+        chunk = entry.body[1]  # the first 1024 rows, as bytes
+        old_result = weakref.ref(entry.result)
+        assert any(  # the probe below sees the memo while it is live
+            isinstance(holder, EncodedRows)
+            for holder in gc.get_referrers(chunk)
+        )
+        del entry
+        client.insert("edge", [(4, 5)])
+        client.query("path", limit=1)  # evicts version 0; pages never build
+        assert thread.server._result_cache[("path", 1)].body is None
+        gc.collect()
+        assert old_result() is None
+        assert not [
+            holder for holder in gc.get_referrers(chunk)
+            if isinstance(holder, EncodedRows)
+        ], "a chunk of the superseded version is still reachable"
+
+
+def served_rows(client):
+    """``{how: rows}`` of ``server_rows_served_total`` via the metrics op."""
+    prefix = "server_rows_served_total{how="
+    return {
+        key[len(prefix):-1]: value
+        for key, value in client.metrics().items() if key.startswith(prefix)
+    }
+
+
+class TestRowsServedAccounting:
+    """How a read's rows reached the wire is the system's own output."""
+
+    def test_full_reads_encode_once_per_version_then_hit_the_memo(
+        self, served
+    ):
+        _, client = served
+        n = len(CLOSURE)
+        client.query("path")
+        assert served_rows(client) == {"fragments": n}
+        client.query("path")
+        assert served_rows(client) == {"fragments": n, "memo": n}
+        client.insert("edge", [(4, 5)])
+        grown = len(client.query("path"))  # new version: encoded afresh
+        assert grown > n
+        assert served_rows(client) == {"fragments": n + grown, "memo": n}
+        client.query("path")
+        assert served_rows(client) == {
+            "fragments": n + grown, "memo": n + grown,
+        }
+
+    def test_pages_count_the_rows_they_carry_and_never_build_the_body(
+        self, served
+    ):
+        thread, client = served
+        client.query("path", offset=1, limit=2)
+        client.query("path", offset=5, limit=9)  # one row left
+        assert served_rows(client) == {"fragments": 3}
+        assert thread.server._result_cache[("path", 0)].body is None
+
+    def test_a_read_refused_as_oversize_served_no_rows_and_keeps_no_body(
+        self, served, monkeypatch
+    ):
+        import repro.server.protocol as protocol
+
+        thread, client = served
+        client.insert("edge", [(i, i + 1) for i in range(4, 40)])
+        monkeypatch.setattr(protocol, "MAX_FRAME", 2000)
+        for _ in range(2):  # the retry must not be answered from a memo
+            with pytest.raises(ServerError) as excinfo:
+                client.query("path")
+            assert excinfo.value.error["reason"] == "oversize"
+            assert thread.server._result_cache[("path", 1)].body is None
+        monkeypatch.undo()
+        assert served_rows(client) == {}
+        client.query("path", offset=0, limit=2)
+        assert served_rows(client) == {"fragments": 2}
+
+    def test_catalog_and_raw_storage_reads_count_raw(self, served):
+        _, client = served
+        relations = client.query("sys_relations")
+        assert served_rows(client) == {"raw": len(relations)}
+        database = Database(
+            build_transitive_closure_program(EDGES),
+            EngineConfig(interning=False),
+        )
+        with ServerThread(database) as thread:
+            with BlockingClient(thread.host, thread.port) as raw:
+                assert set(raw.query("path")) == CLOSURE
+                raw.query("path")
+                assert served_rows(raw) == {"raw": 2 * len(CLOSURE)}
+        database.close()
+
+    def test_the_counter_reaches_sys_metrics_and_prometheus(self, served):
+        thread, client = served
+        client.query("path")
+        rows = {
+            labels: value
+            for name, labels, _, value in client.query("sys_metrics")
+            if name == "server_rows_served_total"
+        }
+        assert rows == {"how=fragments": len(CLOSURE)}
+        assert (
+            'repro_server_rows_served_total{how="fragments"} '
+            f"{len(CLOSURE)}"
+        ) in thread.server.metrics.to_prometheus()
 
 
 class TestObservability:

@@ -75,6 +75,30 @@ class TestWireReachability:
         assert response["error"]["code"] == "resource_exhausted"
         assert client.ping()  # other connections are unaffected
 
+    def test_resource_exhausted_for_an_oversized_response(
+        self, served, monkeypatch
+    ):
+        """A response past MAX_FRAME is refused before a byte is written:
+        the client gets the typed error on a connection that stays usable,
+        and the advice in it (page the read) works."""
+        import repro.server.protocol as protocol
+
+        _, client = served
+        client.insert("edge", [(i, i + 1) for i in range(4, 40)])
+        monkeypatch.setattr(protocol, "MAX_FRAME", 2000)
+        with pytest.raises(ServerError) as excinfo:
+            client.query("path")
+        assert excinfo.value.code == "resource_exhausted"
+        assert excinfo.value.error["reason"] == "oversize"
+        assert excinfo.value.error["limit"] == 2000
+        assert "offset" in str(excinfo.value) and "limit" in str(excinfo.value)
+        assert client.ping()  # same connection, still in sync
+        paged = client.query("path", offset=0, limit=100)
+        assert len(paged) == 100
+        assert client.metrics()[
+            "server_query_aborts_total{code=resource_exhausted}"
+        ] == 1
+
     def test_durability_error_over_the_wire_and_recovery(self, tmp_path):
         durability = DurabilityConfig(dir=str(tmp_path), fsync="always")
         database = Database(
