@@ -47,7 +47,10 @@ DEFAULT_ABSOLUTE_FLOOR = 0.01
 
 def is_measurement(column: str) -> bool:
     lowered = column.lower()
-    return any(hint in lowered for hint in MEASUREMENT_HINTS)
+    # ``*_s`` is the incremental section's spelling of seconds.
+    return lowered.endswith("_s") or any(
+        hint in lowered for hint in MEASUREMENT_HINTS
+    )
 
 
 def row_identity(row: Dict[str, object]) -> Tuple[Tuple[str, str], ...]:

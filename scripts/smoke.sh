@@ -14,17 +14,21 @@ echo "== tier-1 test suite =="
 python -m pytest -x -q
 
 echo
-echo "== incremental acceptance benchmark (10k-edge graph) =="
-python -m pytest -x -q benchmarks/bench_incremental.py::test_single_batch_speedup_at_10k_edges
+echo "== incremental acceptance benchmarks (10k-edge graph) =="
+# One mixed batch beats a recompute >= 5x, and a heavy retraction's
+# re-derivation costs what its deletion cone costs (<= 3x over-deletion).
+python -m pytest -x -q \
+    benchmarks/bench_incremental.py::test_single_batch_speedup_at_10k_edges \
+    benchmarks/bench_incremental.py::test_heavy_retract_is_cone_priced
 
 echo
 echo "== subsystem smoke benches (perf trajectory -> BENCH.json) =="
-# One machine-readable dump per CI run: 2-shard parallel, vectorized
-# executor, dictionary-encoded storage, telemetry overhead, governance
-# overhead, concurrent serving latency and durable warm restart at
-# --quick scale.  smoke.yml uploads BENCH.json as an artifact, and the
+# One machine-readable dump per CI run: incremental update latency (with
+# the heavy-retraction tail), 2-shard parallel, vectorized executor,
+# dictionary-encoded storage, telemetry overhead, governance overhead,
+# concurrent serving latency and durable warm restart at --quick scale.  smoke.yml uploads BENCH.json as an artifact, and the
 # committed baseline gates it below.
-python -m repro.bench --quick --only parallel,vectorized,interning,telemetry,resilience,serving,durability --json BENCH.json
+python -m repro.bench --quick --only incremental,parallel,vectorized,interning,telemetry,resilience,serving,durability --json BENCH.json
 
 echo
 echo "== perf-regression gate (BENCH.json vs benchmarks/baseline.json) =="
@@ -117,25 +121,33 @@ with open(program, "w", encoding="utf-8") as handle:
     )
 
 def boot():
+    """Start the server; returns (process, port, its recovery banner)."""
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro.server", "--program", program,
          "--port", "0", "--durability", durdir],
         stderr=subprocess.PIPE, text=True,
     )
+    recovered = None
     while True:
         line = proc.stderr.readline()
         assert line, "server exited before listening"
+        if line.startswith("recovered "):
+            recovered = line.strip()
         if "listening on" in line:
-            return proc, int(line.rsplit(":", 1)[1])
+            return proc, int(line.rsplit(":", 1)[1]), recovered
 
-proc, port = boot()
+proc, port, _ = boot()
 with BlockingClient("127.0.0.1", port) as client:
     client.insert("edge", [[3, 4]])
+    client.retract("edge", [[2, 3]])
+    client.insert("edge", [[2, 3]])
     before = len(client.query("path"))
 proc.kill()  # SIGKILL: the WAL is all that survives
 proc.wait()
 
-proc, port = boot()
+proc, port, recovered = boot()
+assert "3 WAL records" in recovered and "slowest replayed record: seq" in recovered, recovered
+print(recovered)
 try:
     with BlockingClient("127.0.0.1", port) as client:
         paths = client.query("path")

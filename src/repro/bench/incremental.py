@@ -10,11 +10,15 @@ after every batch.  Reported per workload scale:
 * ``insert_batch_s`` / ``retract_batch_s`` / ``mixed_batch_s`` — mean
   incremental latency of one batch of each kind.
 * ``speedup`` — full recompute over the mean mixed-batch latency.
+* ``retract_heavy_ms`` — mean latency of the retraction *tail*: five
+  batches of the eight edges most paths run through (cones of hundreds of
+  rows; see :func:`heavy_retract_batches`).
 """
 
 from __future__ import annotations
 
 import time
+from collections import Counter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analyses.micro import build_transitive_closure_program
@@ -26,6 +30,7 @@ from repro.workloads.streaming import UpdateStream, edge_update_stream
 INCREMENTAL_COLUMNS = (
     "workload", "edges", "derived", "full_recompute_s",
     "insert_batch_s", "retract_batch_s", "mixed_batch_s", "speedup",
+    "retract_heavy_ms",
 )
 
 
@@ -43,6 +48,54 @@ def _mean_batch_seconds(session: IncrementalSession, stream: UpdateStream) -> fl
         for batch in stream
     ]
     return sum(timings) / len(timings) if timings else 0.0
+
+
+def heavy_retract_batches(
+    nodes: int,
+    edge_count: int,
+    batches: int = 5,
+    batch_size: int = 8,
+    config: Optional[EngineConfig] = None,
+    seed: int = 2024,
+) -> List[Dict[str, object]]:
+    """Retract the edges most paths run through; one row per batch.
+
+    The victims are the ``batches * batch_size`` edges ``(u, v)`` with the
+    most ``path`` rows through them (ancestors of ``u`` × descendants of
+    ``v``), so every batch has a deletion cone of hundreds of rows — the
+    tail of a retraction stream, where DRed's two phases dominate.  Each
+    row carries the batch's wall time, its cone, the two phases' span
+    durations, and the end state is checked against a recompute.
+    """
+    from repro.telemetry import tracing
+
+    config = (config or EngineConfig.interpreted()).with_(telemetry=tracing())
+    edges = edge_update_stream(
+        nodes=nodes, initial_edges=edge_count, batches=0, batch_size=0, seed=seed,
+    ).initial["edge"]
+    session = IncrementalSession(build_transitive_closure_program(edges), config)
+    paths = session.fetch("path")
+    into = Counter(target for _, target in paths)
+    out_of = Counter(source for source, _ in paths)
+    victims = sorted(
+        edges, key=lambda e: -(into[e[0]] + 1) * (out_of[e[1]] + 1)
+    )[: batches * batch_size]
+
+    rows: List[Dict[str, object]] = []
+    for start in range(0, len(victims), batch_size):
+        report = session.retract_facts("edge", victims[start:start + batch_size])
+        phases = {
+            span.name: span.duration_ns / 1e9 for span in session.last_trace.spans
+        }
+        rows.append({
+            "seconds": report.seconds,
+            "over_deleted": report.over_deleted,
+            "rederived": report.rederived,
+            "over_delete_s": phases["dred:over-delete"],
+            "rederive_s": phases["dred:rederive"],
+        })
+    session.self_check()
+    return rows
 
 
 def run_incremental(
@@ -88,6 +141,7 @@ def run_incremental(
             live = sorted(stream.live_after()["edge"])
 
         mixed_s = phases[2]
+        heavy = heavy_retract_batches(nodes, edge_count, config=config, seed=seed)
         rows.append({
             "workload": label,
             "edges": edge_count,
@@ -97,5 +151,6 @@ def run_incremental(
             "retract_batch_s": phases[1],
             "mixed_batch_s": mixed_s,
             "speedup": (full_seconds / mixed_s) if mixed_s else float("inf"),
+            "retract_heavy_ms": 1e3 * sum(r["seconds"] for r in heavy) / len(heavy),
         })
     return rows

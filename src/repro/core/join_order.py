@@ -82,7 +82,8 @@ def annotate_block_strategies(
     batch join applies at runtime: ``"scan"`` for an unkeyed atom,
     ``"index"`` when the single join column carries an index (the probe side
     is assumed narrower than the stored relation — the actual distinct-key
-    count only exists at runtime), ``"build"`` otherwise.  Recorded next to
+    count only exists at runtime) or the key covers every column (the row
+    set is the table), ``"build"`` otherwise.  Recorded next to
     each join-order decision so ``explain()`` shows how a reordered plan
     will be executed block-wise.
     """
@@ -90,6 +91,9 @@ def annotate_block_strategies(
     for layout in join_layouts(plan):
         if not layout.key_positions:
             strategies.append("scan")
+            continue
+        if len(layout.key_positions) == layout.arity:
+            strategies.append("index")
             continue
         indexed = len(layout.key_positions) == 1 and indexes(
             layout.relation, layout.key_positions[0]

@@ -27,13 +27,16 @@ something else.  Two facts make it work:
 
 from __future__ import annotations
 
+import logging
 import os
 import time
-from dataclasses import dataclass
-from typing import Optional, Tuple
+from dataclasses import dataclass, field
+from typing import List, Optional, Tuple
 
 from repro.durability.checkpoint import Checkpoint, CheckpointStore
 from repro.durability.wal import WalError, WalScan, read_wal
+
+logger = logging.getLogger("repro.durability")
 
 
 class RecoveryError(Exception):
@@ -51,6 +54,12 @@ class RecoveryReport:
     torn: bool = False
     symbols_restored: int = 0
     seconds: float = 0.0
+    #: Apply time of each replayed record, in replay order.  A record costs
+    #: what its batch cost live (same code path), so the tail of this list
+    #: is the tail of the mutation stream: retractions with large cones.
+    record_seconds: List[float] = field(default_factory=list)
+    #: The costliest replayed record: its seq, strategy, cone and time.
+    slowest: str = "no WAL record replayed"
 
     @property
     def warm(self) -> bool:
@@ -95,7 +104,8 @@ def _install_checkpoint(session, checkpoint: Checkpoint) -> int:
     return restored
 
 
-def _replay_record(session, record) -> None:
+def _replay_record(session, record):
+    """Re-apply one WAL record; returns the batch's :class:`UpdateReport`."""
     symbols = session.storage.symbols
     if record.sym_entries:
         try:
@@ -104,7 +114,7 @@ def _replay_record(session, record) -> None:
             raise RecoveryError(
                 f"WAL record {record.seq}: symbol delta rejected: {exc}"
             ) from None
-    session.apply(record.inserts, record.retracts)
+    return session.apply(record.inserts, record.retracts)
 
 
 def recover(
@@ -146,9 +156,20 @@ def recover(
                     "are missing from the durability directory"
                 )
             skip = covered - scan.base_seq
+            record_seconds = session.metrics.histogram("recovery_record_seconds")
+            worst = -1.0
             for record in scan.records[skip:]:
-                _replay_record(session, record)
+                update = _replay_record(session, record)
                 report.replayed_records += 1
+                report.record_seconds.append(update.seconds)
+                record_seconds.observe(update.seconds)
+                if update.seconds > worst:
+                    worst = update.seconds
+                    report.slowest = (
+                        f"slowest replayed record: seq {record.seq} "
+                        f"({update.strategy}, over-deleted {update.over_deleted} "
+                        f"rows) {update.seconds * 1e3:.1f} ms"
+                    )
         report.seconds = time.perf_counter() - started
         span.set(
             replayed=report.replayed_records,
@@ -160,4 +181,8 @@ def recover(
         report.replayed_records
     )
     session.metrics.histogram("recovery_seconds").observe(report.seconds)
+    logger.info(
+        "recovery replayed %d records in %.3f s; %s",
+        report.replayed_records, report.seconds, report.slowest,
+    )
     return report, scan

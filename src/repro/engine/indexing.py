@@ -52,13 +52,14 @@ def select_indexes(program: DatalogProgram) -> Set[Tuple[str, int]]:
 def select_retraction_indexes(program: DatalogProgram) -> Set[Tuple[str, int]]:
     """Extra (relation, column) indexes that make DRed re-derivation cheap.
 
-    Targeted re-derivation pins a rule's *head* variables to one deleted row
-    and then probes the body.  That turns body-atom columns holding head
-    variables into filter predicates — columns the forward-evaluation policy
-    of :func:`select_indexes` never indexes (a head variable need not occur
-    in two body atoms).  Without these indexes every derivability probe
-    degenerates into a full scan of the body's leading relation, and a
-    retraction batch can cost more than the recompute it is meant to avoid.
+    Re-derivation joins the rows pending for a rule's *head* against the
+    rule's body, so body-atom columns holding head variables become join
+    keys — columns the forward-evaluation policy of :func:`select_indexes`
+    never indexes (a head variable need not occur in two body atoms).
+    Without these indexes the join driven from a few hundred pending rows
+    degenerates into a table build (or, tuple at a time, a scan) over the
+    body's relations, and a retraction batch can cost more than the
+    recompute it is meant to avoid.
     """
     indexes: Set[Tuple[str, int]] = set()
     for rule in program.rules:

@@ -14,11 +14,19 @@ splits the problem:
    database.  Survivors are seeded back as deltas and ordinary semi-naive
    insertion propagation restores everything downstream of them.
 
-Both phases reuse the existing sub-query machinery: over-deletion evaluates
-the same per-position delta plans as incremental insertion
-(:func:`repro.ir.planning.update_subqueries`), with Delta-Known temporarily
-holding the *deleted* frontier instead of the new one, so join ordering and
-index usage behave exactly as in forward evaluation.
+Both phases are set-at-a-time sub-queries over the existing machinery.
+Over-deletion evaluates the same per-position delta plans as incremental
+insertion (:func:`repro.ir.planning.update_subqueries`), with Delta-Known
+temporarily holding the *deleted* frontier instead of the new one.
+Re-derivation asks "which of these rows still have a derivation?" the same
+way: the pending rows of a head relation become that relation's Delta-Known
+copy and each rule runs **one** plan — ``head(terms)`` read from Delta-Known
+joined with the rule's body read from Derived — whose positive atoms the
+runtime :class:`~repro.core.join_order.JoinOrderOptimizer` orders per batch
+from the cardinalities that exist at that moment (a few hundred pending rows
+against the whole fixpoint), evaluated by the session's configured executor.
+Its projection onto the head *is* the survivor set, so a retraction costs
+what its cone costs, in both phases.
 """
 
 from __future__ import annotations
@@ -26,11 +34,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
+from repro.core.join_order import (
+    JoinOrderOptimizer,
+    OrderingDecision,
+    storage_cardinality_view,
+    storage_index_view,
+)
+from repro.datalog.literals import Atom
 from repro.datalog.program import DatalogProgram
-from repro.datalog.rules import Rule
 from repro.datalog.terms import Constant, Variable
+from repro.ir.encoding import encode_plan
 from repro.ir.planning import seed_plan, update_subqueries
-from repro.relational.operators import Bindings, JoinPlan, SubqueryEvaluator
+from repro.relational.operators import AtomSource, JoinPlan, SubqueryEvaluator
 from repro.relational.relation import Row
 from repro.relational.storage import DatabaseKind, StorageManager
 from repro.relational.symbols import IDENTITY
@@ -49,19 +64,45 @@ class DeletionCone:
     def total(self) -> int:
         return sum(len(rows) for rows in self.deleted.values())
 
-    def relations(self) -> List[str]:
-        return [name for name, rows in self.deleted.items() if rows]
-
 
 DeltaPlans = Dict[str, List[Tuple[str, JoinPlan]]]
-SeedPlans = List[Tuple[Rule, JoinPlan]]
 
 
-def update_plans_by_delta(program: DatalogProgram) -> DeltaPlans:
+@dataclass
+class RederivePlan:
+    """One rule's immutable re-derivation sub-query.
+
+    ``"delta-join"``: ``plan`` is ``[headΔ] + body``, reordered per batch;
+    ``orders`` hands back the *same* plan object whenever the optimizer
+    repeats an order, so id-keyed kernel memos keep hitting.  ``"full-body"``:
+    the head holds an expression no row can be matched against, so ``plan``
+    is the all-Derived seed plan, intersected with the pending rows.
+    """
+
+    plan: JoinPlan
+    how: str
+    orders: Dict[Tuple[AtomSource, ...], JoinPlan] = field(default_factory=dict)
+
+
+@dataclass(frozen=True)
+class RederiveStep:
+    """What one step of :func:`rederivation_seeds` examined and rescued
+    (a ``"base"`` step examines exactly the asserted rows it rescues)."""
+
+    relation: str
+    rule_name: str
+    how: str                       # "base" | "delta-join" | "full-body"
+    pending: int
+    survivors: int
+    decision: Optional[OrderingDecision] = None
+
+
+def update_plans_by_delta(program: DatalogProgram, symbols=IDENTITY) -> DeltaPlans:
     """Map each relation to the (head, plan) pairs whose delta choice reads it.
 
-    Plans depend only on the (immutable) program, so long-lived sessions
-    compute this once and pass it into every :func:`over_delete` call.
+    Plans depend only on the (immutable) program and the symbol domain their
+    constants are encoded into, so long-lived sessions compute this once and
+    pass it into every :func:`over_delete` call.
     """
     by_delta: DeltaPlans = {}
     for rule in program.rules:
@@ -69,14 +110,32 @@ def update_plans_by_delta(program: DatalogProgram) -> DeltaPlans:
             delta_relation = plan.delta_relation()
             if delta_relation is not None:
                 by_delta.setdefault(delta_relation, []).append(
-                    (rule.head_relation, plan)
+                    (rule.head_relation, encode_plan(plan, symbols))
                 )
     return by_delta
 
 
-def rule_seed_plans(program: DatalogProgram) -> SeedPlans:
-    """The all-Derived seed plan of every rule (precomputable, immutable)."""
-    return [(rule, seed_plan(rule)) for rule in program.rules]
+def rederive_plans(program: DatalogProgram, symbols=IDENTITY) -> List[RederivePlan]:
+    """Every rule's re-derivation plan, constants encoded into ``symbols``.
+
+    Head constants and repeated head variables need no mechanism of their
+    own: they are constant / repeated-variable filters on the pending atom.
+    """
+    plans: List[RederivePlan] = []
+    for rule in program.rules:
+        body = seed_plan(rule)
+        how = "full-body"
+        if all(isinstance(t, (Variable, Constant)) for t in rule.head.terms):
+            how = "delta-join"
+            pending = AtomSource(
+                Atom(rule.head_relation, rule.head.terms), DatabaseKind.DELTA_KNOWN
+            )
+            body = JoinPlan(
+                body.head_relation, body.head_terms, (pending,) + body.sources,
+                rule_name=f"{rule.name}:rederive",
+            )
+        plans.append(RederivePlan(encode_plan(body, symbols), how))
+    return plans
 
 
 def over_delete(
@@ -95,14 +154,14 @@ def over_delete(
     are rescued by re-derivation.  Deltas are scrubbed on exit.
     """
     if plans_by_delta is None:
-        plans_by_delta = update_plans_by_delta(program)
+        plans_by_delta = update_plans_by_delta(program, storage.symbols)
     cone = DeletionCone()
     frontier: Dict[str, Set[Row]] = {}
     for name, rows in retracted.items():
-        present = {row for row in rows if row in storage.derived(name)}
+        present = rows & storage.derived(name).rows()
         if present:
-            cone.deleted.setdefault(name, set()).update(present)
-            frontier[name] = set(present)
+            cone.deleted[name] = set(present)
+            frontier[name] = present
 
     all_names = storage.relation_names()
     storage.clear_deltas(all_names)
@@ -110,19 +169,18 @@ def over_delete(
         while frontier:
             cone.rounds += 1
             for name, rows in frontier.items():
-                delta = storage.relation(name, DatabaseKind.DELTA_KNOWN)
-                for row in rows:
-                    delta.insert(row)
+                storage.relation(name, DatabaseKind.DELTA_KNOWN).insert_many(rows)
 
             next_frontier: Dict[str, Set[Row]] = {}
             for name in frontier:
                 for head, plan in plans_by_delta.get(name, ()):
-                    derived_head = storage.derived(head)
                     already = cone.deleted.setdefault(head, set())
-                    for row in evaluator.evaluate(plan):
-                        if row in derived_head and row not in already:
-                            already.add(row)
-                            next_frontier.setdefault(head, set()).add(row)
+                    fresh = (
+                        evaluator.evaluate(plan) & storage.derived(head).rows()
+                    ) - already
+                    if fresh:
+                        already |= fresh
+                        next_frontier.setdefault(head, set()).update(fresh)
 
             for name in frontier:
                 storage.relation(name, DatabaseKind.DELTA_KNOWN).clear()
@@ -137,70 +195,69 @@ def rederivation_seeds(
     storage: StorageManager,
     cone: DeletionCone,
     evaluator: SubqueryEvaluator,
-    seed_plans: Optional[SeedPlans] = None,
-    symbols=IDENTITY,
+    plans: Optional[List[RederivePlan]] = None,
+    optimizer: Optional[JoinOrderOptimizer] = None,
+    steps: Optional[List[RederiveStep]] = None,
 ) -> Dict[str, Set[Row]]:
     """Phase 2 seeds: over-deleted rows that survive against the pruned database.
 
-    Must be called *after* the cone has been physically removed from Derived.
-    A row survives when it is still an asserted base row, or any rule for its
-    relation re-derives it from the remaining facts.  Rows that only become
-    derivable again once a survivor is restored are *not* found here — the
-    caller propagates the seeds semi-naively, which re-derives those
-    cascades.
+    Must be called *after* the cone has been physically removed from Derived
+    (deltas are clear at that point).  A row survives when it is still an
+    asserted base row, or any rule for its relation re-derives it from the
+    remaining facts.  Rows that only become derivable again once a survivor
+    is restored are *not* found here — the caller propagates the seeds
+    semi-naively, which re-derives those cascades.
 
-    The derivability check is *targeted*: each deleted row pre-binds the
-    rule's head variables, so the body join degenerates into indexed probes
-    around that one fact and exits on the first witness — the cone is usually
-    tiny relative to the database, and evaluating whole rule bodies here
-    would cost as much as a naive iteration.  Rules whose head terms are
-    expressions (not invertible from a row) fall back to one full body
-    evaluation intersected with the cone.
+    Derivability is decided a set at a time: per rule, the rows still
+    pending for its head are loaded into the head's Delta-Known copy and the
+    rule's :class:`RederivePlan` — ordered for *this* batch by ``optimizer``
+    against live cardinalities — returns exactly the pending rows with a
+    surviving derivation.  A later rule for the same head sees only what the
+    earlier ones did not rescue.  The delta copy is cleared again on every
+    exit, so the caller can seed the survivors straight away.  Rules whose
+    head terms are expressions evaluate their whole body once and intersect.
+    Each step taken is appended to ``steps`` when given.
     """
+    if plans is None:
+        plans = rederive_plans(program, storage.symbols)
+    if optimizer is None:
+        optimizer = JoinOrderOptimizer()
+    if steps is None:
+        steps = []
     survivors: Dict[str, Set[Row]] = {}
     for name, rows in cone.deleted.items():
         base_survivors = {row for row in rows if storage.is_base_row(name, row)}
         if base_survivors:
-            survivors.setdefault(name, set()).update(base_survivors)
+            survivors[name] = base_survivors
+            rescued = len(base_survivors)
+            steps.append(RederiveStep(name, "", "base", rescued, rescued))
 
-    if seed_plans is None:
-        seed_plans = rule_seed_plans(program)
-    for rule, plan in seed_plans:
-        head = rule.head_relation
-        deleted_here = cone.deleted.get(head)
-        if not deleted_here:
-            continue
-        found = survivors.setdefault(head, set())
-        pending = deleted_here - found
+    for entry in plans:
+        head = entry.plan.head_relation
+        pending = cone.rows(head) - survivors.get(head, set())
         if not pending:
             continue
-        if all(isinstance(t, (Variable, Constant)) for t in rule.head.terms):
-            for row in pending:
-                bindings = _head_bindings(rule, row, symbols)
-                if bindings is not None and evaluator.satisfiable(plan, bindings):
-                    found.add(row)
+        decision = None
+        if entry.how == "full-body":
+            rescued = evaluator.evaluate(entry.plan) & pending
         else:
-            found.update(evaluator.evaluate(plan) & pending)
+            storage.clear_deltas((head,))
+            try:
+                storage.force_delta(head, pending)
+                plan, decision = optimizer.optimize_plan(
+                    entry.plan,
+                    storage_cardinality_view(storage),
+                    storage_index_view(storage),
+                )
+                rescued = evaluator.evaluate(
+                    entry.orders.setdefault(plan.sources, plan)
+                )
+            finally:
+                storage.clear_deltas((head,))
+        if rescued:
+            survivors.setdefault(head, set()).update(rescued)
+        steps.append(RederiveStep(
+            head, entry.plan.rule_name, entry.how, len(pending), len(rescued),
+            decision,
+        ))
     return survivors
-
-
-def _head_bindings(rule: Rule, row: Row, symbols=IDENTITY) -> Optional[Bindings]:
-    """Bindings that pin the rule's head to ``row``; None when incompatible.
-
-    ``row`` is a storage-domain (encoded) tuple while the rule AST is raw,
-    so head constants are translated through the symbol table for the
-    comparison: a constant the table never interned cannot match any stored
-    row.  The produced bindings stay encoded — they pre-bind an encoded
-    plan.
-    """
-    bindings: Bindings = {}
-    for term, value in zip(rule.head.terms, row):
-        if isinstance(term, Constant):
-            if symbols.lookup(term.value) != value:
-                return None
-        elif isinstance(term, Variable):
-            if bindings.setdefault(term, value) != value:
-                return None
-        else:  # pragma: no cover - caller checks head invertibility first
-            raise TypeError(f"cannot invert head term {term!r}")
-    return bindings

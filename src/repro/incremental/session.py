@@ -35,13 +35,14 @@ import threading
 import time
 import warnings
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, Mapping, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 if TYPE_CHECKING:  # repro.api sits above this layer; import only for types
     from repro.api.result import ResultSet
 
 from repro.core.config import EngineConfig
 from repro.core.executor import IRExecutor
+from repro.core.join_order import JoinOrderOptimizer
 from repro.core.profile import RuntimeProfile
 from repro.relational.storage import DatabaseKind
 from repro.datalog.fingerprint import fingerprint_program
@@ -54,13 +55,14 @@ from repro.engine.engine import (
 from repro.engine.indexing import select_retraction_indexes
 from repro.incremental.cache import ResultCache
 from repro.incremental.dred import (
+    RederiveStep,
     over_delete,
     rederivation_seeds,
-    rule_seed_plans,
+    rederive_plans,
     update_plans_by_delta,
 )
 from repro.ir.builder import build_update_ir
-from repro.ir.encoding import encode_plan, encode_tree
+from repro.ir.encoding import encode_tree
 from repro.ir.ops import ProgramOp
 from repro.relational.columnar import ColumnarBlock
 from repro.relational.operators import SubqueryEvaluator
@@ -217,17 +219,17 @@ class IncrementalSession:
             self._update_tree = build_update_ir(self.program, check_safety=False)
             encode_tree(self._update_tree, self.storage.symbols)
             # DRed plans depend only on the immutable program: build once
-            # (constants pre-encoded into the session's symbol domain),
-            # reuse for every retraction batch.
+            # (constants pre-encoded into the session's symbol domain) and
+            # keep one evaluator beside them, so every retraction batch
+            # runs kernels lowered by the first.
             symbols = self.storage.symbols
-            self._dred_delta_plans = {
-                name: [(head, encode_plan(plan, symbols)) for head, plan in pairs]
-                for name, pairs in update_plans_by_delta(self.program).items()
-            }
-            self._dred_seed_plans = [
-                (rule, encode_plan(plan, symbols))
-                for rule, plan in rule_seed_plans(self.program)
-            ]
+            self._dred_delta_plans = update_plans_by_delta(self.program, symbols)
+            self._dred_rederive_plans = rederive_plans(self.program, symbols)
+            self._dred_optimizer = JoinOrderOptimizer(self.config.selectivity)
+            self._dred_evaluator = SubqueryEvaluator(
+                self.storage, self.config.evaluator_style,
+                executor=self.config.executor, tracer=self.tracer,
+            )
             apply_aot_if_configured(
                 self._update_tree, self.config, self.storage, self.profile
             )
@@ -596,10 +598,7 @@ class IncrementalSession:
                 eligible[name] = base
         if eligible:
             report.retracted = sum(len(rows) for rows in eligible.values())
-            evaluator = SubqueryEvaluator(
-                self.storage, self.config.evaluator_style,
-                executor=self.config.executor, tracer=self.tracer,
-            )
+            evaluator = self._dred_evaluator
             with self.tracer.span("dred:over-delete") as dred_span:
                 cone = over_delete(
                     self.program, self.storage, eligible, evaluator,
@@ -615,14 +614,16 @@ class IncrementalSession:
                     # still propagate shard-parallel without a rebuild.
                     self._shard_state.sharded.retract_rows(name, rows)
             with self.tracer.span("dred:rederive") as dred_span:
+                steps: List[RederiveStep] = []
                 seeds = rederivation_seeds(
                     self.program, self.storage, cone, evaluator,
-                    seed_plans=self._dred_seed_plans,
-                    symbols=self.storage.symbols,
+                    plans=self._dred_rederive_plans,
+                    optimizer=self._dred_optimizer, steps=steps,
                 )
                 for name, rows in seeds.items():
                     report.rederived += self.storage.seed_delta(name, rows)
                 dred_span.set(rows=report.rederived)
+                self._record_rederivation(steps, dred_span)
             seeded += report.rederived
 
         # -- insertions --------------------------------------------------------
@@ -655,6 +656,23 @@ class IncrementalSession:
                 report.propagated = sum(it.promoted for it in profile.iterations)
         self._advance_mutation_digests(effective_inserts, eligible)
         return report
+
+    def _record_rederivation(self, steps: Sequence[RederiveStep], span) -> None:
+        """Make one batch's re-derivation choices visible: counter, span, profile."""
+        for step in steps:
+            self.metrics.counter(
+                "dred_rederive_rows_total", how=step.how
+            ).inc(step.pending)
+            if step.decision is not None:
+                self.profile.record_reorder(-1, step.rule_name, "dred", step.decision)
+        span.set(
+            pending=sum(s.pending for s in steps if s.how != "base"),
+            survivors=sum(s.survivors for s in steps),
+            order="; ".join(
+                f"{s.rule_name}: {', '.join(s.decision.chosen_order)}"
+                for s in steps if s.decision is not None
+            ),
+        )
 
     # -- shard-parallel propagation ----------------------------------------------
 

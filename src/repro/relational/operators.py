@@ -244,17 +244,9 @@ class PullSubqueryEvaluator:
         self.storage = storage
         self.symbols = storage.symbols
 
-    def bindings(self, plan: JoinPlan,
-                 initial: Optional[Bindings] = None) -> Iterator[Bindings]:
-        """Yield every complete binding produced by the plan.
-
-        ``initial`` pre-binds variables before the first source runs, turning
-        leading scans into indexed probes.  The incremental subsystem uses
-        this for targeted re-derivation: binding a rule's head variables to
-        one deleted row asks "does *this* fact still have a derivation?"
-        without enumerating the rule's full output.
-        """
-        yield from self._recurse(plan, 0, dict(initial) if initial else {})
+    def bindings(self, plan: JoinPlan) -> Iterator[Bindings]:
+        """Yield every complete binding produced by the plan."""
+        yield from self._recurse(plan, 0, {})
 
     def _recurse(self, plan: JoinPlan, position: int, bindings: Bindings) -> Iterator[Bindings]:
         if position == len(plan.sources):
@@ -664,6 +656,12 @@ def _lower_join(layout: JoinLayout, width: int, stats: Dict[str, int]) -> Step:
     :func:`~repro.relational.columnar.choose_build_strategy` decide between
     probing the relation's existing per-column index and a fresh dict
     build, and emits one C-level tuple concatenation per match.
+
+    One keyed shape never builds anything: when the block binds *every*
+    column of the atom, the key is the row, and the relation's own row set
+    already is the hash table — the kernel assembles each block row's key
+    in column order and tests membership, the mirror image of
+    :func:`_lower_negation` (counted as an ``"index"`` probe).
     """
     name, kind, arity = layout.relation, layout.kind, layout.arity
     constants = dict(layout.constants)
@@ -712,6 +710,25 @@ def _lower_join(layout: JoinLayout, width: int, stats: Dict[str, int]) -> Step:
             return [base + payload for base in bases for payload in payloads]
 
         return scan
+
+    if len(key_positions) == arity:
+        # Key positions ascend, so reading the binding slots in that order
+        # yields the relation's row whatever order the block holds them in.
+        probes_of = _project_rows(layout.key_slots, width, _same_rows)
+
+        def member(storage: StorageManager, rows: Rows) -> Rows:
+            contained = storage.relation(name, kind).rows()
+            if not contained:
+                return []
+            stats["index"] += 1
+            if bases_of is None:
+                return [()] if any(p in contained for p in probes_of(rows)) else []
+            return [
+                base for base, probe in zip(bases_of(rows), probes_of(rows))
+                if probe in contained
+            ]
+
+        return member
 
     single_key = len(key_positions) == 1
     key_position = key_positions[0]
@@ -1070,12 +1087,12 @@ class SubqueryEvaluator:
 
     ``style`` selects between the push and pull tuple-at-a-time pipelines;
     ``executor`` selects between that pushdown recursion (the oracle) and
-    the vectorized batch executor.  :meth:`bindings` and
-    :meth:`satisfiable` always run pull-style — aggregation grouping and
-    DRed's targeted re-derivation need complete per-tuple bindings, which a
-    batch pipeline does not materialise.  :meth:`lower` hands out block
-    kernels whatever the executor, which is how compiled artifacts share
-    this evaluator's tracer, governor and batch counters.
+    the vectorized batch executor.  :meth:`bindings` always runs pull-style
+    — aggregation grouping needs complete per-tuple bindings, which a batch
+    pipeline does not materialise; everything else, DRed's over-deletion
+    and re-derivation included, goes through :meth:`evaluate`.  :meth:`lower`
+    hands out block kernels whatever the executor, which is how compiled
+    artifacts share this evaluator's tracer, governor and batch counters.
     """
 
     def __init__(self, storage: StorageManager, style: str = "push",
@@ -1118,14 +1135,9 @@ class SubqueryEvaluator:
         """Batch/strategy counters of every kernel this evaluator lowered."""
         return self._blocks.stats
 
-    def bindings(self, plan: JoinPlan,
-                 initial: Optional[Bindings] = None) -> Iterator[Bindings]:
+    def bindings(self, plan: JoinPlan) -> Iterator[Bindings]:
         """Complete bindings (always pull-style; used for aggregation)."""
-        return self._pull.bindings(plan, initial)
-
-    def satisfiable(self, plan: JoinPlan, initial: Optional[Bindings] = None) -> bool:
-        """True when the plan has at least one result under ``initial``."""
-        return next(iter(self._pull.bindings(plan, initial)), None) is not None
+        return self._pull.bindings(plan)
 
 
 def evaluate_subquery(storage: StorageManager, plan: JoinPlan,

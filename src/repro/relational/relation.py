@@ -290,10 +290,14 @@ class Relation:
 
         Picks the indexed constraint with the fewest matching rows as the
         access path, then filters the remaining constraints; falls back to a
-        scan-and-filter when no constrained column is indexed.
+        scan-and-filter when no constrained column is indexed.  Constraints
+        on every column name one row: that is a membership test.
         """
         if not constraints:
             return iter(self._rows)
+        if len(constraints) == self.arity:
+            row = tuple(constraints[column] for column in range(self.arity))
+            return (row,) if row in self._rows else ()
         best_column: Optional[int] = None
         best_count: Optional[int] = None
         for column in constraints:

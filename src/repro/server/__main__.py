@@ -135,7 +135,8 @@ def main(argv=None) -> int:
             print(
                 f"recovered {recovery.checkpoint_rows} checkpoint rows + "
                 f"{recovery.replayed_records} WAL records in "
-                f"{recovery.seconds:.3f}s from {args.durability!r}",
+                f"{recovery.seconds:.3f}s from {args.durability!r}; "
+                f"{recovery.slowest}",
                 file=sys.stderr,
             )
 

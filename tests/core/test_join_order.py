@@ -171,6 +171,37 @@ class TestOrdering:
         assert with_cost.estimated_cost <= without_cost.estimated_cost
 
 
+class TestRederivationOrdering:
+    """DRed's ``[headΔ] + body`` plans at serving cardinalities: a hundred
+    pending rows against a 10k-row edge and a 60k-row path."""
+
+    CARDS = {("delta", "path"): 100, "edge": 10_000, "path": 60_000}
+
+    @pytest.mark.parametrize("body", [
+        (Atom("path", (x, y)), Atom("edge", (y, z))),
+        (Atom("edge", (x, y)), Atom("path", (y, z))),
+    ], ids=["path_edge", "edge_path"])
+    @pytest.mark.parametrize("indexed", [False, True])
+    def test_driven_from_the_delta_and_closed_by_the_bound_atom(self, body, indexed):
+        from repro.relational.operators import JoinPlan, join_layouts
+
+        pending = AtomSource(Atom("path", (x, z)), DatabaseKind.DELTA_KNOWN)
+        plan = JoinPlan("path", (x, z), (pending,) + tuple(
+            AtomSource(atom, DatabaseKind.DERIVED) for atom in body
+        ))
+        optimized, decision = JoinOrderOptimizer().optimize_plan(
+            plan, cardinality_view(self.CARDS),
+            (lambda relation, column: True) if indexed else no_index_view,
+        )
+        assert optimized.sources[0] == pending
+        # The smaller relation is probed on one column; the 60k-row one is
+        # left for last, where both its columns are bound.
+        assert decision.chosen_order == ("path", "edge", "path")
+        last = join_layouts(optimized)[-1]
+        assert last.relation == "path" and last.key_positions == (0, 1)
+        assert last.fresh_positions == ()
+
+
 class TestViews:
     def test_storage_views(self):
         storage = StorageManager()
@@ -230,6 +261,17 @@ class TestBlockStrategyAnnotation:
         assert indexed == ("scan", "index")
         unindexed = annotate_block_strategies(plan, cards, no_index_view)
         assert unindexed == ("scan", "build")
+
+    def test_a_key_covering_every_column_never_builds(self):
+        from repro.core.join_order import annotate_block_strategies
+
+        rule = Rule(
+            Atom("r", (x, y)), (Atom("small", (x, y)), Atom("big", (y, x))),
+        )
+        cards = cardinality_view({"small": 5, "big": 1000})
+        assert annotate_block_strategies(
+            build_join_plan(rule), cards, no_index_view
+        ) == ("scan", "index")
 
     def test_assignments_bind_and_negation_is_skipped(self):
         from repro.core.join_order import annotate_block_strategies

@@ -124,3 +124,52 @@ class TestCleanPaths:
         database, conn = reopen(directory)
         assert ("n1", "n5") in conn.query("path")
         database.close()
+
+
+class TestReplayAttribution:
+    """Recovery says what each replayed record cost, and which cost most."""
+
+    @staticmethod
+    def crash_after(directory, batches):
+        """Commit ``batches`` and drop the database without a closing checkpoint."""
+        database = Database(
+            build_transitive_closure_program(EDGES), None,
+            durability=DurabilityConfig(dir=directory, checkpoint_on_close=False),
+        )
+        with database.connect() as conn:
+            for inserts, retracts in batches:
+                conn.apply(inserts=inserts, retracts=retracts)
+        database.close()
+
+    def test_one_timing_per_replayed_record(self, tmp_path, caplog):
+        directory = str(tmp_path / "dur")
+        self.crash_after(directory, [
+            ({"edge": [("n4", "n5")]}, None),
+            (None, {"edge": [("n2", "n3")]}),      # the only cone: 9 path rows
+            ({"edge": [("n5", "n6")]}, None),
+        ])
+        with caplog.at_level("INFO", logger="repro.durability"):
+            database, conn = reopen(directory)
+        report = conn.durability.last_recovery
+        assert report.replayed_records == 3
+        assert len(report.record_seconds) == 3
+        assert all(seconds > 0 for seconds in report.record_seconds)
+        assert sum(report.record_seconds) <= report.seconds
+
+        # No checkpoint, so seqs count from 0: the slowest record names itself.
+        seq = report.record_seconds.index(max(report.record_seconds))
+        assert report.slowest.startswith(f"slowest replayed record: seq {seq} (incremental, ")
+        assert report.slowest in caplog.text
+        histogram = database.metrics()["recovery_record_seconds"]
+        assert histogram["count"] == 3
+        assert ("n1", "n3") not in conn.query("path")
+        database.close()
+
+    def test_nothing_replayed_names_no_record(self, tmp_path):
+        directory = str(tmp_path / "dur")
+        populate(directory)
+        database, conn = reopen(directory)
+        report = conn.durability.last_recovery
+        assert report.record_seconds == []
+        assert report.slowest == "no WAL record replayed"
+        database.close()

@@ -314,6 +314,73 @@ class TestLoweredJoin:
         assert run_kernel(storage, plan) == {(1, 9)}
 
 
+class TestWholeRowSemiJoin:
+    """A key covering every column probes the relation's own row set."""
+
+    @staticmethod
+    def run(storage, plan):
+        stats = {"batches": 0, "index": 0, "build": 0}
+        rows = lower_plan(plan, storage.symbols, stats=stats)(storage)
+        assert rows == evaluate_subquery(storage, plan)
+        assert stats["build"] == 0, "a whole-row key must never build a table"
+        return rows, stats
+
+    def test_key_in_column_order(self):
+        storage = kernel_storage(src=[(1, 2), (2, 1), (3, 4)], q=[(1, 2), (3, 9)])
+        plan = plan_of((x, y), Atom("src", (x, y)), Atom("q", (x, y)))
+        (_, semi) = join_layouts(plan)
+        assert semi.key_positions == (0, 1) and semi.fresh_positions == ()
+        rows, stats = self.run(storage, plan)
+        assert rows == {(1, 2)}
+        assert stats == {"batches": 1, "index": 1, "build": 0}
+
+    def test_column_order_differs_from_slot_order(self):
+        # q is asymmetric: (2, 1) is in it, (1, 2) is not.  The block holds
+        # (x, y); the atom wants (y, x).
+        storage = kernel_storage(src=[(1, 2), (2, 1), (3, 4)], q=[(2, 1), (4, 4)])
+        plan = plan_of((x, y), Atom("src", (x, y)), Atom("q", (y, x)))
+        assert join_layouts(plan)[1].key_slots == (1, 0)
+        assert self.run(storage, plan)[0] == {(1, 2)}
+
+    def test_arity_three_with_a_dead_column(self):
+        storage = kernel_storage(
+            src=[(1, 2, 3), (3, 2, 1), (7, 8, 9)], t=[(3, 1, 2), (9, 9, 9)]
+        )
+        plan = plan_of((x,), Atom("src", (x, y, z)), Atom("t", (z, x, y)))
+        assert self.run(storage, plan)[0] == {(1,)}
+
+    def test_arity_one_and_repeated_variable(self):
+        storage = kernel_storage(src=[(1, 1), (1, 2), (5, 5)], n=[(1,), (2,)],
+                                 q=[(1, 1), (1, 2), (5, 6)])
+        unary = plan_of((x, y), Atom("src", (x, y)), Atom("n", (y,)))
+        assert self.run(storage, unary)[0] == {(1, 1), (1, 2)}
+        diagonal = plan_of((x, y), Atom("src", (x, y)), Atom("q", (x, x)))
+        assert self.run(storage, diagonal)[0] == {(1, 1), (1, 2)}
+
+    def test_no_kept_columns_clamps_to_one_row(self):
+        storage = kernel_storage(src=[(1, 2), (3, 4)], q=[(3, 4)])
+        plan = plan_of((), Atom("src", (x, y)), Atom("q", (x, y)))
+        assert self.run(storage, plan)[0] == {()}
+        storage.derived("q").clear()
+        storage.derived("q").insert((9, 9))
+        assert self.run(storage, plan)[0] == set()
+
+    def test_empty_relation(self):
+        storage = kernel_storage(src=[(1, 2)], q=[])
+        plan = plan_of((x, y), Atom("src", (x, y)), Atom("q", (x, y)))
+        rows, stats = self.run(storage, plan)
+        assert rows == set() and stats["index"] == 0
+
+    def test_reads_the_copy_the_source_names(self):
+        storage = kernel_storage(src=[(1, 2), (3, 4)], q=[(1, 2), (3, 4)])
+        storage.force_delta("q", [(3, 4)])
+        plan = JoinPlan("out", (x, y), (
+            AtomSource(Atom("src", (x, y)), DatabaseKind.DERIVED),
+            AtomSource(Atom("q", (x, y)), DatabaseKind.DELTA_KNOWN),
+        ))
+        assert self.run(storage, plan)[0] == {(3, 4)}
+
+
 class TestHeadShapedLastJoin:
     def test_last_join_emits_head_rows(self):
         storage = kernel_storage(path=[(1, 2), (2, 3)], edge=[(2, 3), (3, 4)])
