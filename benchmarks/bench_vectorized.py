@@ -22,6 +22,14 @@ and enforces its headline guarantees:
   ~65 ms (that configuration is the ``jit-lambda``/``pushdown`` trajectory
   row of ``python -m repro.bench --only vectorized``; this gate is its
   ``jit-lambda``/``vectorized`` neighbour).
+* ``test_duplicate_heavy_join_is_distinct_priced`` — a count gate, so
+  deterministic: on the ledger's CSPA (605 tuples, hand-optimised order),
+  whose joins derive every head row ~9 times over, the kernels hand their
+  head projections at most 1.5 candidate rows per row returned (measured
+  1.00; the composed itemgetter/probe/concatenate kernels before the
+  generated comprehensions: 1 946 257 / 223 308 = 8.7), bit-for-bit equal
+  to pushdown.  Duplicates collapse inside the join step that creates
+  them, not in a ``set()`` pass over the materialised candidate list.
 * ``test_vectorized_bitwise_equal_across_modes`` — vectorized results are
   bit-for-bit equal to pushdown results across execution modes and shard
   counts (the differential property suite covers randomized programs;
@@ -34,7 +42,9 @@ import statistics
 
 import pytest
 
+from repro.analyses.cspa import build_cspa_program
 from repro.analyses.micro import build_transitive_closure_program
+from repro.analyses.ordering import Ordering
 from repro.bench.vectorized import (
     _measure,
     cspa_workload,
@@ -44,6 +54,7 @@ from repro.bench.vectorized import (
 from repro.core.config import EngineConfig
 from repro.engine.engine import ExecutionEngine
 from repro.workloads.graphs import random_edges
+from repro.workloads.program_facts import HttpdLikeGenerator
 
 NODES_10K = 12_000
 EDGES_10K = 10_000
@@ -75,6 +86,32 @@ def test_vectorized_speedup_on_cspa():
     _speedup_gate(cspa_workload("cspa_small"), 3.0)
 
 
+#: Candidate rows per head row the duplicate-heavy gate tolerates.
+CANDIDATE_CEILING = 1.5
+
+
+def test_duplicate_heavy_join_is_distinct_priced():
+    """Acceptance: <= 1.5 candidates per head row on the ledger's CSPA."""
+    dataset = HttpdLikeGenerator(2024).cspa(605)
+
+    def build_program():
+        # The ledger's shape.  (``cspa_workload`` is the *written* order:
+        # its surplus rows are cartesian intermediates, not duplicates.)
+        return build_cspa_program(dataset, Ordering.OPTIMIZED)
+
+    interpreted = EngineConfig.interpreted()
+    _, reference, _ = _measure(build_program, "VAlias", interpreted, 1)
+    _, rows, profile = _measure(
+        build_program, "VAlias", interpreted.with_(executor="vectorized"), 1
+    )
+    assert rows == reference, "vectorized result diverged from pushdown"
+    ratio = profile.candidates_per_head_row()
+    assert ratio is not None and ratio <= CANDIDATE_CEILING, (
+        f"{profile.block_joins['candidates']} candidate rows for "
+        f"{profile.block_joins['projected']} head rows ({ratio:.2f} per row)"
+    )
+
+
 #: Paired rounds of (interpreted+vectorized, jit-lambda), timed back to
 #: back so machine drift cancels inside each ratio; the gate takes the median.
 LAMBDA_ROUNDS = 5
@@ -93,8 +130,8 @@ def test_jit_lambda_tracks_vectorized_interpreter(workload):
     _measure(build_program, relation, interpreted, 1)  # warm-up, untimed
     ratios = []
     for _ in range(LAMBDA_ROUNDS):
-        base_seconds, base_rows = _measure(build_program, relation, interpreted, 1)
-        jit_seconds, jit_rows = _measure(build_program, relation, compiled, 1)
+        base_seconds, base_rows, _ = _measure(build_program, relation, interpreted, 1)
+        jit_seconds, jit_rows, _ = _measure(build_program, relation, compiled, 1)
         assert jit_rows == base_rows, "lambda artifacts diverged from the interpreter"
         ratios.append(jit_seconds / base_seconds)
     ratio = statistics.median(ratios)

@@ -22,6 +22,16 @@ python -m pytest -x -q \
     benchmarks/bench_incremental.py::test_heavy_retract_is_cone_priced
 
 echo
+echo "== vectorized acceptance benchmarks (CSPA) =="
+# The block kernels beat pushdown >= 3x on CSPA, and — a count, so it cannot
+# flake — hand the head projection <= 1.5 candidate rows per row it returns
+# on the duplicate-heavy hand-optimised order (the join steps emit distinct
+# rows; nothing de-duplicates a materialised candidate list afterwards).
+python -m pytest -x -q \
+    benchmarks/bench_vectorized.py::test_vectorized_speedup_on_cspa \
+    benchmarks/bench_vectorized.py::test_duplicate_heavy_join_is_distinct_priced
+
+echo
 echo "== subsystem smoke benches (perf trajectory -> BENCH.json) =="
 # One machine-readable dump per CI run: incremental update latency (with
 # the heavy-retraction tail), 2-shard parallel, vectorized executor,

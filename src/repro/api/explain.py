@@ -13,12 +13,32 @@ from typing import List, Optional
 
 from repro.core.config import EngineConfig
 from repro.core.profile import RuntimeProfile
-from repro.ir.ops import ProgramOp
+from repro.ir.ops import JoinProjectOp, ProgramOp, find_nodes
 from repro.ir.printer import explain as explain_tree
+from repro.relational.operators import lower_plan
+from repro.relational.symbols import IDENTITY
+
+#: Sub-query plans whose generated kernels ``explain()`` prints in full.
+_KERNELS_SHOWN = 12
 
 
 def _format_order(order) -> str:
     return " ⋈ ".join(order) if order else "(empty)"
+
+
+def _block_kernel_lines(tree: ProgramOp, symbols) -> List[str]:
+    """Each sub-query's block plan with, under it, the comprehension every
+    positive atom was lowered to (the text the kernels run, not a sketch)."""
+    plans = {node.plan.describe(): node.plan
+             for node in find_nodes(tree, JoinProjectOp)}
+    lines = ["block kernels (one generated comprehension per positive atom):"]
+    for described, plan in list(plans.items())[:_KERNELS_SHOWN]:
+        lines.append(f"  {plan.rule_name or plan.head_relation}: {described}")
+        for text in lower_plan(plan, symbols or IDENTITY).sources:
+            lines.extend(f"    {line}" for line in (text or "").splitlines())
+    if len(plans) > _KERNELS_SHOWN:
+        lines.append(f"  ... {len(plans) - _KERNELS_SHOWN} more sub-queries")
+    return lines
 
 
 def render_explain(
@@ -68,6 +88,9 @@ def render_explain(
         lines.append("")
         lines.append("plan (after any adaptive rewrites):")
         lines.extend("  " + line for line in explain_tree(tree).splitlines())
+        if profile is not None and profile.block_joins:  # block kernels ran
+            lines.append("")
+            lines.extend(_block_kernel_lines(tree, symbols))
 
     if profile is not None:
         lines.append("")
@@ -88,7 +111,9 @@ def render_explain(
             lines.append(
                 f"vectorized batches: {joins.get('batches', 0)} "
                 f"(index-probe {joins.get('index', 0)}, "
-                f"table-build {joins.get('build', 0)})"
+                f"table-build {joins.get('build', 0)}, "
+                f"scan {joins.get('scan', 0)}; "
+                f"{profile.candidates_per_head_row() or 0:.2f} candidates per head row)"
             )
         if profile.block_plans:
             latest = dict(profile.block_plans)  # last prediction per rule wins

@@ -1,11 +1,15 @@
 """Vectorized-executor benchmark: batch vs tuple-at-a-time sub-queries.
 
 Not a paper figure — this measures the repository's vectorized batch
-execution layer (:mod:`repro.relational.columnar`): the same program and
+execution layer (:mod:`repro.relational.operators`): the same program and
 facts evaluated with the ``pushdown`` executor (the tuple-at-a-time binding
 recursion, which doubles as the correctness oracle) and with
 ``EngineConfig.with_(executor="vectorized")``, per workload and execution
-mode, with bit-for-bit equality of the result sets verified per row.
+mode, with bit-for-bit equality of the result sets verified per row.  The
+vectorized rows also report ``candidate_ratio``: rows the kernels handed to
+their head projections per row those returned — a count, so deterministic —
+which stays near 1 as long as duplicate derivations collapse inside the
+join steps instead of travelling to the end of the plan.
 
 Workloads are the two acceptance benches: the 10k-edge transitive closure
 (the shared yardstick of the incremental and parallel subsystems) and the
@@ -22,12 +26,14 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 from repro.analyses.cspa import build_cspa_program
 from repro.analyses.micro import build_transitive_closure_program
 from repro.core.config import EngineConfig
+from repro.core.profile import RuntimeProfile
 from repro.engine.engine import ExecutionEngine
 from repro.workloads.datasets import get_dataset
 from repro.workloads.graphs import random_edges
 
 VECTORIZED_COLUMNS = (
     "workload", "mode", "executor", "seconds", "speedup", "equal",
+    "candidate_ratio",
 )
 
 #: (label, base-configuration factory) per benchmarked execution mode.
@@ -54,9 +60,11 @@ def cspa_workload(scale: str = "cspa_small") -> Tuple[str, Callable, str]:
 
 
 def _measure(build_program: Callable, relation: str, config: EngineConfig,
-             repeat: int) -> Tuple[float, Set[Tuple[object, ...]]]:
+             repeat: int) -> Tuple[float, Set[Tuple[object, ...]], RuntimeProfile]:
+    """Best-of-``repeat`` seconds, the rows, and that run's profile."""
     best_seconds = float("inf")
     result: Set[Tuple[object, ...]] = set()
+    profile = RuntimeProfile()
     for _ in range(max(1, repeat)):
         program = build_program()
         # The executor comparison allocates millions of short-lived tuples;
@@ -66,7 +74,8 @@ def _measure(build_program: Callable, relation: str, config: EngineConfig,
         gc.disable()
         try:
             started = time.perf_counter()
-            rows = ExecutionEngine(program, config).evaluate()[relation]
+            engine = ExecutionEngine(program, config)
+            rows = engine.evaluate()[relation]
             seconds = time.perf_counter() - started
         finally:
             if gc_was_enabled:
@@ -74,7 +83,8 @@ def _measure(build_program: Callable, relation: str, config: EngineConfig,
         if seconds < best_seconds:
             best_seconds = seconds
             result = rows.to_set()
-    return best_seconds, result
+            profile = engine.profile
+    return best_seconds, result, profile
 
 
 def run_vectorized(
@@ -104,16 +114,17 @@ def run_vectorized(
     for workload, build_program, relation in workloads:
         for label, base_factory in modes:
             base = base_factory()
-            pushdown_seconds, pushdown_rows = _measure(
+            pushdown_seconds, pushdown_rows, _ = _measure(
                 build_program, relation, base, repeat
             )
-            vectorized_seconds, vectorized_rows = _measure(
+            vectorized_seconds, vectorized_rows, profile = _measure(
                 build_program, relation,
                 base.with_(executor="vectorized"), repeat,
             )
             rows.append({
                 "workload": workload, "mode": label, "executor": "pushdown",
                 "seconds": pushdown_seconds, "speedup": 1.0, "equal": True,
+                "candidate_ratio": None,
             })
             rows.append({
                 "workload": workload, "mode": label, "executor": "vectorized",
@@ -123,5 +134,6 @@ def run_vectorized(
                     if vectorized_seconds else float("inf")
                 ),
                 "equal": vectorized_rows == pushdown_rows,
+                "candidate_ratio": profile.candidates_per_head_row(),
             })
     return rows

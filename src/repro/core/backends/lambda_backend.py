@@ -9,9 +9,13 @@ anti-join, filter, assign, project — and "compiling" a plan is
 once, pick a combinator per body position, bind its accessors.  The
 artifact is that chain of closures, run block-at-a-time; it is the very
 kernel the vectorized interpreter runs, minus the per-call plan lookup.
-No ``compile()`` call happens at query runtime, the cost of invoking the
-backend is just closure construction, and the specialization is limited to
-what the combinators support — exactly the trade-off described in §V-C3.
+A join combinator is a one-line comprehension specialised to the atom's
+*shape* (key slot, kept/fresh columns, checks; constants are arguments) and
+``compile()``d the first time any plan in the process has that shape; from
+then on — every re-lowering after a reorder included — invoking the backend
+is just closure construction over cached code objects, and the
+specialization is limited to what the combinators support: the trade-off
+described in §V-C3, with the "precompiled" set filled on demand.
 
 Indexes are a run-time decision of the join kernel (it probes whatever
 index the relation carries when the batch arrives), so ``use_indexes`` has

@@ -294,7 +294,7 @@ class IRExecutor:
                 # Profile how the batch executor will run the chosen order.
                 self.profile.record_block_plan(
                     node.plan.rule_name,
-                    annotate_block_strategies(optimized, cardinalities, indexes),
+                    annotate_block_strategies(optimized, indexes),
                 )
             ordered.append(optimized)
         return ordered

@@ -31,7 +31,6 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 from repro.datalog.literals import Atom
 from repro.datalog.terms import Constant, Variable
 from repro.ir.planning import legalize_literal_order
-from repro.relational.columnar import choose_build_strategy
 from repro.relational.operators import AtomSource, JoinPlan, join_layouts
 from repro.relational.statistics import SelectivityModel
 from repro.relational.storage import DatabaseKind, StorageManager
@@ -71,36 +70,23 @@ def no_index_view(relation: str, column: int) -> bool:
 
 def annotate_block_strategies(
     plan: JoinPlan,
-    cardinalities: CardinalityView,
     indexes: IndexView = no_index_view,
 ) -> Tuple[str, ...]:
     """Predict the block kernels' physical strategy per positive atom.
 
     Reads the very layouts the kernels are lowered from
-    (:func:`~repro.relational.operators.join_layouts`) and asks the same
-    :func:`~repro.relational.columnar.choose_build_strategy` policy the
-    batch join applies at runtime: ``"scan"`` for an unkeyed atom,
-    ``"index"`` when the single join column carries an index (the probe side
-    is assumed narrower than the stored relation — the actual distinct-key
-    count only exists at runtime) or the key covers every column (the row
-    set is the table), ``"build"`` otherwise.  Recorded next to
-    each join-order decision so ``explain()`` shows how a reordered plan
-    will be executed block-wise.
+    (:func:`~repro.relational.operators.join_layouts`) and applies the rule
+    they follow at run time (:meth:`JoinLayout.strategy`): ``"scan"`` for an
+    unkeyed atom, ``"index"`` when a key column carries an index or the key
+    covers every column (the row set is the table), ``"build"`` otherwise.
+    The rule is static, so the prediction is exactly the counters a full
+    batch bumps.  Recorded next to each join-order decision so ``explain()``
+    shows how a reordered plan will be executed block-wise.
     """
-    strategies: List[str] = []
-    for layout in join_layouts(plan):
-        if not layout.key_positions:
-            strategies.append("scan")
-            continue
-        if len(layout.key_positions) == layout.arity:
-            strategies.append("index")
-            continue
-        indexed = len(layout.key_positions) == 1 and indexes(
-            layout.relation, layout.key_positions[0]
-        )
-        rows = cardinalities(layout.relation, layout.kind)
-        strategies.append(choose_build_strategy(0, rows, indexed))
-    return tuple(strategies)
+    return tuple(
+        layout.strategy(lambda column, name=layout.relation: indexes(name, column))
+        for layout in join_layouts(plan)
+    )
 
 
 @dataclass(frozen=True)

@@ -60,9 +60,11 @@ class RuntimeProfile:
     wall_seconds: float = 0.0
     result_sizes: Dict[str, int] = field(default_factory=dict)
     #: Block-kernel counters (vectorized interpreter and lambda artifacts
-    #: alike): evaluated batches and the physical build strategy each keyed
-    #: batch join took ("index" probe of an existing per-column index vs
-    #: fresh "build" of a hash table).
+    #: alike): evaluated batches; how each positive atom of a batch got its
+    #: rows ("index": probed a live per-column index, "build": built a table
+    #: for the batch because no key column carries one, "scan": unkeyed);
+    #: and "candidates" rows handed to head projections against the
+    #: "projected" rows those returned.
     block_joins: Dict[str, int] = field(default_factory=dict)
     #: Per-plan strategy predictions taken alongside join-order decisions
     #: (rule name -> one strategy per positive atom, in chosen order).
@@ -131,6 +133,14 @@ class RuntimeProfile:
             return
         for key, value in stats.items():
             self.block_joins[key] = self.block_joins.get(key, 0) + value
+
+    def candidates_per_head_row(self) -> Optional[float]:
+        """Rows the block kernels handed to head projections per row those
+        returned (None before any kernel produced a row).  Near 1 when
+        duplicate derivations collapse inside the join steps."""
+        if not self.block_joins.get("projected"):
+            return None
+        return self.block_joins["candidates"] / self.block_joins["projected"]
 
     def record_cache_probes(self, hits: int, misses: int) -> None:
         """Fold cache hit/miss counts into the profile."""

@@ -12,7 +12,7 @@ JIT, backends) manipulates relations only through these classes.
 
 from repro.relational.relation import HashIndex, Relation
 from repro.relational.storage import DatabaseKind, StorageManager
-from repro.relational.columnar import ColumnarBlock, choose_build_strategy
+from repro.relational.columnar import ColumnarBlock
 from repro.relational.operators import (
     AtomSource,
     JoinPlan,
@@ -43,6 +43,5 @@ __all__ = [
     "StorageManager",
     "SubqueryEvaluator",
     "VectorizedSubqueryEvaluator",
-    "choose_build_strategy",
     "evaluate_subquery",
 ]

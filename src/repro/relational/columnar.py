@@ -15,9 +15,7 @@ Blocks deliberately keep **two** physical layouts and convert lazily:
 
 Both conversions are single ``zip(*...)`` calls, so a block that is built
 row-major by one producer and read column-major by the next pays one
-C-level transpose instead of a Python-level loop.  This file also hosts the
-C-level ``dict`` hash build/probe primitives the batch join kernels are
-made of, and the build-strategy policy they share with the planner.
+C-level transpose instead of a Python-level loop.
 """
 
 from __future__ import annotations
@@ -28,24 +26,6 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.datalog.terms import Variable
 from repro.relational.relation import Relation, Row
-
-
-def choose_build_strategy(distinct_keys: int, relation_rows: int,
-                          indexed: bool) -> str:
-    """How the batch hash-join obtains its probe table for one atom.
-
-    ``"index"`` — reuse the relation's existing per-column :class:`HashIndex`
-    and materialise buckets only for the probe side's *distinct* key values;
-    the win whenever the probe side is narrower than the stored relation
-    (the delta-driven joins of every semi-naive iteration).
-
-    ``"build"`` — one pass over the (constant-filtered) relation rows into a
-    fresh ``dict``; the fallback when no index covers the join column or the
-    probe side is as wide as the relation itself.
-    """
-    if indexed and distinct_keys < relation_rows:
-        return "index"
-    return "build"
 
 
 class ColumnarBlock:
@@ -237,66 +217,3 @@ class ColumnarBlock:
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         names = ", ".join(v.name for v in self.variables)
         return f"ColumnarBlock([{names}], rows={self._length})"
-
-
-def build_hash_table(
-    rows: Iterable[Row],
-    key_positions: Sequence[int],
-    value_positions: Sequence[int],
-) -> Dict[Any, List[Tuple[Any, ...]]]:
-    """One-pass dict build over relation rows: join key -> payload tuples.
-
-    Keys are scalars for single-column joins (no tuple boxing on either the
-    build or the probe side) and position-ordered tuples otherwise; payloads
-    are the values of the caller's ``value_positions`` (the atom's fresh
-    variables).  Rows must already satisfy any constant/duplicate-variable
-    constraints — callers pre-filter (usually via ``Relation.probe``).
-    """
-    table: Dict[Any, List[Tuple[Any, ...]]] = {}
-    if len(key_positions) == 1:
-        key_position = key_positions[0]
-        for row in rows:
-            payload = tuple(row[p] for p in value_positions)
-            table.setdefault(row[key_position], []).append(payload)
-    else:
-        for row in rows:
-            key = tuple(row[p] for p in key_positions)
-            payload = tuple(row[p] for p in value_positions)
-            table.setdefault(key, []).append(payload)
-    return table
-
-
-def probe_hash_table(
-    table: Dict[Any, List[Tuple[Any, ...]]],
-    keys: Iterable[Any],
-    bases: Optional[Sequence[Row]],
-    payload_first: bool = False,
-) -> List[Row]:
-    """Probe ``table`` with one key per input row; emit concatenated rows.
-
-    ``bases`` carries the input rows' kept columns (None when nothing is
-    kept: every output row is just the payload).  The per-match work is one
-    C-level tuple concatenation and one list append; ``payload_first``
-    flips the concatenation for layouts whose fresh columns lead.
-    """
-    get = table.get
-    if bases is None:
-        out: List[Row] = []
-        for key in keys:
-            matches = get(key)
-            if matches:
-                out.extend(matches)
-        return out
-    if payload_first:
-        return [
-            payload + base
-            for base, matches in zip(bases, map(get, keys))
-            if matches
-            for payload in matches
-        ]
-    return [
-        base + payload
-        for base, matches in zip(bases, map(get, keys))
-        if matches
-        for payload in matches
-    ]

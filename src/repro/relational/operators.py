@@ -12,31 +12,32 @@ the same physical plan:
   tuple at a time — the plan shape the join-order optimizer reasons about,
   and the oracle everything else is tested against;
 * the block executor, split into a **plan-time lowering**
-  (:func:`lower_plan`: atom layouts, live columns, compiled accessors,
-  head-shaped output order — everything the data cannot change, done once
-  per plan) and **run-time kernels** (:class:`BlockKernel`: fetch the
-  relation, pick index probe vs table build, join / anti-join / filter /
-  assign / project a whole batch).  There is exactly one implementation of
-  those batch operators; :class:`VectorizedSubqueryEvaluator` runs it as an
-  interpreter (lower on first sight of a plan, then run) and the lambda JIT
-  backend stitches its artifacts from the same kernels at compile time.
+  (:func:`lower_plan`: atom layouts, live columns, and per positive atom the
+  *source* of one comprehension specialised to that layout — key slot, kept
+  and fresh columns, constant and repeated-variable checks, the output tuple
+  in head order — compiled once per distinct shape) and **run-time kernels**
+  (:class:`BlockKernel`: fetch the relation's ``key -> rows`` mapping — its
+  live index, or a table built for the batch when no key column is indexed —
+  and call the comprehension, which emits distinct rows).  There is exactly
+  one implementation of those batch operators;
+  :class:`VectorizedSubqueryEvaluator` runs it as an interpreter (lower on
+  first sight of a plan, then run) and the lambda JIT backend stitches its
+  artifacts from the same kernels at compile time.
 """
 
 from __future__ import annotations
 
+import functools
+import linecache
+import zlib
 from dataclasses import dataclass
 from itertools import repeat
 from operator import itemgetter
-from typing import Any, Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.datalog.literals import Assignment, Atom, Comparison, Literal, comparison_operator
 from repro.datalog.terms import Aggregate, BinaryExpression, Constant, Term, Variable, binary_operator
-from repro.relational.columnar import (
-    build_hash_table,
-    choose_build_strategy,
-    probe_hash_table,
-)
-from repro.relational.relation import Relation, Row
+from repro.relational.relation import HashIndex, Row
 from repro.relational.storage import DatabaseKind, StorageManager
 from repro.relational.symbols import IDENTITY
 from repro.resilience.limits import NOOP_GOVERNOR
@@ -386,9 +387,11 @@ class PushSubqueryEvaluator:
 # The block executor: plan-time lowering, run-time kernels
 # ---------------------------------------------------------------------------
 
-#: A block at run time: every intermediate tuple of a sub-query, as rows.
-#: Which variable each column holds is decided at lowering time.
-Rows = List[Row]
+#: A block at run time: every intermediate tuple of a sub-query, as rows —
+#: a list, or a set out of a step that dropped a column it saw (so a block
+#: never holds the same row twice).  Which variable each column holds is
+#: decided at lowering time.
+Rows = Union[List[Row], Set[Row]]
 #: One lowered body position: ``(storage, rows in) -> rows out``.
 Step = Callable[[StorageManager, Rows], Rows]
 
@@ -396,32 +399,23 @@ Step = Callable[[StorageManager, Rows], Rows]
 _KERNEL_MEMO_LIMIT = 256
 
 #: The join identity — no columns, exactly one (empty) row.  Never mutated:
-#: every step returns either its input list or a freshly built one.
+#: every step returns either its input rows or freshly built ones.
 _UNIT_ROWS: Rows = [()]
 
 
 def new_block_stats() -> Dict[str, int]:
-    """Kernel counters: batches, and each keyed join's build strategy."""
-    return {"batches": 0, "index": 0, "build": 0}
-
-
-def _needed_after(plan: JoinPlan) -> List[FrozenSet[Variable]]:
-    """Per body position: variables any later literal or the head reads."""
-    needed: Set[Variable] = set()
-    for term in plan.head_terms:
-        needed |= term.variables()
-    out: List[FrozenSet[Variable]] = [frozenset()] * len(plan.sources)
-    for position in range(len(plan.sources) - 1, -1, -1):
-        out[position] = frozenset(needed)
-        needed |= plan.sources[position].literal.variables()
-    return out
+    """Kernel counters: batches; how each positive atom got its rows (probed
+    a live index / built a table for the batch / scanned); and the rows
+    handed to the head projection against the rows it returned."""
+    return {"batches": 0, "index": 0, "build": 0, "scan": 0,
+            "candidates": 0, "projected": 0}
 
 
 @dataclass(frozen=True)
 class JoinLayout:
     """Everything about joining one positive atom into the block that does
-    not depend on the data: computed once per plan, read by the kernel on
-    every batch and by the planner's strategy prediction."""
+    not depend on the data: computed once per plan, written into the atom's
+    comprehension and read by the planner's strategy prediction."""
 
     relation: str
     kind: DatabaseKind
@@ -433,24 +427,49 @@ class JoinLayout:
     #: variable checks the relation side must pass on its own.
     constants: Tuple[Tuple[int, Any], ...]
     dup_checks: Tuple[Tuple[int, int], ...]
-    #: Atom columns that become new block columns, in output order.
+    #: Atom columns that become new block columns.
     fresh_positions: Tuple[int, ...]
-    #: Block columns some later literal (or the head) still reads, in
-    #: output order; dropping the rest keeps intermediate tuples narrow.
+    #: Block columns some later literal (or the head) still reads; dropping
+    #: the rest keeps intermediate tuples narrow.
     kept_slots: Tuple[int, ...]
-    #: Output rows are ``payload + base`` instead of ``base + payload``.
-    payload_first: bool
+    #: The output row cell by cell, in any order: ``(0, slot)`` reads the
+    #: block row, ``(1, column)`` the relation row.
+    output: Tuple[Tuple[int, int], ...]
     out_variables: Tuple[Variable, ...]
+    #: The step drops a column it saw — the only way two output rows can
+    #: coincide — or is ``final``: it emits through a set.
+    distinct: bool
+    #: The plan's last step, its output rows the head rows: the set it
+    #: emits is the kernel's result.
+    final: bool
+
+    def probe_column(self, indexed: Callable[[int], bool]) -> Optional[int]:
+        """The key column whose index a keyed join probes — the first one
+        carrying an index — or None when it has to build a table.  The one
+        rule both the kernel and the planner's prediction follow."""
+        return next((p for p in self.key_positions if indexed(p)), None)
+
+    def strategy(self, indexed: Callable[[int], bool]) -> str:
+        """The counter a batch of this atom bumps: ``"scan"`` unkeyed,
+        ``"index"`` when the key is the whole row (the row set is the
+        table) or :meth:`probe_column` finds an index, else ``"build"``."""
+        if not self.key_positions:
+            return "scan"
+        if len(self.key_positions) == self.arity:
+            return "index"
+        return "build" if self.probe_column(indexed) is None else "index"
 
 
 def _join_layout(source: AtomSource, variables: Tuple[Variable, ...],
                  needed: FrozenSet[Variable],
-                 head: Optional[Tuple[Variable, ...]]) -> JoinLayout:
+                 head: Optional[Tuple[Variable, ...]], final: bool) -> JoinLayout:
     """Lay out one positive atom against a block holding ``variables``.
 
-    ``head`` is the head's variable order when this is the plan's last
-    column-producing position: kept and fresh columns are then ordered so
-    the output rows already *are* head rows wherever concatenation allows.
+    ``head`` is the head's variables when this is the plan's last
+    column-producing position: if they are exactly what is still alive the
+    output rows are written in head order, so they already *are* head rows
+    (``final``: and this is the last position at all, so a head may even
+    repeat a variable).
     """
     atom = source.literal
     assert isinstance(atom, Atom)
@@ -460,7 +479,6 @@ def _join_layout(source: AtomSource, variables: Tuple[Variable, ...],
     constants: List[Tuple[int, Any]] = []
     dup_checks: List[Tuple[int, int]] = []
     first_seen: Dict[Variable, int] = {}
-    fresh: List[Tuple[Variable, int]] = []
     for position, term in enumerate(atom.terms):
         if isinstance(term, Constant):
             constants.append((position, term.value))
@@ -473,24 +491,16 @@ def _join_layout(source: AtomSource, variables: Tuple[Variable, ...],
                 dup_checks.append((position, first_seen[term]))
             else:
                 first_seen[term] = position
-                if term in needed:
-                    fresh.append((term, position))
         else:  # pragma: no cover - expressions cannot appear in body atoms
             raise TypeError(f"unexpected term {term!r} in body atom")
-    kept = [(v, slot) for slot, v in enumerate(variables) if v in needed]
-
-    payload_first = False
-    kept_at, fresh_at = dict(kept), dict(fresh)
-    if head is not None and set(head) == kept_at.keys() | fresh_at.keys():
-        if all(v in kept_at for v in head[:len(kept)]):
-            kept = [(v, kept_at[v]) for v in head[:len(kept)]]
-            fresh = [(v, fresh_at[v]) for v in head[len(kept):]]
-        elif all(v in fresh_at for v in head[:len(fresh)]):
-            payload_first = True
-            kept = [(v, kept_at[v]) for v in head[len(fresh):]]
-            fresh = [(v, fresh_at[v]) for v in head[:len(fresh)]]
-    kept_variables = tuple(v for v, _ in kept)
-    fresh_variables = tuple(v for v, _ in fresh)
+    cells = {v: (0, slot) for v, slot in slots.items() if v in needed}
+    kept = len(cells)
+    cells.update((v, (1, p)) for v, p in first_seen.items() if v in needed)
+    out_variables = tuple(cells)
+    shaped = head is not None and set(head) == cells.keys()
+    final = final and shaped
+    if final or (shaped and len(head) == len(cells)):
+        out_variables = head
     return JoinLayout(
         relation=atom.relation,
         kind=source.kind or DatabaseKind.DERIVED,
@@ -499,38 +509,52 @@ def _join_layout(source: AtomSource, variables: Tuple[Variable, ...],
         key_slots=tuple(key_slots),
         constants=tuple(constants),
         dup_checks=tuple(dup_checks),
-        fresh_positions=tuple(position for _, position in fresh),
-        kept_slots=tuple(slot for _, slot in kept),
-        payload_first=payload_first,
-        out_variables=(fresh_variables + kept_variables if payload_first
-                       else kept_variables + fresh_variables),
+        fresh_positions=tuple(p for side, p in cells.values() if side),
+        kept_slots=tuple(s for side, s in cells.values() if not side),
+        output=tuple(cells[v] for v in out_variables),
+        out_variables=out_variables,
+        distinct=final or kept < len(variables) or len(cells) - kept < len(first_seen),
+        final=final,
     )
 
 
 def plan_layouts(
     plan: JoinPlan,
-) -> Tuple[List[Tuple[Tuple[Variable, ...], Optional[JoinLayout]]],
+) -> Tuple[Tuple[Tuple[Tuple[Variable, ...], Optional[JoinLayout]], ...],
            Tuple[Variable, ...]]:
     """The static shape of a plan's block pipeline.
 
     Returns, per body position, the block's columns on entry plus the
     :class:`JoinLayout` of a positive atom (None for negations and
-    built-ins), and the columns the head projection reads from.
+    built-ins), and the columns the head projection reads from.  A pure
+    function of the (immutable) head and sources, memoised on them: the
+    adaptive executor asks again after every reorder, and mostly about an
+    order it has already seen.
     """
-    needed_after = _needed_after(plan)
+    return _plan_layouts(plan.head_terms, plan.sources)
+
+
+@functools.lru_cache(maxsize=4096)
+def _plan_layouts(head_terms: Tuple[Term, ...], sources: Tuple[AtomSource, ...]):
+    needed: Set[Variable] = set()
+    for term in head_terms:
+        needed |= term.variables()
+    # Per body position: variables any later literal or the head reads.
+    needed_after: List[FrozenSet[Variable]] = [frozenset()] * len(sources)
+    for position in range(len(sources) - 1, -1, -1):
+        needed_after[position] = frozenset(needed)
+        needed |= sources[position].literal.variables()
     head: Optional[Tuple[Variable, ...]] = None
-    if all(isinstance(term, Variable) for term in plan.head_terms) and (
-        len(set(plan.head_terms)) == len(plan.head_terms)
-    ):
-        head = tuple(plan.head_terms)  # type: ignore[arg-type]
+    if all(isinstance(term, Variable) for term in head_terms):
+        head = head_terms  # type: ignore[assignment]
     produces_columns = [
         isinstance(s.literal, Assignment)
         or (isinstance(s.literal, Atom) and not s.literal.negated)
-        for s in plan.sources
+        for s in sources
     ]
     variables: Tuple[Variable, ...] = ()
     positions: List[Tuple[Tuple[Variable, ...], Optional[JoinLayout]]] = []
-    for position, source in enumerate(plan.sources):
+    for position, source in enumerate(sources):
         literal = source.literal
         layout: Optional[JoinLayout] = None
         entry = variables
@@ -538,13 +562,13 @@ def plan_layouts(
             is_last = not any(produces_columns[position + 1:])
             layout = _join_layout(
                 source, variables, needed_after[position],
-                head if is_last else None,
+                head if is_last else None, position == len(sources) - 1,
             )
             variables = layout.out_variables
         elif isinstance(literal, Assignment) and literal.target not in variables:
             variables = variables + (literal.target,)
         positions.append((entry, layout))
-    return positions, variables
+    return tuple(positions), variables
 
 
 def join_layouts(plan: JoinPlan) -> List[JoinLayout]:
@@ -614,225 +638,172 @@ def _same_rows(rows: Rows) -> Rows:
 
 
 def _project_rows(positions: Tuple[int, ...], width: int,
-                  identity: Callable[[Iterable[Row]], Rows],
-                  ) -> Callable[[Iterable[Row]], Rows]:
-    """Compile ``rows -> rows restricted to positions`` (at least one).
-
-    ``identity`` is what to do when the restriction keeps every column in
-    place: pass a block through untouched, or ``list`` a relation scan.
-    """
+                  ) -> Callable[[Iterable[Row]], Iterable[Row]]:
+    """Compile ``rows -> rows restricted to positions`` (at least one)."""
     if positions == tuple(range(width)):
-        return identity
+        return _same_rows
     if len(positions) == 1:
         column = itemgetter(positions[0])
-        return lambda rows: list(zip(map(column, rows)))
+        return lambda rows: zip(map(column, rows))
     getter = itemgetter(*positions)
-    return lambda rows: list(map(getter, rows))
+    return lambda rows: map(getter, rows)
 
 
-def _filtered_relation_rows(
-    relation: Relation,
-    constants: Dict[int, Any],
-    dup_checks: Sequence[Tuple[int, int]],
-) -> Iterable[Row]:
-    """Relation rows satisfying the atom's constant/repeated-variable checks."""
-    rows: Iterable[Row] = relation.probe(constants) if constants else relation.rows()
-    if dup_checks:
-        rows = (r for r in rows if all(r[p] == r[q] for p, q in dup_checks))
-    return rows
+# -- generated join comprehensions ------------------------------------------------
+
+
+@functools.lru_cache(maxsize=None)
+def _compile_kernel(source: str) -> Callable[..., Rows]:
+    """``compile()`` one generated comprehension, once per distinct text.
+
+    Constants are arguments of the lambda, never part of its source, so a
+    plan re-lowered after a reorder — or another rule with the same shape —
+    is a cache hit.  The text is registered in :mod:`linecache` under its
+    file name, so a traceback out of a kernel shows the comprehension.
+    """
+    filename = f"<repro-kernel:{zlib.crc32(source.encode()):08x}>"
+    linecache.cache[filename] = (len(source), None, [source + "\n"], filename)
+    return eval(compile(source, filename, "eval"))  # noqa: S307
+
+
+def _tuple_source(cells: Sequence[str]) -> str:
+    """A tuple display of one or more cells."""
+    return f"({cells[0]},)" if len(cells) == 1 else f"({', '.join(cells)})"
+
+
+def _join_source(layout: JoinLayout, width: int, probe: Optional[int]) -> str:
+    """The source of the one comprehension joining ``layout``'s atom into a
+    block of ``width`` columns: ``lambda rows, src[, c0, ...]: <rows out>``.
+
+    ``r`` is a block row, ``q`` a relation row, ``c<i>`` the atom's i-th
+    constant (a keyed join checks them on the bucket rows; an unkeyed one
+    is handed rows that already passed).  ``probe`` is the key column whose ``key -> rows`` mapping the
+    join probes (``src`` is that mapping's ``get``; the other key columns
+    become equality checks on ``q``).  With no ``probe``, ``src`` is the row
+    set itself when the key covers every column (a membership test), else
+    the relation's rows already filtered by the constants.  The output
+    tuple is written straight from ``layout.output``, through a set when
+    ``layout.distinct``.
+    """
+    cells = [f"{'rq'[side]}[{index}]" for side, index in layout.output]
+    if not cells:
+        out = "()"
+    elif layout.output == tuple((0, slot) for slot in range(width)):
+        out = "r"
+    elif layout.output == tuple((1, column) for column in range(layout.arity)):
+        out = "q"
+    else:
+        out = _tuple_source(cells)
+    keys = dict(zip(layout.key_positions, layout.key_slots))
+    checks = [f"q[{p}] == r[{slot}]" for p, slot in keys.items() if p != probe]
+    if probe is not None:
+        checks += [f"q[{p}] == c{i}" for i, (p, _) in enumerate(layout.constants)]
+    checks += [f"q[{p}] == q[{earlier}]" for p, earlier in layout.dup_checks]
+    where = " if " + " and ".join(checks) if checks else ""
+    brackets = "{%s}" if layout.distinct else "[%s]"
+    if keys and probe is None:
+        key = _tuple_source([f"r[{slot}]" for slot in keys.values()])
+        result = brackets % f"{out} for r in rows if {key} in src"
+    elif probe is not None and layout.fresh_positions:
+        result = brackets % f"{out} for r in rows for q in src(r[{keys[probe]}], ()){where}"
+    elif probe is not None:
+        # Semi-join: each block row survives at most once.
+        matched = (f"any({' and '.join(checks)} for q in src(r[{keys[probe]}], ()))"
+                   if checks else f"src(r[{keys[probe]}])")
+        result = brackets % f"{out} for r in rows if {matched}"
+    elif layout.fresh_positions:
+        # Scan or cartesian product; with no kept column all input rows are
+        # indistinguishable, so one copy of the relation side is the answer.
+        if out == "q" and not where:
+            result = "set(src)" if layout.distinct else "list(src)"
+        else:
+            result = brackets % (f"{out} for q in src{where}"
+                                 + (" for r in rows" if layout.kept_slots else ""))
+    else:
+        # Existence filter: the whole block passes or none of it.
+        passed = ("rows" if out == "r" and not layout.distinct
+                  else brackets % f"{out} for r in rows")
+        result = f"{passed} if any({' and '.join(checks) or 'True'} for q in src) else []"
+    header = "".join(f", c{i}" for i in range(len(layout.constants)) if probe is not None)
+    return f"lambda rows, src{header}: {result}"
 
 
 # -- step lowering ---------------------------------------------------------------
 
 
-def _lower_join(layout: JoinLayout, width: int, stats: Dict[str, int]) -> Step:
-    """Lower one positive atom to its batch join kernel.
+def _lower_join(layout: JoinLayout, width: int,
+                stats: Dict[str, int]) -> Tuple[Step, str]:
+    """Lower one positive atom to its batch join kernel and its source.
 
     The batch counterpart of the pushdown evaluator's per-tuple
-    probe/extend step.  Lowering picks the kernel shape — scan / existence
-    filter / cartesian for an unkeyed atom, hash join or semi-join for a
-    keyed one — and compiles every accessor; the kernel fetches the
-    relation, extracts the distinct keys, lets
-    :func:`~repro.relational.columnar.choose_build_strategy` decide between
-    probing the relation's existing per-column index and a fresh dict
-    build, and emits one C-level tuple concatenation per match.
+    probe/extend step.  Lowering generates and compiles the atom's
+    comprehension (:func:`_join_source` — one variant per key column, so
+    the kernel can probe whichever of them is indexed when the batch
+    arrives); the kernel only fetches what the comprehension iterates:
 
-    One keyed shape never builds anything: when the block binds *every*
-    column of the atom, the key is the row, and the relation's own row set
-    already is the hash table — the kernel assembles each block row's key
-    in column order and tests membership, the mirror image of
-    :func:`_lower_negation` (counted as an ``"index"`` probe).
+    * unkeyed (scan / cartesian / existence filter): the relation's rows,
+      pre-filtered by the atom's constants through ``Relation.probe``;
+    * key covers every column: the relation's own row set *is* the hash
+      table (counted as an ``"index"`` probe);
+    * otherwise the live :class:`HashIndex` of the first indexed key column
+      (materialising a lazily registered one), or — no key column indexed —
+      a throwaway index over the constant-filtered rows, built for this
+      batch and probed by the same comprehension.
     """
-    name, kind, arity = layout.relation, layout.kind, layout.arity
+    name, kind = layout.relation, layout.kind
     constants = dict(layout.constants)
-    dup_checks = layout.dup_checks
-    key_positions = layout.key_positions
-    fresh = layout.fresh_positions
-    payload_first = layout.payload_first
-    bases_of = (
-        _project_rows(layout.kept_slots, width, _same_rows)
-        if layout.kept_slots else None
-    )
+    values = tuple(constants.values())
+    keys = layout.key_positions
+    sources = {
+        probe: _join_source(layout, width, probe)
+        for probe in (keys if 0 < len(keys) < layout.arity else (None,))
+    }
+    variants = {probe: _compile_kernel(text) for probe, text in sources.items()}
+    text = "\n".join(sources.values())
 
-    if not key_positions:
-        payloads_of = _project_rows(fresh, arity, list) if fresh else None
-        full_row = (
-            tuple(value for _, value in layout.constants)
-            if len(constants) == arity else None
-        )
+    if not keys:
+        run = variants[None]
 
         def scan(storage: StorageManager, rows: Rows) -> Rows:
             relation = storage.relation(name, kind)
             if not relation:
                 return []
-            if payloads_of is None:
-                # Existence filter: the whole block passes or none of it.
-                if full_row is not None:
-                    matched = full_row in relation.rows()
-                else:
-                    matching = _filtered_relation_rows(relation, constants, dup_checks)
-                    matched = next(iter(matching), None) is not None
-                if not matched:
-                    return []
-                # Zero-column blocks clamp to one row: duplicates of () are
-                # semantically inert and would only multiply later cartesians.
-                return bases_of(rows) if bases_of is not None else [()]
-            payloads = payloads_of(
-                _filtered_relation_rows(relation, constants, dup_checks)
-            )
-            if bases_of is None:
-                # No kept columns: all input rows are indistinguishable, so
-                # one copy of the payloads is the whole answer (set semantics).
-                return payloads
-            bases = bases_of(rows)
-            if payload_first:
-                return [payload + base for base in bases for payload in payloads]
-            return [base + payload for base in bases for payload in payloads]
+            stats["scan"] += 1
+            return run(rows, relation.probe(constants))
 
-        return scan
+        return scan, text
 
-    if len(key_positions) == arity:
-        # Key positions ascend, so reading the binding slots in that order
-        # yields the relation's row whatever order the block holds them in.
-        probes_of = _project_rows(layout.key_slots, width, _same_rows)
+    if len(keys) == layout.arity:
+        run = variants[None]
 
         def member(storage: StorageManager, rows: Rows) -> Rows:
             contained = storage.relation(name, kind).rows()
             if not contained:
                 return []
             stats["index"] += 1
-            if bases_of is None:
-                return [()] if any(p in contained for p in probes_of(rows)) else []
-            return [
-                base for base, probe in zip(bases_of(rows), probes_of(rows))
-                if probe in contained
-            ]
+            return run(rows, contained)
 
-        return member
-
-    single_key = len(key_positions) == 1
-    key_position = key_positions[0]
-    key_of = itemgetter(*layout.key_slots)
-    relation_key_of = itemgetter(*key_positions)
-    filtered = bool(constants or dup_checks)
-
-    def row_ok(row: Row) -> bool:
-        for position, value in layout.constants:
-            if row[position] != value:
-                return False
-        for position, earlier in dup_checks:
-            if row[position] != row[earlier]:
-                return False
-        return True
-
-    if not fresh:
-        # Semi-join: the atom binds nothing new, so each block row survives
-        # at most once however many relation rows match its key.
-        def from_index(buckets, distinct):
-            if not filtered:
-                return buckets
-            return {
-                value for value in distinct
-                if any(map(row_ok, buckets.get(value, ())))
-            }
-
-        def from_relation(matching):
-            return set(map(relation_key_of, matching))
-
-        def emit(present, keys, distinct, rows):
-            if bases_of is None:
-                return [()] if any(key in present for key in distinct) else []
-            return [
-                base for base, key in zip(bases_of(rows), keys) if key in present
-            ]
-
-    else:
-        plain_fresh = fresh[0] if len(fresh) == 1 and not filtered else None
-        payloads_of = _project_rows(fresh, arity, list)
-
-        def from_index(buckets, distinct):
-            bucket_of = buckets.get
-            table: Dict[Any, List[Row]] = {}
-            if plain_fresh is not None:
-                # The bread-and-butter shape (e.g. pathΔ(x,y) ⋈ edge(y,z)):
-                # per distinct key, one bucket lookup and one comprehension.
-                for value in distinct:
-                    bucket = bucket_of(value)
-                    if bucket:
-                        table[value] = [(r[plain_fresh],) for r in bucket]
-                return table
-            for value in distinct:
-                bucket = bucket_of(value)
-                if bucket and filtered:
-                    bucket = list(filter(row_ok, bucket))
-                if bucket:
-                    table[value] = payloads_of(bucket)
-            return table
-
-        def from_relation(matching):
-            return build_hash_table(matching, key_positions, fresh)
-
-        def emit(table, keys, distinct, rows):
-            if bases_of is None:
-                # Indistinguishable input rows: probe each key once.
-                return probe_hash_table(table, distinct, None)
-            return probe_hash_table(table, keys, bases_of(rows), payload_first)
+        return member, text
 
     def keyed(storage: StorageManager, rows: Rows) -> Rows:
         relation = storage.relation(name, kind)
         if not relation:
             return []
-        keys = list(map(key_of, rows))
-        distinct = set(keys)
-        buckets = None
-        if single_key:
-            buckets = relation.index_buckets(key_position)
-            if (
-                buckets is None
-                and relation.has_index(key_position)
-                and len(distinct) < len(relation)
-            ):
-                # A lazily-registered index worth probing: materialise it
-                # now.  One build pass costs the same as an ad-hoc table,
-                # but the index persists across batches (delta copies demote
-                # it again on clear, so a per-iteration buffer never accrues
-                # maintenance).
-                index = relation.build_index(key_position)
-                assert index is not None
-                buckets = index.buckets()
-        strategy = choose_build_strategy(
-            len(distinct), len(relation), buckets is not None
-        )
-        stats[strategy] += 1
-        if strategy == "index":
-            matches = from_index(buckets, distinct)
+        probe = layout.probe_column(relation.has_index)
+        if probe is None:
+            stats["build"] += 1
+            probe = keys[0]
+            index = HashIndex(probe)
+            index.insert_many(relation.probe(constants))
         else:
-            matches = from_relation(
-                _filtered_relation_rows(relation, constants, dup_checks)
-            )
-        return emit(matches, keys, distinct, rows)
+            # Materialises a lazily registered index on its first probe; it
+            # then persists across batches (delta copies demote it again on
+            # clear, so a per-iteration buffer never accrues maintenance).
+            stats["index"] += 1
+            index = relation.build_index(probe)
+        return variants[probe](rows, index.buckets().get, *values)
 
-    return keyed
+    return keyed, text
 
 
 def _lower_negation(atom: Atom, slots: Dict[Variable, int], width: int) -> Step:
@@ -865,7 +836,7 @@ def _lower_negation(atom: Atom, slots: Dict[Variable, int], width: int) -> Step:
                 for slot, value in parts
             ))
     else:
-        probes_of = _project_rows(term_slots, width, _same_rows) if parts else None
+        probes_of = _project_rows(term_slots, width) if parts else None
 
     def negate(storage: StorageManager, rows: Rows) -> Rows:
         contained = storage.relation(name, DatabaseKind.DERIVED).rows()
@@ -927,9 +898,12 @@ def _lower_projection(head_terms: Sequence[Term],
                       symbols) -> Callable[[Rows], Set[Row]]:
     """Lower the head projection over the final (non-empty) block.
 
-    All-variable heads compile to one :func:`operator.itemgetter` — or to
-    plain ``set`` when the last join already emitted head-shaped rows — so
-    the entire projection and its de-duplication run at C level.
+    Only reached when the plan's last step could not emit the head itself
+    (``JoinLayout.final``): the head computes or pins a value, or a filter
+    follows the last join.  All-variable heads compile to one
+    :func:`operator.itemgetter` — or to plain ``set`` when the last join
+    already wrote its rows in head order — so the entire projection and its
+    de-duplication run at C level.
     """
     slots = {variable: slot for slot, variable in enumerate(variables)}
     if all(isinstance(term, Variable) for term in head_terms):
@@ -951,19 +925,24 @@ class BlockKernel:
     """One lowered :class:`JoinPlan`: call it on a storage, get head rows.
     Only the data-dependent work is left to do per call."""
 
-    __slots__ = ("rule_name", "operators", "steps", "project", "tracer",
-                 "governor", "stats")
+    __slots__ = ("rule_name", "operators", "steps", "sources", "project",
+                 "tracer", "governor", "stats")
 
     def __init__(self, rule_name: str,
                  operators: Sequence[Tuple[str, Optional[str]]],
-                 steps: Sequence[Step],
-                 project: Callable[[Rows], Set[Row]],
+                 steps: Sequence[Step], sources: Sequence[Optional[str]],
+                 project: Optional[Callable[[Rows], Set[Row]]],
                  tracer, governor, stats: Dict[str, int]) -> None:
         self.rule_name = rule_name
         #: ``(span name, relation)`` per body position, for tracing.
         self.operators = tuple(operators)
         self.steps = tuple(steps)
-        #: Plain ``set`` when the final block's rows are head rows as they stand.
+        #: Per body position, the generated source of a positive atom's
+        #: comprehension(s) (None for negations and built-ins).
+        self.sources = tuple(sources)
+        #: None when the last step's set already is the result
+        #: (``JoinLayout.final``); plain ``set`` when the final block's rows
+        #: are head rows as they stand.
         self.project = project
         self.tracer = tracer
         self.governor = governor
@@ -975,7 +954,8 @@ class BlockKernel:
         # contributes nothing).
         if self.governor.active:
             self.governor.check()
-        self.stats["batches"] += 1
+        stats = self.stats
+        stats["batches"] += 1
         if self.tracer.enabled:
             rows = self._traced(storage)
         else:
@@ -984,7 +964,13 @@ class BlockKernel:
                 rows = step(storage, rows)
                 if not rows:
                     break
-        return self.project(rows) if rows else set()
+        if not rows:
+            return set()
+        stats["candidates"] += len(rows)
+        if self.project is not None:
+            rows = self.project(rows)
+        stats["projected"] += len(rows)
+        return rows  # type: ignore[return-value]
 
     def _traced(self, storage: StorageManager) -> Rows:
         """The same pipeline with one ``op:*`` span per body position."""
@@ -1011,34 +997,43 @@ def lower_plan(plan: JoinPlan, symbols=IDENTITY, tracer=NOOP_TRACER,
 
     Does, once, everything about evaluating ``plan`` block-at-a-time that
     the data cannot change: atom layouts (:class:`JoinLayout`), which
-    columns stay alive after each position, compiled term accessors, and a
-    column order that leaves the last join's output head-shaped.  The
-    interpreter (:class:`VectorizedSubqueryEvaluator`) and the lambda JIT
-    backend run the very same kernels.
+    columns stay alive after each position, one generated comprehension per
+    positive atom (its output written in head order when it is the last to
+    produce columns, and as the result set itself when it is the last step),
+    compiled term accessors for the built-ins.  The interpreter
+    (:class:`VectorizedSubqueryEvaluator`) and the lambda JIT backend run
+    the very same kernels.
     """
     if stats is None:
         stats = new_block_stats()
     positions, final_variables = plan_layouts(plan)
     operators: List[Tuple[str, Optional[str]]] = []
     steps: List[Step] = []
+    sources: List[Optional[str]] = []
     for source, (variables, layout) in zip(plan.sources, positions):
         literal = source.literal
         slots = {variable: slot for slot, variable in enumerate(variables)}
+        text: Optional[str] = None
         if layout is not None:
-            steps.append(_lower_join(layout, len(variables), stats))
+            step, text = _lower_join(layout, len(variables), stats)
         elif isinstance(literal, Atom):
-            steps.append(_lower_negation(literal, slots, len(variables)))
+            step = _lower_negation(literal, slots, len(variables))
         elif isinstance(literal, Comparison):
-            steps.append(_lower_comparison(literal, slots, symbols))
+            step = _lower_comparison(literal, slots, symbols)
         elif isinstance(literal, Assignment):
-            steps.append(_lower_assignment(literal, slots, symbols))
+            step = _lower_assignment(literal, slots, symbols)
         else:  # pragma: no cover
             raise TypeError(f"unsupported literal {literal!r}")
+        steps.append(step)
+        sources.append(text)
         operators.append(
             (_operator_span_name(literal), getattr(literal, "relation", None))
         )
-    project = _lower_projection(plan.head_terms, final_variables, symbols)
-    return BlockKernel(plan.rule_name, operators, steps, project,
+    last = positions[-1][1] if positions else None
+    project = None if last is not None and last.final else _lower_projection(
+        plan.head_terms, final_variables, symbols
+    )
+    return BlockKernel(plan.rule_name, operators, steps, sources, project,
                        tracer, governor, stats)
 
 
@@ -1050,9 +1045,10 @@ class VectorizedSubqueryEvaluator:
     processes the whole intermediate result per body position instead of
     recursing per tuple.  Evaluation is "lower, then run": kernels are
     memoised per live plan object, so a plan that is evaluated every
-    iteration is analysed once.  ``stats`` counts evaluated batches and
-    which build strategy each keyed join took (folded into the runtime
-    profile by the executor).
+    iteration is analysed once.  ``stats`` counts evaluated batches, how
+    each positive atom got its rows and the candidates per head row (see
+    :func:`new_block_stats`; folded into the runtime profile by the
+    executor).
     """
 
     def __init__(self, storage: StorageManager, tracer=NOOP_TRACER,

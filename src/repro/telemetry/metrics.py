@@ -249,7 +249,11 @@ class MetricsRegistry:
                     self.counter("subqueries_total", source=source).inc(count)
         for kind, count in getattr(profile, "block_joins", {}).items():
             if count:
-                self.counter("vectorized_batches_total", kind=kind).inc(count)
+                # Two of the kernel counters count rows, not batches.
+                family = ("vectorized_head_rows_total"
+                          if kind in ("candidates", "projected")
+                          else "vectorized_batches_total")
+                self.counter(family, kind=kind).inc(count)
         for relation, rows in getattr(profile, "result_sizes", {}).items():
             self.gauge("relation_rows", relation=relation).set(rows)
         symbol_stats = getattr(profile, "symbol_stats", None) or {}

@@ -375,3 +375,27 @@ class TestExplain:
         assert "executor=vectorized" not in text
         assert "vectorized batches:" in text
         assert "vectorized plan strategies (latest per rule):" in text
+
+    @pytest.mark.parametrize("config", [
+        EngineConfig.interpreted().with_(executor="vectorized"),
+        EngineConfig.jit("lambda"),
+    ], ids=lambda config: config.describe())
+    def test_explain_prints_the_generated_comprehensions(self, config):
+        """The text the kernels run, under the sub-query it was lowered from."""
+        with Database(TC_SOURCE, config).connect() as conn:
+            conn.refresh()
+            lines = conn.explain().splitlines()
+        header = lines.index(
+            "block kernels (one generated comprehension per positive atom):"
+        )
+        step = next(i for i in range(header, len(lines))
+                    if lines[i].endswith("path ⟵ pathδ ⋈ edge*"))
+        assert lines[step + 1].strip() == "lambda rows, src: list(src)"
+        assert lines[step + 2].strip() == (
+            "lambda rows, src: {(r[0], q[1]) for r in rows for q in src(r[1], ())}"
+        )
+        assert any("candidates per head row)" in line for line in lines)
+
+    def test_pushdown_explain_has_no_kernel_section(self):
+        text = Database(TC_SOURCE, EngineConfig.interpreted()).query("path").explain()
+        assert "block kernels" not in text

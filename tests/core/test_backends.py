@@ -140,21 +140,26 @@ class TestLambdaBlockKernels:
         def run():
             rows = artifact(storage)
             assert rows == evaluate_subquery(storage, plan)
-            return dict(evaluator.vectorized_stats)
+            stats = evaluator.vectorized_stats
+            return {key: stats[key] for key in ("batches", "index", "build")}
 
         return run
 
     def test_one_artifact_serves_both_sides_of_the_index_build_switch(self):
+        """Which mapping a keyed join probes is decided when the batch
+        arrives: drop the index between two calls and the same artifact
+        builds its own table, over the same comprehension."""
         storage = self.wide_storage(edges=40)
         run = self.compile_counted(tc_plan(delta=True), storage)
-        storage.force_delta("path", [(0, 5), (1, 5), (2, 6)])   # 2 keys < 40 rows
+        storage.force_delta("path", [(0, 5), (1, 5), (2, 6)])
         assert run() == {"batches": 1, "index": 1, "build": 0}
-        # A probe side as wide as the relation: the same artifact now builds.
+        # A probe side as wide as the relation still probes the live index.
         storage.force_delta("path", [(0, k) for k in range(40)])
-        assert run() == {"batches": 2, "index": 1, "build": 1}
-        storage.clear_deltas(["path"])
-        storage.force_delta("path", [(9, 3)])
+        assert run() == {"batches": 2, "index": 2, "build": 0}
+        storage.drop_all_indexes()
         assert run() == {"batches": 3, "index": 2, "build": 1}
+        storage.register_index("edge", 0)
+        assert run() == {"batches": 4, "index": 3, "build": 1}
 
     def test_artifact_picks_up_an_index_registered_after_compilation(self):
         storage = graph_storage()

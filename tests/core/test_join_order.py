@@ -254,13 +254,12 @@ class TestBlockStrategyAnnotation:
             (Atom("path", (x, y)), Atom("edge", (y, z))),
         )
         plan = build_join_plan(rule)
-        cards = cardinality_view({"path": 50, "edge": 1000})
         indexed = annotate_block_strategies(
-            plan, cards, lambda relation, column: relation == "edge" and column == 0
+            plan, lambda relation, column: relation == "edge" and column == 0
         )
         assert indexed == ("scan", "index")
-        unindexed = annotate_block_strategies(plan, cards, no_index_view)
-        assert unindexed == ("scan", "build")
+        assert annotate_block_strategies(plan, no_index_view) == ("scan", "build")
+        assert annotate_block_strategies(plan) == ("scan", "build")
 
     def test_a_key_covering_every_column_never_builds(self):
         from repro.core.join_order import annotate_block_strategies
@@ -268,9 +267,8 @@ class TestBlockStrategyAnnotation:
         rule = Rule(
             Atom("r", (x, y)), (Atom("small", (x, y)), Atom("big", (y, x))),
         )
-        cards = cardinality_view({"small": 5, "big": 1000})
         assert annotate_block_strategies(
-            build_join_plan(rule), cards, no_index_view
+            build_join_plan(rule), no_index_view
         ) == ("scan", "index")
 
     def test_assignments_bind_and_negation_is_skipped(self):
@@ -286,22 +284,21 @@ class TestBlockStrategyAnnotation:
             ),
         )
         plan = build_join_plan(rule)
-        cards = cardinality_view({"num": 100})
         strategies = annotate_block_strategies(
-            plan, cards, lambda relation, column: True
+            plan, lambda relation, column: True
         )
         # Second num atom joins on the assigned z: single indexed key.
         assert strategies == ("scan", "index")
 
     def test_prediction_agrees_with_the_kernels_runtime_choice(self):
-        """Prediction and kernel read the same layout, so whenever the probe
-        side is narrower than the relation they pick the same strategy."""
+        """Prediction and kernel apply one static rule to one layout — also
+        when the probe side is as wide as the relation, where the old
+        distinct-keys switch built a table the prediction never saw."""
         from repro.core.join_order import (
             annotate_block_strategies,
-            storage_cardinality_view,
             storage_index_view,
         )
-        from repro.relational.operators import lower_plan
+        from repro.relational.operators import lower_plan, new_block_stats
         from repro.relational.storage import StorageManager
 
         w = Variable("w")
@@ -317,13 +314,26 @@ class TestBlockStrategyAnnotation:
         for i in range(50):
             storage.insert_derived("edge", (i, i + 1))
             storage.insert_derived("label", (i, f"l{i % 3}"))
-        storage.force_delta("path", [(0, 1), (0, 2), (7, 2)])
 
-        predicted = annotate_block_strategies(
-            plan, storage_cardinality_view(storage), storage_index_view(storage)
-        )
+        predicted = annotate_block_strategies(plan, storage_index_view(storage))
         assert predicted == ("scan", "index", "build")
-        stats = {"batches": 0, "index": 0, "build": 0}
-        assert lower_plan(plan, stats=stats)(storage)
-        assert stats == {"batches": 1, "index": predicted.count("index"),
-                         "build": predicted.count("build")}
+        for delta in ([(0, 1), (0, 2), (7, 2)], [(0, k) for k in range(50)]):
+            storage.clear_deltas(["path"])
+            storage.force_delta("path", delta)
+            stats = new_block_stats()
+            assert lower_plan(plan, stats=stats)(storage)
+            assert {kind: stats[kind] for kind in ("scan", "index", "build")} == {
+                kind: predicted.count(kind) for kind in ("scan", "index", "build")
+            }
+
+    def test_a_multi_column_key_is_indexed_by_any_of_its_columns(self):
+        from repro.core.join_order import annotate_block_strategies
+
+        rule = Rule(
+            Atom("r", (x, z)), (Atom("src", (x, y)), Atom("t", (x, y, z))),
+        )
+        plan = build_join_plan(rule)
+        for column, expected in ((0, "index"), (1, "index"), (2, "build")):
+            assert annotate_block_strategies(
+                plan, lambda relation, c, column=column: relation == "t" and c == column
+            ) == ("scan", expected)

@@ -14,17 +14,22 @@ the compiled loop.  The pushdown recursion is the oracle; any future
 executor lands against this same harness (see ``tests/README.md``).
 """
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analyses.micro import build_transitive_closure_program
 from repro.core.config import EngineConfig
+from repro.core.join_order import annotate_block_strategies, storage_index_view
 from repro.datalog.literals import Assignment, Atom, Comparison
 from repro.datalog.program import DatalogProgram
 from repro.datalog.terms import Constant, Variable
 from repro.engine.engine import ExecutionEngine
 from repro.incremental import IncrementalSession
+from repro.ir.ops import JoinProjectOp, find_nodes
+from repro.relational.operators import join_layouts, lower_plan, new_block_stats
 
 SHARD_COUNTS = (1, 2, 4)
 RULE_SHAPES = ("linear", "nonlinear", "mutual", "filtered", "negated")
@@ -198,6 +203,38 @@ def test_lambda_artifacts_match_pushdown_oracle(rule_shape, shards, interning, e
     assert compiled == reference, f"{rule_shape} diverged under {config.describe()}"
     for relation in reference:
         assert list(compiled[relation]) == list(reference[relation])
+
+
+@pytest.mark.parametrize("use_indexes", [True, False], ids=["indexed", "unindexed"])
+@pytest.mark.parametrize("rule_shape", RULE_SHAPES + LOOP_SHAPES)
+@settings(max_examples=5, deadline=None)
+@given(edges=edges_strategy)
+def test_predicted_block_strategies_are_what_the_kernels_do(rule_shape, use_indexes, edges):
+    """EXPLAIN's per-atom strategy is static, so it is exact: per plan, the
+    predicted tuple is the counters its kernel bumps (a batch that ran dry
+    stopped after some prefix of it)."""
+    config = EngineConfig.interpreted(use_indexes=use_indexes).with_(executor="vectorized")
+    engine = ExecutionEngine(build_random_program(edges, rule_shape), config)
+    engine.evaluate()
+    storage = engine.storage
+    for name in engine.program.idb_relations():  # give the delta plans rows to join
+        storage.force_delta(name, list(storage.derived(name).rows()))
+    kinds = ("index", "build", "scan")
+    for node in find_nodes(engine.tree, JoinProjectOp):
+        predicted = annotate_block_strategies(node.plan, storage_index_view(storage))
+        stats = new_block_stats()
+        rows = lower_plan(node.plan, storage.symbols, stats=stats)(storage)
+        prefixes = [Counter(predicted[:n]) for n in range(len(predicted) + 1)]
+        allowed = prefixes[-1:] if rows else prefixes
+        assert {kind: stats[kind] for kind in kinds} in [
+            {kind: prefix[kind] for kind in kinds} for prefix in allowed
+        ], (node.plan.describe(), predicted, stats)
+        if not use_indexes:  # only a whole-row key "probes" without an index
+            assert all(
+                len(layout.key_positions) == layout.arity
+                for layout, kind in zip(join_layouts(node.plan), predicted)
+                if kind == "index"
+            )
 
 
 @pytest.mark.parametrize("base", [

@@ -1,16 +1,12 @@
-"""Unit tests for ColumnarBlock, the hash build/probe primitives and the
-vectorized evaluator (the lowered kernels themselves: test_operators.py)."""
+"""Unit tests for ColumnarBlock and the vectorized evaluator (the lowered
+kernels themselves: test_operators.py; the comprehensions they are generated
+as, keyed / unkeyed / indexed / table-built: test_join_codegen.py)."""
 
 import pytest
 
 from repro.datalog.literals import Atom
 from repro.datalog.terms import Variable
-from repro.relational.columnar import (
-    ColumnarBlock,
-    build_hash_table,
-    choose_build_strategy,
-    probe_hash_table,
-)
+from repro.relational.columnar import ColumnarBlock
 from repro.relational.operators import (
     AtomSource,
     JoinPlan,
@@ -63,32 +59,6 @@ class TestColumnarBlock:
         assert block.to_columns() == {x: (1, 3), y: (2, 4)}
 
 
-class TestHashPrimitives:
-    def test_build_and_probe_single_key(self):
-        table = build_hash_table([(1, "a"), (1, "b"), (2, "c")], [0], [1])
-        assert table == {1: [("a",), ("b",)], 2: [("c",)]}
-        out = probe_hash_table(table, [1, 2, 3], [(10,), (20,), (30,)])
-        assert sorted(out) == [(10, "a"), (10, "b"), (20, "c")]
-
-    def test_probe_without_bases_emits_payloads(self):
-        table = build_hash_table([(1, "a"), (2, "b")], [0], [1])
-        assert sorted(probe_hash_table(table, [2, 2], None)) == [("b",), ("b",)]
-
-    def test_probe_payload_first_flips_the_concatenation(self):
-        table = build_hash_table([(1, "a"), (1, "b")], [0], [1])
-        out = probe_hash_table(table, [1, 7], [(10,), (70,)], payload_first=True)
-        assert sorted(out) == [("a", 10), ("b", 10)]
-
-    def test_multi_column_keys(self):
-        table = build_hash_table([(1, 2, 3)], [0, 1], [2])
-        assert table == {(1, 2): [(3,)]}
-
-    def test_choose_build_strategy(self):
-        assert choose_build_strategy(10, 1000, indexed=True) == "index"
-        assert choose_build_strategy(1000, 1000, indexed=True) == "build"
-        assert choose_build_strategy(10, 1000, indexed=False) == "build"
-
-
 def make_storage():
     storage = StorageManager()
     storage.declare("edge", 2)
@@ -123,7 +93,8 @@ class TestVectorizedEvaluator:
         evaluator = VectorizedSubqueryEvaluator(storage)
         evaluator.evaluate(self.plan())
         assert evaluator.stats["batches"] == 1
-        assert evaluator.stats["index"] + evaluator.stats["build"] >= 1
+        assert (evaluator.stats["scan"], evaluator.stats["index"]) == (1, 1)
+        assert evaluator.stats["candidates"] == evaluator.stats["projected"] == 1
 
     def test_unknown_executor_rejected(self):
         from repro.relational.operators import SubqueryEvaluator

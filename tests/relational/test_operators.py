@@ -17,6 +17,7 @@ from repro.relational.operators import (
     join_layouts,
     lower_plan,
     match_atom,
+    new_block_stats,
     project_head,
 )
 from repro.relational.storage import DatabaseKind, StorageManager
@@ -243,6 +244,11 @@ def run_kernel(storage, plan):
     return rows
 
 
+def strategies(stats):
+    """How each positive atom of the batches so far got its rows."""
+    return {key: stats[key] for key in ("index", "build", "scan")}
+
+
 class TestLoweredJoin:
     def test_join_extends_block(self):
         storage = kernel_storage(src=[(0, 1), (0, 2)], edge=[(1, 2), (2, 3), (2, 4)])
@@ -268,10 +274,11 @@ class TestLoweredJoin:
         storage.register_index("t", 0)
         storage.derived("t").build_index(0)
         plan = plan_of((x, z), Atom("src", (x,)), Atom("t", (x, Constant(7), z)))
-        stats = {"batches": 0, "index": 0, "build": 0}
+        stats = new_block_stats()
         kernel = lower_plan(plan, stats=stats)
         assert kernel(storage) == {(1, 5), (2, 9)}
-        assert stats == {"batches": 1, "index": 1, "build": 0}
+        assert stats["batches"] == 1
+        assert strategies(stats) == {"index": 1, "build": 0, "scan": 1}
 
     def test_all_constant_atom_keeps_or_drops_the_whole_block(self):
         storage = kernel_storage(src=[(7,), (8,)], edge=[(1, 2)])
@@ -288,7 +295,7 @@ class TestLoweredJoin:
         (_, semi) = join_layouts(plan)
         assert semi.fresh_positions == () and semi.key_positions == (0,)
         kernel = lower_plan(plan)
-        assert kernel.steps[1](storage, [(1, 5), (2, 6), (3, 7)]) == [(1, 5), (3, 7)]
+        assert sorted(kernel.steps[1](storage, [(1, 5), (2, 6), (3, 7)])) == [(1, 5), (3, 7)]
         assert run_kernel(storage, plan) == {(1, 5), (3, 7)}
         # The same through a live index, with a constant to filter on.
         storage.register_index("edge", 0)
@@ -319,7 +326,7 @@ class TestWholeRowSemiJoin:
 
     @staticmethod
     def run(storage, plan):
-        stats = {"batches": 0, "index": 0, "build": 0}
+        stats = new_block_stats()
         rows = lower_plan(plan, storage.symbols, stats=stats)(storage)
         assert rows == evaluate_subquery(storage, plan)
         assert stats["build"] == 0, "a whole-row key must never build a table"
@@ -332,7 +339,7 @@ class TestWholeRowSemiJoin:
         assert semi.key_positions == (0, 1) and semi.fresh_positions == ()
         rows, stats = self.run(storage, plan)
         assert rows == {(1, 2)}
-        assert stats == {"batches": 1, "index": 1, "build": 0}
+        assert strategies(stats) == {"index": 1, "build": 0, "scan": 1}
 
     def test_column_order_differs_from_slot_order(self):
         # q is asymmetric: (2, 1) is in it, (1, 2) is not.  The block holds
@@ -382,41 +389,84 @@ class TestWholeRowSemiJoin:
 
 
 class TestHeadShapedLastJoin:
+    """The last join writes head rows, whatever order the head wants them in,
+    and hands back the set it built: nothing projects or de-duplicates after."""
+
+    @staticmethod
+    def last_step(storage, plan):
+        """Run the plan; also return what its last step emitted on its own."""
+        kernel = lower_plan(plan)
+        rows = [()]
+        for step in kernel.steps:
+            rows = step(storage, rows)
+        assert kernel(storage) == rows == evaluate_subquery(storage, plan)
+        return kernel, rows
+
     def test_last_join_emits_head_rows(self):
         storage = kernel_storage(path=[(1, 2), (2, 3)], edge=[(2, 3), (3, 4)])
         plan = plan_of((x, z), Atom("path", (x, y)), Atom("edge", (y, z)))
-        kernel = lower_plan(plan)
-        assert kernel.project is set
-        assert run_kernel(storage, plan) == {(1, 3), (2, 4)}
+        kernel, rows = self.last_step(storage, plan)
+        assert isinstance(rows, set) and rows == {(1, 3), (2, 4)}
+        assert kernel.project is None       # the set is the result as it stands
 
     def test_fresh_columns_may_lead(self):
         """edge first, path second: the head's x is fresh, its z is kept."""
         storage = kernel_storage(path=[(1, 2), (2, 3)], edge=[(2, 3), (3, 4)])
         plan = plan_of((x, z), Atom("edge", (y, z)), Atom("path", (x, y)))
-        layout = join_layouts(plan)[1]
-        assert layout.payload_first and layout.out_variables == (x, z)
-        assert lower_plan(plan).project is set
-        assert run_kernel(storage, plan) == {(1, 3), (2, 4)}
+        assert join_layouts(plan)[1].out_variables == (x, z)
+        _, rows = self.last_step(storage, plan)
+        assert isinstance(rows, set) and rows == {(1, 3), (2, 4)}
 
     def test_kept_columns_are_permuted_into_head_order(self):
         storage = kernel_storage(src=[(1, 2, 3)], edge=[(3, 4)])
         plan = plan_of((y, x, w), Atom("src", (x, y, z)), Atom("edge", (z, w)))
-        layout = join_layouts(plan)[1]
-        assert layout.kept_slots == (1, 0) and layout.out_variables == (y, x, w)
-        assert lower_plan(plan).project is set
-        assert run_kernel(storage, plan) == {(2, 1, 4)}
+        assert join_layouts(plan)[1].out_variables == (y, x, w)
+        _, rows = self.last_step(storage, plan)
+        assert isinstance(rows, set) and rows == {(2, 1, 4)}
 
-    def test_interleaved_head_falls_back_to_a_projection(self):
-        storage = kernel_storage(src=[(1, 2, 3)], t=[(3, 4, 5)])
+    def test_interleaved_head_needs_no_projection_either(self):
+        """kept, fresh, kept, kept — no concatenation order gives this."""
+        storage = kernel_storage(src=[(1, 2, 3), (5, 6, 3)], t=[(3, 4, 5), (3, 7, 5)])
         plan = plan_of((x, w, y, z), Atom("src", (x, y, z)), Atom("t", (z, w, Variable("v"))))
-        assert lower_plan(plan).project is not set
-        assert run_kernel(storage, plan) == {(1, 4, 2, 3)}
+        kernel, rows = self.last_step(storage, plan)
+        assert kernel.project is None and isinstance(rows, set)
+        assert rows == {(1, 4, 2, 3), (1, 7, 2, 3), (5, 4, 6, 3), (5, 7, 6, 3)}
+
+    def test_a_final_head_may_repeat_a_variable(self):
+        storage = kernel_storage(src=[(1, 2)], edge=[(2, 3), (2, 4)])
+        plan = plan_of((z, x, z), Atom("src", (x, y)), Atom("edge", (y, z)))
+        kernel, rows = self.last_step(storage, plan)
+        assert kernel.project is None and rows == {(3, 1, 3), (4, 1, 4)}
+
+    def test_duplicate_candidates_collapse_inside_the_step(self):
+        """Two derivations of one head row: the step itself emits it once."""
+        storage = kernel_storage(path=[(1, 2), (1, 3)], edge=[(2, 9), (3, 9)])
+        plan = plan_of((x, z), Atom("path", (x, y)), Atom("edge", (y, z)))
+        _, rows = self.last_step(storage, plan)
+        assert isinstance(rows, set) and rows == {(1, 9)}
+
+    def test_a_filter_after_the_last_join_projects_with_plain_set(self):
+        storage = kernel_storage(path=[(1, 2), (2, 3)], edge=[(2, 3), (3, 4)], no=[(2, 4)])
+        plan = plan_of((z, x), Atom("path", (x, y)), Atom("edge", (y, z)),
+                       Atom("no", (x, z), negated=True))
+        kernel = lower_plan(plan)
+        assert join_layouts(plan)[1].out_variables == (z, x)
+        assert kernel.project is set
+        assert run_kernel(storage, plan) == {(3, 1)}
 
     def test_head_constants_and_expressions_project(self):
         storage = kernel_storage(edge=[(1, 2), (3, 4)])
         plan = plan_of((x, Constant(0), x + y), Atom("edge", (x, y)))
-        assert lower_plan(plan).project is not set
+        assert lower_plan(plan).project not in (None, set)
         assert run_kernel(storage, plan) == {(1, 0, 3), (3, 0, 7)}
+
+    def test_the_result_is_a_fresh_set_every_call(self):
+        storage = kernel_storage(edge=[(1, 2)])
+        for head in ((x, y), (y, x)):
+            kernel = lower_plan(plan_of(head, Atom("edge", (x, y))))
+            first = kernel(storage)
+            first.clear()                    # callers union / intersect in place
+            assert kernel(storage) and storage.derived("edge").rows() == {(1, 2)}
 
     def test_projection_shapes(self):
         storage = kernel_storage(edge=[(1, 2), (3, 4)])

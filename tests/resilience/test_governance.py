@@ -171,7 +171,12 @@ class TestDeadlineInsideCompiledIterations:
     def test_a_kernel_checks_its_governor_before_touching_storage(self):
         from repro.datalog.literals import Atom
         from repro.datalog.terms import Variable
-        from repro.relational.operators import AtomSource, JoinPlan, lower_plan
+        from repro.relational.operators import (
+            AtomSource,
+            JoinPlan,
+            lower_plan,
+            new_block_stats,
+        )
         from repro.relational.storage import DatabaseKind, StorageManager
         from repro.resilience.limits import governor_of
 
@@ -180,7 +185,7 @@ class TestDeadlineInsideCompiledIterations:
             AtomSource(Atom("edge", (x, y)), DatabaseKind.DERIVED),
         ))
         token = CancellationToken()
-        stats = {"batches": 0, "index": 0, "build": 0}
+        stats = new_block_stats()
         kernel = lower_plan(plan, governor=governor_of(token=token), stats=stats)
         storage = StorageManager()
         storage.declare("edge", 2)

@@ -62,6 +62,7 @@ class TestProfileFolding:
         profile.sources.vectorized = 4
         profile.sources.interpreted = 2
         profile.block_joins["batches"] = 6
+        profile.block_joins["candidates"] = 9
         profile.result_sizes["path"] = 15
         profile.record_cache_probes(3, 1)
         profile.pool_degradations = 1
@@ -73,6 +74,7 @@ class TestProfileFolding:
         assert snapshot["subqueries_total{source=vectorized}"] == 4
         assert snapshot["subqueries_total{source=interpreted}"] == 2
         assert snapshot["vectorized_batches_total{kind=batches}"] == 6
+        assert snapshot["vectorized_head_rows_total{kind=candidates}"] == 9
         assert snapshot["relation_rows{relation=path}"] == 15
         assert snapshot["snapshot_cache_total{result=hit}"] == 3
         assert snapshot["snapshot_cache_total{result=miss}"] == 1
