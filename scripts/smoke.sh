@@ -41,6 +41,15 @@ echo "== subsystem smoke benches (perf trajectory -> BENCH.json) =="
 python -m repro.bench --quick --only incremental,parallel,vectorized,interning,telemetry,resilience,serving,durability --json BENCH.json
 
 echo
+echo "== what a server start imports (-> BOOT_IMPORTS.txt) =="
+# The 15 costliest imports of `import repro.server` by cumulative time, next
+# to the bench dump (smoke.yml uploads both): the durability section's
+# boot_ms says *that* a start got slower, this says which module did it.
+python -X importtime -c "import repro.server" 2>&1 \
+    | sort -t'|' -k2 -n -r | sed -n 1,15p | tee BOOT_IMPORTS.txt
+test -s BOOT_IMPORTS.txt
+
+echo
 echo "== perf-regression gate (BENCH.json vs benchmarks/baseline.json) =="
 # First prove the gate itself still bites (a doctored 2x slowdown must
 # fail), then diff the fresh run against the committed baseline: any

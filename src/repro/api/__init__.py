@@ -16,9 +16,14 @@ See :mod:`repro.api.database` for the entry points and
 :mod:`repro.api.result` for the result types.
 """
 
+from repro._lazy import lazy_exports
 from repro.api.database import Connection, Database, coerce_program, schema_for
-from repro.api.explain import render_explain
 from repro.api.result import QueryResult, ResultSchema, ResultSet
+
+# The EXPLAIN renderer loads with the first EXPLAIN, not with the package.
+__getattr__, __dir__ = lazy_exports(
+    __name__, {"repro.api.explain": ("render_explain",)}
+)[:2]
 
 __all__ = [
     "Connection",

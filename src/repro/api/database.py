@@ -40,18 +40,15 @@ from __future__ import annotations
 import time
 from typing import Dict, List, Optional, Tuple, Union, overload
 
-from repro.api.explain import render_explain
+# ``api.render_explain`` and ``introspect.render_analyze`` are lazy package
+# attributes: the renderers are imported by the first EXPLAIN.
+from repro import api, introspect
 from repro.api.result import QueryResult, ResultSchema, ResultSet
 from repro.core.config import EngineConfig
 from repro.datalog.program import DatalogProgram
 from repro.incremental.cache import ResultCache
 from repro.incremental.session import IncrementalSession, UpdateReport
-from repro.introspect import (
-    CATALOG_COLUMNS,
-    RESERVED_PREFIX,
-    SystemCatalog,
-    render_analyze,
-)
+from repro.introspect import CATALOG_COLUMNS, RESERVED_PREFIX, SystemCatalog
 from repro.relational.relation import Row
 
 #: Anything a :class:`Database` can be opened over.
@@ -368,8 +365,8 @@ class Connection:
         session = self._session
         analysis = None
         if analyze:
-            analysis = render_analyze(session.profile, session.last_trace)
-        return render_explain(
+            analysis = introspect.render_analyze(session.profile, session.last_trace)
+        return api.render_explain(
             title=f"connection over {session.program.name!r}",
             config=session.config,
             tree=session.tree,

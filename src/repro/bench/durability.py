@@ -15,6 +15,10 @@ incremental and serving benches use:
 * ``restart_speedup`` — ``cold_seconds / warm_seconds``; the acceptance
   gate in ``benchmarks/bench_durability.py`` requires >= 10x at the
   10k-edge scale.
+* ``parse_ms`` / ``boot_ms`` — the two fixed costs in front of every
+  served start, policy-independent (every row repeats them):
+  ``parse_program`` on the workload as Datalog *text*, and ``python -c
+  "import repro.server"`` in a fresh interpreter.
 
 One row per fsync policy: ``off`` isolates the engine+encoding cost,
 ``batch`` adds group-commit syncing (the server's default), ``always``
@@ -26,19 +30,23 @@ from __future__ import annotations
 import gc
 import os
 import shutil
+import subprocess
+import sys
 import tempfile
 import time
-from typing import Dict, List, Optional, Sequence, Tuple
+import timeit
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.analyses.micro import build_transitive_closure_program
 from repro.api.database import Database
 from repro.bench.serving import percentile
+from repro.datalog.parser import parse_program
 from repro.durability import DurabilityConfig
 from repro.workloads.graphs import random_edges
 
 DURABILITY_COLUMNS = (
     "workload", "fsync", "rows", "cold_seconds", "apply_p50_ms",
-    "wal_mb", "warm_seconds", "restart_speedup",
+    "wal_mb", "warm_seconds", "restart_speedup", "parse_ms", "boot_ms",
 )
 
 TC_EDGES, TC_NODES = 10_000, 12_000
@@ -51,6 +59,20 @@ QUICK_POLICIES: Tuple[str, ...] = ("batch",)
 #: real incremental work and allocates fresh symbols for its WAL record.
 MUTATION_BATCHES = 20
 WRITE_NODE_BASE = 50_000_000
+
+
+def tc_source(edges: Iterable[Tuple[int, int]]) -> str:
+    """Transitive closure over ``edges`` as the text a server is started on."""
+    lines = ["path(X, Y) :- edge(X, Y).", "path(X, Z) :- path(X, Y), edge(Y, Z)."]
+    lines.extend(f"edge({a}, {b})." for a, b in edges)
+    return "\n".join(lines) + "\n"
+
+
+def _import_server_in_a_fresh_interpreter() -> None:
+    subprocess.run(
+        [sys.executable, "-c", "import repro.server"], check=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
 
 
 def _measure_lifecycle(
@@ -124,6 +146,13 @@ def run_durability(
     workload = f"tc_{edge_count // 1000}k"
     edges = random_edges(nodes, edge_count, seed=2024)
 
+    source = tc_source(edges)
+    parse_ms, boot_ms = (
+        min(timeit.repeat(action, number=1, repeat=3)) * 1_000
+        for action in (lambda: parse_program(source),
+                       _import_server_in_a_fresh_interpreter)
+    )
+
     rows: List[Dict[str, object]] = []
     for fsync in selected:
         # Field-wise minimum across rounds: each timing is an independent
@@ -160,5 +189,7 @@ def run_durability(
                 best["cold_seconds"] / best["warm_seconds"]
                 if best["warm_seconds"] else 0.0
             ),
+            "parse_ms": parse_ms,
+            "boot_ms": boot_ms,
         })
     return rows

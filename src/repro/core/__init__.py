@@ -5,61 +5,29 @@ runtime join-order optimizer (§IV), the staged code-generation backends
 (§V-C), the compilation manager with synchronous and asynchronous modes, the
 freshness test, the JIT executor that ties them together at IROp safe points,
 and the ahead-of-time ("macro") optimization path (§VI-C).
+
+Every name below is imported on first use (:mod:`repro._lazy`): importing
+``repro.core.config`` for an interpreted run loads no backend and no code
+generator.
 """
 
-from repro.core.aot import apply_aot_optimization
-from repro.core.backends import (
-    Backend,
-    BytecodeBackend,
-    CompiledArtifact,
-    IRGeneratorBackend,
-    LambdaBackend,
-    QuotesBackend,
-    available_backends,
-    get_backend,
-)
-from repro.core.compilation import CompilationEvent, CompilationManager
-from repro.core.config import (
-    AOTSortMode,
-    CompilationGranularity,
-    EngineConfig,
-    ExecutionMode,
-)
-from repro.core.executor import IRExecutor
-from repro.core.freshness import FreshnessTest
-from repro.core.join_order import (
-    JoinOrderOptimizer,
-    OrderingDecision,
-    no_index_view,
-    storage_cardinality_view,
-    storage_index_view,
-    zero_cardinality_view,
-)
-from repro.core.profile import RuntimeProfile
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AOTSortMode",
-    "Backend",
-    "BytecodeBackend",
-    "CompilationEvent",
-    "CompilationGranularity",
-    "CompilationManager",
-    "CompiledArtifact",
-    "EngineConfig",
-    "ExecutionMode",
-    "FreshnessTest",
-    "IRExecutor",
-    "IRGeneratorBackend",
-    "JoinOrderOptimizer",
-    "LambdaBackend",
-    "OrderingDecision",
-    "QuotesBackend",
-    "RuntimeProfile",
-    "apply_aot_optimization",
-    "available_backends",
-    "get_backend",
-    "no_index_view",
-    "storage_cardinality_view",
-    "storage_index_view",
-    "zero_cardinality_view",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.core.aot": ("apply_aot_optimization",),
+    "repro.core.backends": (
+        "Backend", "BytecodeBackend", "CompiledArtifact", "IRGeneratorBackend",
+        "LambdaBackend", "QuotesBackend", "available_backends", "get_backend",
+    ),
+    "repro.core.compilation": ("CompilationEvent", "CompilationManager"),
+    "repro.core.config": (
+        "AOTSortMode", "CompilationGranularity", "EngineConfig", "ExecutionMode",
+    ),
+    "repro.core.executor": ("IRExecutor",),
+    "repro.core.freshness": ("FreshnessTest",),
+    "repro.core.join_order": (
+        "JoinOrderOptimizer", "OrderingDecision", "no_index_view",
+        "storage_cardinality_view", "storage_index_view", "zero_cardinality_view",
+    ),
+    "repro.core.profile": ("RuntimeProfile",),
+})

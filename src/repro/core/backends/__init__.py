@@ -15,19 +15,16 @@ against each other exactly as the paper describes:
   hand it back to the interpreter; minimal overhead, minimal specialization.
 """
 
-from repro.core.backends.base import Backend, CompiledArtifact, get_backend, available_backends
-from repro.core.backends.lambda_backend import LambdaBackend
-from repro.core.backends.quotes import QuotesBackend
-from repro.core.backends.bytecode import BytecodeBackend
-from repro.core.backends.irgen import IRGeneratorBackend
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Backend",
-    "BytecodeBackend",
-    "CompiledArtifact",
-    "IRGeneratorBackend",
-    "LambdaBackend",
-    "QuotesBackend",
-    "available_backends",
-    "get_backend",
-]
+# Imported on first use; ``get_backend(name)`` likewise imports only the
+# module of the backend it is asked for.
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.core.backends.base": (
+        "Backend", "CompiledArtifact", "available_backends", "get_backend",
+    ),
+    "repro.core.backends.bytecode": ("BytecodeBackend",),
+    "repro.core.backends.irgen": ("IRGeneratorBackend",),
+    "repro.core.backends.lambda_backend": ("LambdaBackend",),
+    "repro.core.backends.quotes": ("QuotesBackend",),
+})

@@ -5,7 +5,8 @@ from __future__ import annotations
 import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from importlib import import_module
+from typing import Callable, List, Optional, Sequence, Set, Tuple
 
 from repro.relational.operators import JoinPlan, SubqueryEvaluator
 from repro.relational.relation import Row
@@ -83,23 +84,26 @@ class Backend(ABC):
         return artifact, time.perf_counter() - start
 
 
-_REGISTRY: Dict[str, Callable[[], Backend]] = {}
-
-
-def register_backend(name: str, factory: Callable[[], Backend]) -> None:
-    _REGISTRY[name] = factory
+#: Configuration name -> (module, class).  ``get_backend`` imports the module
+#: of the backend it is asked for, so a process loads only what it runs.
+_BACKENDS = {
+    "bytecode": ("repro.core.backends.bytecode", "BytecodeBackend"),
+    "irgen": ("repro.core.backends.irgen", "IRGeneratorBackend"),
+    "lambda": ("repro.core.backends.lambda_backend", "LambdaBackend"),
+    "quotes": ("repro.core.backends.quotes", "QuotesBackend"),
+}
 
 
 def get_backend(name: str) -> Backend:
     """Instantiate a backend by configuration name."""
     try:
-        factory = _REGISTRY[name]
+        module, factory = _BACKENDS[name]
     except KeyError:
         raise ValueError(
-            f"unknown backend {name!r}; available: {sorted(_REGISTRY)}"
+            f"unknown backend {name!r}; available: {sorted(_BACKENDS)}"
         ) from None
-    return factory()
+    return getattr(import_module(module), factory)()
 
 
 def available_backends() -> List[str]:
-    return sorted(_REGISTRY)
+    return sorted(_BACKENDS)

@@ -17,7 +17,6 @@ from repro.core.backends.base import (
     ArtifactFunction,
     Backend,
     CompiledArtifact,
-    register_backend,
 )
 from repro.core.codegen.pyast import build_union_module_ast
 from repro.core.codegen.steps import lower_plan
@@ -70,6 +69,3 @@ class BytecodeBackend(Backend):
             compile_seconds=seconds,
             mode="full",
         )
-
-
-register_backend(BytecodeBackend.name, BytecodeBackend)

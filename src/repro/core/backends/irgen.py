@@ -16,7 +16,6 @@ from repro.core.backends.base import (
     ArtifactFunction,
     Backend,
     CompiledArtifact,
-    register_backend,
 )
 from repro.relational.operators import JoinPlan, SubqueryEvaluator
 from repro.relational.relation import Row
@@ -61,6 +60,3 @@ class IRGeneratorBackend(Backend):
             compile_seconds=seconds,
             mode="full",
         )
-
-
-register_backend(IRGeneratorBackend.name, IRGeneratorBackend)

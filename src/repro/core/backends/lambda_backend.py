@@ -30,7 +30,6 @@ from repro.core.backends.base import (
     ArtifactFunction,
     Backend,
     CompiledArtifact,
-    register_backend,
 )
 from repro.relational.operators import JoinPlan, SubqueryEvaluator
 from repro.relational.relation import Row
@@ -83,6 +82,3 @@ class LambdaBackend(Backend):
             compile_seconds=seconds,
             mode=mode,
         )
-
-
-register_backend(LambdaBackend.name, LambdaBackend)

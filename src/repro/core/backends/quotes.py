@@ -22,7 +22,6 @@ from repro.core.backends.base import (
     ArtifactFunction,
     Backend,
     CompiledArtifact,
-    register_backend,
 )
 from repro.core.codegen.source import (
     render_plan_function,
@@ -107,6 +106,3 @@ class QuotesBackend(Backend):
             lowered, self._next_module_name(label), symbols=storage.symbols
         )
         return source
-
-
-register_backend(QuotesBackend.name, QuotesBackend)

@@ -13,11 +13,14 @@ File layout
 
 Under dictionary encoding (PR 5) every stored row is a tuple of dense
 symbol ids — machine words — so a relation dumps as ``arity`` packed
-``int64`` columns at ``memcpy`` speed and loads back the same way,
-optionally through ``mmap`` so a large checkpoint pages lazily instead of
-being read through userspace buffers.  Identity-codec storage (rows hold
-arbitrary Python values) falls back to pickling the row list into the
-header, relation by relation, so both codecs checkpoint through one format.
+``int64`` columns at ``memcpy`` speed and loads back the same way: each
+column is a ``memoryview.cast("q")`` of the file's bytes and the rows are
+one ``zip`` over the columns (the only decode path; nothing outside the
+standard library is imported), optionally through ``mmap`` so a large
+checkpoint pages lazily instead of being read through userspace buffers.
+Identity-codec storage (rows hold arbitrary Python values) falls back to
+pickling the row list into the header, relation by relation, so both codecs
+checkpoint through one format.
 
 Atomicity is by rename: the file is written to ``<name>.tmp``, fsynced,
 then renamed over the final name (and the directory fsynced), so a crash
@@ -40,11 +43,6 @@ from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.resilience import faults
 from repro.resilience.errors import DurabilityError
-
-try:  # optional: ~2x faster column decode on the warm-restart path
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy-less interpreter
-    _np = None
 
 Row = Tuple[Any, ...]
 
@@ -79,15 +77,6 @@ def _unpack_rows(view: memoryview, arity: int, count: int) -> Set[Row]:
     """
     if count == 0:
         return set()
-    if _np is not None:
-        # ndarray.tolist() materialises each column as plain ints at C
-        # speed; the interpreter only pays for the final zip-into-tuples.
-        # The ndarray holds its own buffer reference and dies with this
-        # frame, so the caller's view.release() still succeeds.
-        flat = _np.frombuffer(view, dtype=_np.int64)
-        return set(zip(*(
-            flat[i * count:(i + 1) * count].tolist() for i in range(arity)
-        )))
     columns = [
         view[i * count * 8:(i + 1) * count * 8].cast("q")
         for i in range(arity)

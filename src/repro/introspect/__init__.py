@@ -27,12 +27,7 @@ catalog as an opaque duck-typed parameter from the API layer.  CI greps for
 violations and ``tests/introspect/test_layering.py`` pins the same rule.
 """
 
-from repro.introspect.analyze import (
-    DEFAULT_MISESTIMATE_RATIO,
-    OperatorActual,
-    collect_operator_actuals,
-    render_analyze,
-)
+from repro._lazy import lazy_exports
 from repro.introspect.catalog import (
     CATALOG_COLUMNS,
     RESERVED_PREFIX,
@@ -40,6 +35,14 @@ from repro.introspect.catalog import (
     catalog_relation_names,
     is_catalog_relation,
 )
+
+# Every connection has a catalog; EXPLAIN ANALYZE loads with its first use.
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.introspect.analyze": (
+        "DEFAULT_MISESTIMATE_RATIO", "OperatorActual",
+        "collect_operator_actuals", "render_analyze",
+    ),
+})[:2]
 
 __all__ = [
     "CATALOG_COLUMNS",

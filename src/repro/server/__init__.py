@@ -21,12 +21,12 @@ Entry points
 * ``python -m repro.server --program rules.dl`` — standalone process.
 """
 
+from repro._lazy import lazy_exports
 from repro.server.backpressure import (
     BackpressureConfig,
     BackpressureError,
     MutationQueue,
 )
-from repro.server.client import AsyncClient, BlockingClient
 from repro.server.protocol import (
     MAX_FRAME,
     ProtocolError,
@@ -38,6 +38,11 @@ from repro.server.protocol import (
 from repro.server.runtime import ServerThread
 from repro.server.server import QueryServer
 from repro.server.sessions import ConnectionState, SessionRegistry
+
+# A serving process never runs the wire clients.
+__getattr__, __dir__ = lazy_exports(
+    __name__, {"repro.server.client": ("AsyncClient", "BlockingClient")}
+)[:2]
 
 __all__ = [
     "AsyncClient",

@@ -25,6 +25,12 @@ class TestFacts:
         program = parse_program("delta(0 - 3).")
         assert program.facts[0].values == (-3,)
 
+    def test_literal_kinds_keep_their_values_and_types(self):
+        program = parse_program('m(-3, -1.5, 7, "a, b", \'c.d\', e_F).')
+        values = program.facts[0].values
+        assert values == (-3, -1.5, 7, "a, b", "c.d", "e_F")
+        assert [type(v) for v in values] == [int, float, int, str, str, str]
+
     def test_nonground_fact_rejected(self):
         with pytest.raises(ParseError):
             parse_program("edge(X, 2).")
@@ -124,6 +130,52 @@ class TestErrors:
     def test_missing_operator_in_builtin(self):
         with pytest.raises(ParseError):
             parse_program("r(X) :- num(X), X.")
+
+
+class TestErrorPositions:
+    """Line and column come from the character offset of the error."""
+
+    def test_multi_line_string_does_not_skew_later_lines(self):
+        with pytest.raises(ParseError) as info:
+            parse_program('a("x\ny").\nb(1) :- .')
+        assert (info.value.line, info.value.column) == (3, 9)
+
+    def test_error_inside_a_run_of_bulk_facts_is_the_offending_clause(self):
+        lines = [f"edge({i}, {i + 1})." for i in range(1000)]
+        lines[612] = "edge(612, X)."
+        with pytest.raises(ParseError, match="must be ground") as info:
+            parse_program("\n".join(lines))
+        assert (info.value.line, info.value.column) == (613, 13)
+
+    def test_arity_clash_is_a_parse_error_at_the_fact(self):
+        lines = [f"edge({i}, {i + 1})." for i in range(50)]
+        lines[31] = "  edge(31, 32, 33)."
+        with pytest.raises(ParseError, match="arity 3, previously 2") as info:
+            parse_program("\n".join(lines))
+        assert (info.value.line, info.value.column) == (32, 19)
+        assert isinstance(info.value, ValueError)  # what callers caught before
+
+    def test_missing_dot_points_where_the_dot_belongs(self):
+        with pytest.raises(ParseError, match="expected '.' or ':-'") as info:
+            parse_program("edge(1, 2)\nedge(2, 3).")
+        assert (info.value.line, info.value.column) == (1, 11)
+
+
+class TestPercent:
+    """``%`` always starts a comment; there is no textual modulo."""
+
+    def test_mid_line_percent_is_a_comment(self):
+        program = parse_program(
+            "r(X) :- n(X), % X % 2 == 0,\n        X < 4.\nn(1). % n(2).\n"
+        )
+        assert len(program.rules[0].body) == 2
+        assert [fact.values for fact in program.facts] == [(1,)]
+
+    def test_modulo_is_an_error_on_its_own_line(self):
+        source = "n(1).\neven(X) :- n(X), Y = X % 2, Y == 0.\nn(2).\nn(3).\n"
+        with pytest.raises(ParseError, match="expected DOT") as info:
+            parse_program(source)
+        assert (info.value.line, info.value.column) == (2, 23)
 
 
 class TestEndToEnd:
