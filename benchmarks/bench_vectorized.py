@@ -12,11 +12,13 @@ and enforces its headline guarantees:
   analysis (the paper's Fig. 1 program; three mutually recursive
   relations).  Measured ~10x: CSPA's self-joins are exactly the shape the
   batch hash-join was built for.
-* ``test_jit_lambda_tracks_vectorized_interpreter`` — lambda artifacts are
-  the interpreter's own block kernels stitched at compile time, so on
-  hand-optimised plans the lambda JIT may cost at most 1.25x the
-  interpreted+vectorized time (reordering and freshness tests are all it
-  adds), bit-for-bit equal.  Both sides interpret with the vectorized
+* ``test_jit_backend_tracks_vectorized_interpreter`` — lambda, quotes and
+  bytecode artifacts are the interpreter's own block kernels stitched at
+  compile time (the backends differ only in how each comprehension's text
+  becomes code), so on hand-optimised plans each JIT backend may cost at
+  most 1.25x the interpreted+vectorized time (reordering, freshness tests
+  and its compiler invocations are all it adds), bit-for-bit equal.  Both
+  sides interpret with the vectorized
   executor: the seed stage is never compiled, and under the default
   pushdown interpreter its 10k-row scan alone is ~16 ms of the closure's
   ~65 ms (that configuration is the ``jit-lambda``/``pushdown`` trajectory
@@ -112,31 +114,33 @@ def test_duplicate_heavy_join_is_distinct_priced():
     )
 
 
-#: Paired rounds of (interpreted+vectorized, jit-lambda), timed back to
+#: Paired rounds of (interpreted+vectorized, jit-<backend>), timed back to
 #: back so machine drift cancels inside each ratio; the gate takes the median.
-LAMBDA_ROUNDS = 5
-LAMBDA_CEILING = 1.25
+JIT_ROUNDS = 5
+JIT_CEILING = 1.25
 
 
+@pytest.mark.parametrize("backend", ["lambda", "quotes", "bytecode"])
 @pytest.mark.parametrize("workload", [
     tc_workload(edge_count=EDGES_10K, nodes=NODES_10K),
     cspa_workload("cspa_small"),
 ], ids=lambda workload: workload[0])
-def test_jit_lambda_tracks_vectorized_interpreter(workload):
-    """Acceptance: lambda JIT <= 1.25x interpreted+vectorized, bit-for-bit."""
+def test_jit_backend_tracks_vectorized_interpreter(workload, backend):
+    """Acceptance: each JIT backend <= 1.25x interpreted+vectorized,
+    bit-for-bit."""
     name, build_program, relation = workload
     interpreted = EngineConfig.interpreted().with_(executor="vectorized")
-    compiled = EngineConfig.jit("lambda").with_(executor="vectorized")
+    compiled = EngineConfig.jit(backend).with_(executor="vectorized")
     _measure(build_program, relation, interpreted, 1)  # warm-up, untimed
     ratios = []
-    for _ in range(LAMBDA_ROUNDS):
+    for _ in range(JIT_ROUNDS):
         base_seconds, base_rows, _ = _measure(build_program, relation, interpreted, 1)
         jit_seconds, jit_rows, _ = _measure(build_program, relation, compiled, 1)
-        assert jit_rows == base_rows, "lambda artifacts diverged from the interpreter"
+        assert jit_rows == base_rows, f"{backend} artifacts diverged from the interpreter"
         ratios.append(jit_seconds / base_seconds)
     ratio = statistics.median(ratios)
-    assert ratio <= LAMBDA_CEILING, (
-        f"jit-lambda {ratio:.2f}x interpreted+vectorized on {name} "
+    assert ratio <= JIT_CEILING, (
+        f"jit-{backend} {ratio:.2f}x interpreted+vectorized on {name} "
         f"(median of {[f'{r:.2f}' for r in ratios]})"
     )
 

@@ -22,14 +22,18 @@ python -m pytest -x -q \
     benchmarks/bench_incremental.py::test_heavy_retract_is_cone_priced
 
 echo
-echo "== vectorized acceptance benchmarks (CSPA) =="
+echo "== vectorized acceptance benchmarks (CSPA, tc_10k JIT backends) =="
 # The block kernels beat pushdown >= 3x on CSPA, and — a count, so it cannot
 # flake — hand the head projection <= 1.5 candidate rows per row it returns
 # on the duplicate-heavy hand-optimised order (the join steps emit distinct
 # rows; nothing de-duplicates a materialised candidate list afterwards).
+# The quotes and bytecode artifacts run those same kernels: each stays
+# within 1.25x of the vectorized interpreter on the 10k-edge closure.
 python -m pytest -x -q \
     benchmarks/bench_vectorized.py::test_vectorized_speedup_on_cspa \
-    benchmarks/bench_vectorized.py::test_duplicate_heavy_join_is_distinct_priced
+    benchmarks/bench_vectorized.py::test_duplicate_heavy_join_is_distinct_priced \
+    "benchmarks/bench_vectorized.py::test_jit_backend_tracks_vectorized_interpreter[tc_10k-quotes]" \
+    "benchmarks/bench_vectorized.py::test_jit_backend_tracks_vectorized_interpreter[tc_10k-bytecode]"
 
 echo
 echo "== subsystem smoke benches (perf trajectory -> BENCH.json) =="

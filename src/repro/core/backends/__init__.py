@@ -1,18 +1,23 @@
 """Compilation targets (paper §V-C).
 
 Four backends turn an (already join-ordered) set of sub-query plans into an
-executable artifact, trading expressiveness, safety and compilation overhead
-against each other exactly as the paper describes:
+executable artifact.  Three of them run the very block kernels the
+vectorized interpreter runs (:func:`~repro.relational.operators.lower_plan`:
+one generated comprehension per positive atom) and differ only in how each
+comprehension's text becomes a callable — the compile-cost trade-off the
+paper describes:
 
-* :class:`QuotesBackend` — generate Python source and invoke the host
-  compiler (``compile`` on text).  Most expressive/safe, highest overhead,
-  supports "snippet" compilation with continuations back to the interpreter.
-* :class:`BytecodeBackend` — construct a Python ``ast`` and compile it
-  directly, skipping the textual front end.  Cheaper, not revertible.
-* :class:`LambdaBackend` — stitch precompiled closures; no compiler
-  invocation at all, but limited to the predefined combinators.
+* :class:`QuotesBackend` — ``compile()`` the source text on every
+  invocation.  Most expressive/safe, highest overhead, supports "snippet"
+  compilation with continuations back to the interpreter.
+* :class:`BytecodeBackend` — ``compile()`` a syntax tree parsed once per
+  distinct text, skipping the textual front end.  Cheaper, not revertible.
+* :class:`LambdaBackend` — reuse the code objects compiled the first time
+  any plan had the shape; no compiler invocation after that, but limited
+  to the predefined combinators.
 * :class:`IRGeneratorBackend` — regenerate the IR (the reordered plans) and
-  hand it back to the interpreter; minimal overhead, minimal specialization.
+  hand it back to the configured interpreter; minimal overhead, minimal
+  specialization.
 """
 
 from repro._lazy import lazy_exports

@@ -4,11 +4,17 @@ from __future__ import annotations
 
 import time
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import import_module
 from typing import Callable, List, Optional, Sequence, Set, Tuple
 
-from repro.relational.operators import JoinPlan, SubqueryEvaluator
+from repro.relational.operators import (
+    BlockKernel,
+    JoinPlan,
+    KernelCompiler,
+    SubqueryEvaluator,
+    _compile_kernel,
+)
 from repro.relational.relation import Row
 from repro.relational.storage import StorageManager
 
@@ -32,6 +38,9 @@ class CompiledArtifact:
     compile_seconds: float
     mode: str = "full"
     node_id: Optional[int] = None
+    #: The block kernels the artifact runs, one per plan (empty for irgen
+    #: and snippet artifacts).
+    kernels: Tuple[BlockKernel, ...] = ()
 
     def __call__(self, storage: StorageManager) -> Set[Row]:
         return self.function(storage)
@@ -53,10 +62,8 @@ class Backend(ABC):
         self,
         plans: Sequence[JoinPlan],
         storage: StorageManager,
-        use_indexes: bool = True,
         mode: str = "full",
         continuations: Optional[Sequence[ArtifactFunction]] = None,
-        label: str = "node",
         evaluator: Optional[SubqueryEvaluator] = None,
     ) -> CompiledArtifact:
         """Compile ``plans`` (already join-ordered) into an artifact.
@@ -68,20 +75,60 @@ class Backend(ABC):
 
         ``evaluator`` is the configured interpreter of the execution the
         artifact will run in (style, executor, tracer, governor, batch
-        counters): ``irgen`` artifacts interpret on it, ``lambda`` artifacts
-        are its block kernels; the code-generating backends ignore it.
+        counters): ``irgen`` artifacts interpret on it, every other
+        backend's artifacts are its block kernels.
         """
 
-    def _index_view(self, storage: StorageManager, use_indexes: bool):
-        if not use_indexes:
-            return lambda relation, column: False
-        return lambda relation, column: column in storage.registered_indexes(relation)
+    def _staged(self, plans: Sequence[JoinPlan], storage: StorageManager,
+                evaluator: Optional[SubqueryEvaluator],
+                compile_kernel: KernelCompiler = _compile_kernel,
+                ) -> CompiledArtifact:
+        """The full artifact of a kernel-compiling backend: every plan
+        lowered on ``evaluator`` to its block kernel, each generated
+        comprehension made callable by ``compile_kernel``."""
+        interpreter = evaluator if evaluator is not None else SubqueryEvaluator(storage)
+        start = time.perf_counter()
+        kernels = tuple(interpreter.lower(plan, compile_kernel) for plan in plans)
+        function = _union_of(kernels)
+        return CompiledArtifact(
+            function=function,
+            backend=self.name,
+            plans=tuple(plans),
+            compile_seconds=time.perf_counter() - start,
+            kernels=kernels,
+        )
+
+    def _snippet(self, plans: Sequence[JoinPlan],
+                 build: Callable[[], ArtifactFunction]) -> CompiledArtifact:
+        """A snippet-mode artifact: ``build()`` splices the continuations."""
+        function, seconds = self._timed(build)
+        return CompiledArtifact(
+            function=function,
+            backend=self.name,
+            plans=tuple(plans),
+            compile_seconds=seconds,
+            mode="snippet",
+        )
 
     @staticmethod
     def _timed(fn: Callable[[], ArtifactFunction]) -> Tuple[ArtifactFunction, float]:
         start = time.perf_counter()
         artifact = fn()
         return artifact, time.perf_counter() - start
+
+
+def _union_of(functions: Sequence[ArtifactFunction]) -> ArtifactFunction:
+    """One artifact returning the union of ``functions``' rows."""
+    if len(functions) == 1:
+        return functions[0]
+
+    def union(storage: StorageManager) -> Set[Row]:
+        out: Set[Row] = set()
+        for function in functions:
+            out |= function(storage)
+        return out
+
+    return union
 
 
 #: Configuration name -> (module, class).  ``get_backend`` imports the module

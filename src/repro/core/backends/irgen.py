@@ -33,10 +33,8 @@ class IRGeneratorBackend(Backend):
         self,
         plans: Sequence[JoinPlan],
         storage: StorageManager,
-        use_indexes: bool = True,
         mode: str = "full",
         continuations: Optional[Sequence[ArtifactFunction]] = None,
-        label: str = "node",
         evaluator: Optional[SubqueryEvaluator] = None,
     ) -> CompiledArtifact:
         plan_tuple = tuple(plans)

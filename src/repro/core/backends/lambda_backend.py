@@ -17,37 +17,23 @@ is just closure construction over cached code objects, and the
 specialization is limited to what the combinators support: the trade-off
 described in §V-C3, with the "precompiled" set filled on demand.
 
-Indexes are a run-time decision of the join kernel (it probes whatever
-index the relation carries when the batch arrives), so ``use_indexes`` has
-nothing to select here.
+Like every kernel-running artifact, the join kernels probe whatever index
+the relation carries when the batch arrives; which indexes exist is the
+engine's decision (``EngineConfig.use_indexes``), not the backend's.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Set
+from typing import Optional, Sequence
 
 from repro.core.backends.base import (
     ArtifactFunction,
     Backend,
     CompiledArtifact,
+    _union_of,
 )
 from repro.relational.operators import JoinPlan, SubqueryEvaluator
-from repro.relational.relation import Row
 from repro.relational.storage import StorageManager
-
-
-def _union_of(functions: Sequence[ArtifactFunction]) -> ArtifactFunction:
-    """One artifact returning the union of ``functions``' rows."""
-    if len(functions) == 1:
-        return functions[0]
-
-    def union(storage: StorageManager) -> Set[Row]:
-        out: Set[Row] = set()
-        for function in functions:
-            out |= function(storage)
-        return out
-
-    return union
 
 
 class LambdaBackend(Backend):
@@ -61,24 +47,10 @@ class LambdaBackend(Backend):
         self,
         plans: Sequence[JoinPlan],
         storage: StorageManager,
-        use_indexes: bool = True,
         mode: str = "full",
         continuations: Optional[Sequence[ArtifactFunction]] = None,
-        label: str = "node",
         evaluator: Optional[SubqueryEvaluator] = None,
     ) -> CompiledArtifact:
-        interpreter = evaluator if evaluator is not None else SubqueryEvaluator(storage)
-
-        def build() -> ArtifactFunction:
-            if mode == "snippet" and continuations is not None:
-                return _union_of(tuple(continuations))
-            return _union_of([interpreter.lower(plan) for plan in plans])
-
-        function, seconds = self._timed(build)
-        return CompiledArtifact(
-            function=function,
-            backend=self.name,
-            plans=tuple(plans),
-            compile_seconds=seconds,
-            mode=mode,
-        )
+        if mode != "snippet" or continuations is None:
+            return self._staged(plans, storage, evaluator)
+        return self._snippet(plans, lambda: _union_of(tuple(continuations)))

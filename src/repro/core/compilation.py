@@ -42,6 +42,7 @@ class _NodeState:
     snapshot: Optional[CardinalitySnapshot] = None
     future: Optional[Future] = None
     future_snapshot: Optional[CardinalitySnapshot] = None
+    future_label: str = ""
 
 
 class CompilationManager:
@@ -95,7 +96,7 @@ class CompilationManager:
                 state.artifact = artifact
                 state.snapshot = state.future_snapshot
                 state.future = None
-                self._record_event(artifact, asynchronous=True)
+                self._record_event(artifact, state.future_label, asynchronous=True)
             return state.artifact
 
     def artifact_snapshot(self, node_id: int) -> Optional[CardinalitySnapshot]:
@@ -120,11 +121,12 @@ class CompilationManager:
 
     # -- compilation -----------------------------------------------------------
 
-    def _record_event(self, artifact: CompiledArtifact, asynchronous: bool) -> None:
+    def _record_event(self, artifact: CompiledArtifact, label: str,
+                      asynchronous: bool) -> None:
         self.events.append(
             CompilationEvent(
                 node_id=artifact.node_id if artifact.node_id is not None else -1,
-                label=str(artifact.node_id),
+                label=label,
                 backend=artifact.backend,
                 mode=artifact.mode,
                 seconds=artifact.compile_seconds,
@@ -139,16 +141,18 @@ class CompilationManager:
         plans: Sequence[JoinPlan],
         storage: StorageManager,
         snapshot: CardinalitySnapshot,
-        use_indexes: bool = True,
         mode: str = "full",
         continuations: Optional[Sequence[ArtifactFunction]] = None,
         label: str = "node",
         evaluator: Optional[SubqueryEvaluator] = None,
     ) -> CompiledArtifact:
-        """Blocking compilation: compile, cache and return the artifact."""
+        """Blocking compilation: compile, cache and return the artifact.
+
+        ``label`` names the node (relation or rule) in the recorded event.
+        """
         artifact = self.backend.compile_plans(
-            plans, storage, use_indexes=use_indexes, mode=mode,
-            continuations=continuations, label=label, evaluator=evaluator,
+            plans, storage, mode=mode, continuations=continuations,
+            evaluator=evaluator,
         )
         artifact.node_id = node_id
         with self._lock:
@@ -157,7 +161,7 @@ class CompilationManager:
             state.snapshot = snapshot
             state.future = None
             state.future_snapshot = None
-        self._record_event(artifact, asynchronous=False)
+        self._record_event(artifact, label, asynchronous=False)
         return artifact
 
     def compile_async(
@@ -166,7 +170,6 @@ class CompilationManager:
         plans: Sequence[JoinPlan],
         storage: StorageManager,
         snapshot: CardinalitySnapshot,
-        use_indexes: bool = True,
         mode: str = "full",
         continuations: Optional[Sequence[ArtifactFunction]] = None,
         label: str = "node",
@@ -175,8 +178,8 @@ class CompilationManager:
         """Submit a background compilation unless one is already pending."""
         if self._executor is None:
             # Misconfiguration guard: degrade to blocking compilation.
-            self.compile_now(node_id, plans, storage, snapshot, use_indexes,
-                             mode, continuations, label, evaluator)
+            self.compile_now(node_id, plans, storage, snapshot, mode,
+                             continuations, label, evaluator)
             return
         with self._lock:
             state = self._state(node_id)
@@ -185,8 +188,7 @@ class CompilationManager:
 
             def job() -> CompiledArtifact:
                 artifact = self.backend.compile_plans(
-                    plans, storage, use_indexes=use_indexes, mode=mode,
-                    continuations=continuations, label=label,
+                    plans, storage, mode=mode, continuations=continuations,
                     evaluator=evaluator,
                 )
                 artifact.node_id = node_id
@@ -194,6 +196,7 @@ class CompilationManager:
 
             state.future = self._executor.submit(job)
             state.future_snapshot = snapshot
+            state.future_label = label
 
     def total_compile_seconds(self) -> float:
         return sum(event.seconds for event in self.events)

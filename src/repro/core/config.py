@@ -78,7 +78,8 @@ class ShardingConfig:
     shard's plans are frozen for the whole fixpoint, so — unlike the
     adaptive single-shard JIT, which must keep re-deciding — one compilation
     per shard at setup amortises over every round.  ``"auto"`` compiles with
-    the ``bytecode`` backend in interpreted mode, the configured JIT backend
+    the ``bytecode`` backend (block kernels, like every code-generating
+    backend) in interpreted mode, the configured JIT backend
     in JIT mode, and interprets the (pre-reordered) plans in AOT mode;
     ``"none"`` forces pure interpretation inside workers; any backend name
     forces that backend.

@@ -100,9 +100,10 @@ class IRExecutor:
             backend = get_backend(config.backend)
             self.compilation = CompilationManager(backend, config.async_compilation)
         #: Reordered plans run as block kernels under the vectorized
-        #: interpreter and inside every lambda artifact (profiled as such).
+        #: interpreter and inside every artifact of a compiling backend —
+        #: all but irgen, which re-interprets (profiled as such).
         self._block_kernels = config.executor == "vectorized" or (
-            self.compilation is not None and config.backend == "lambda"
+            self.compilation is not None and config.backend != "irgen"
         )
 
         self._current_iteration = 0
@@ -332,7 +333,9 @@ class IRExecutor:
                 _make_continuation(plan, self.evaluator) for plan in ordered_plans
             ]
 
-        label = getattr(node, "relation", None) or getattr(node, "rule_name", None) or node.kind
+        # The relation (RelationUnionOp), the rule (UnionOp) or the leaf's rule.
+        label = (getattr(node, "relation", None) or getattr(node, "rule_name", None)
+                 or node.plan.rule_name)  # type: ignore[attr-defined]
         if self.config.async_compilation:
             self.tracer.event(
                 "compile-async", node=node.node_id, label=str(label),
@@ -340,7 +343,7 @@ class IRExecutor:
             )
             self.compilation.compile_async(
                 node.node_id, ordered_plans, self.storage, current_snapshot,
-                use_indexes=self.config.use_indexes, mode=self.config.compile_mode,
+                mode=self.config.compile_mode,
                 continuations=continuations, label=str(label),
                 evaluator=self.evaluator,
             )
@@ -352,7 +355,7 @@ class IRExecutor:
         ):
             artifact = self.compilation.compile_now(
                 node.node_id, ordered_plans, self.storage, current_snapshot,
-                use_indexes=self.config.use_indexes, mode=self.config.compile_mode,
+                mode=self.config.compile_mode,
                 continuations=continuations, label=str(label),
                 evaluator=self.evaluator,
             )

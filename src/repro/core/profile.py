@@ -59,7 +59,7 @@ class RuntimeProfile:
     compile_events: List[object] = field(default_factory=list)
     wall_seconds: float = 0.0
     result_sizes: Dict[str, int] = field(default_factory=dict)
-    #: Block-kernel counters (vectorized interpreter and lambda artifacts
+    #: Block-kernel counters (vectorized interpreter and compiled artifacts
     #: alike): evaluated batches; how each positive atom of a batch got its
     #: rows ("index": probed a live per-column index, "build": built a table
     #: for the batch because no key column carries one, "scan": unkeyed);

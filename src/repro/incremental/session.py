@@ -81,7 +81,8 @@ class _SessionShardState:
     sharded: "object"   # repro.parallel.sharded_storage.ShardedStorage
     pool: "object"      # repro.parallel.executor.WorkerPool
     #: Workers interpret through the vectorized executor (no compiled
-    #: backend), so their batch counters must be drained into the profile.
+    #: backend), so each drained batch also counts as one vectorized
+    #: sub-query evaluation.
     vectorized: bool = False
 
 
@@ -726,8 +727,7 @@ class IncrementalSession:
         backend_name = resolve_shard_backend(self.config)
         for worker in workers:
             worker.prepare(
-                backend_name, self.config.use_indexes,
-                self.config.evaluator_style, self.config.executor,
+                backend_name, self.config.evaluator_style, self.config.executor,
                 trace=self.tracer.enabled,
             )
         pool_kind = resolve_pool_kind(sharding, spec.shards)
@@ -829,10 +829,9 @@ class IncrementalSession:
             rounds_profile.record_iteration(
                 0, stats.round_index, stats.promoted, None, 0.0
             )
-        if state.vectorized:
-            from repro.parallel.executor import drain_pool_vectorized_stats
+        from repro.parallel.executor import drain_pool_vectorized_stats
 
-            drain_pool_vectorized_stats(state.pool, rounds_profile)
+        drain_pool_vectorized_stats(state.pool, rounds_profile, state.vectorized)
         state.sharded.clear_deltas()
         self.storage.clear_deltas(self.storage.relation_names())
         for name in self.storage.relation_names():

@@ -164,8 +164,8 @@ def render_analyze(
     if not analyzed:
         lines.append(
             "  no per-operator spans in the most recent trace — per-operator "
-            "actuals come from block kernels: executor='vectorized' or the "
-            "jit('lambda') backend"
+            "actuals come from block kernels: executor='vectorized' or a "
+            "compiling backend — jit('lambda'), 'quotes' or 'bytecode'"
         )
         return "\n".join(lines)
     for entry in analyzed:

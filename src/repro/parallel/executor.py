@@ -263,16 +263,21 @@ class ForkWorkerPool(WorkerPool):
             connection.close()
 
 
-def drain_pool_vectorized_stats(pool: WorkerPool, profile: RuntimeProfile) -> None:
+def drain_pool_vectorized_stats(pool: WorkerPool, profile: RuntimeProfile,
+                                interpreted: bool) -> None:
     """Fold every worker's (reset-on-read) batch counters into ``profile``.
 
     Shared by the one-shot :class:`ParallelEvaluator` pools and the
-    incremental session's persistent pool, so parallel+vectorized runs
-    report the same explain() counters as single-shard runs.
+    incremental session's persistent pool, so sharded runs report the same
+    explain() counters as single-shard runs, whether the workers' kernels
+    ran inside compiled artifacts or under the vectorized interpreter
+    (``interpreted``: each batch is then also one vectorized sub-query
+    evaluation).
     """
     for stats in pool.invoke("drain_vectorized_stats"):
         profile.absorb_block_stats(stats)
-        profile.sources.vectorized += stats.get("batches", 0)
+        if interpreted:
+            profile.sources.vectorized += stats.get("batches", 0)
 
 
 def fork_available() -> bool:
@@ -379,17 +384,17 @@ class ShardWorker:
         self.telemetry: Optional[SpanBuffer] = None
         self._round = 0
 
-    def prepare(self, backend_name: Optional[str], use_indexes: bool, style: str,
+    def prepare(self, backend_name: Optional[str], style: str,
                 executor: str = "pushdown", trace: bool = False) -> None:
         """Freeze each plan group into its evaluation closure.
 
         Must run before the pool starts (fork children inherit the compiled
         artifacts; threads share them read-only).  ``style``/``executor``
         configure the shard's interpreter: the interpreting closure runs
-        on it, and backends whose artifacts hand work back to the
-        interpreter (``irgen``) or its block kernels (``lambda``) are given
-        it too.  ``trace`` attaches a :class:`SpanBuffer` recording
-        per-round worker spans.
+        on it, and every backend's artifact either hands work back to it
+        (``irgen``) or runs its block kernels (the rest), so its batch
+        counters see every group.  ``trace`` attaches a :class:`SpanBuffer`
+        recording per-round worker spans.
         """
         self._evaluate_group = []
         self._evaluators = []
@@ -400,17 +405,15 @@ class ShardWorker:
             evaluator = SubqueryEvaluator(
                 self.storage, style, executor=executor, tracer=tracer
             )
+            self._evaluators.append(evaluator)
             if backend_name:
                 artifact = get_backend(backend_name).compile_plans(
-                    plans, self.storage, use_indexes=use_indexes,
-                    label=f"shard{self.shard_id}-{relation}",
-                    evaluator=evaluator,
+                    plans, self.storage, evaluator=evaluator,
                 )
                 self._evaluate_group.append(
                     (lambda artifact=artifact: artifact(self.storage))
                 )
             else:
-                self._evaluators.append(evaluator)
                 def interpret(plans=plans, evaluator=evaluator) -> Set[Row]:
                     rows: Set[Row] = set()
                     for plan in plans:
@@ -667,7 +670,9 @@ def resolve_shard_backend(config: EngineConfig) -> Optional[str]:
     See :class:`~repro.core.config.ShardingConfig.shard_backend`.  AOT mode
     interprets by default so its reorder-only character is preserved; the
     JIT modes keep their configured backend; interpreted mode defaults to
-    the cheap-to-invoke ``bytecode`` backend.
+    the cheap-to-invoke ``bytecode`` backend, whose artifacts run the same
+    block kernels as the vectorized executor, so a pushdown configuration's
+    shard workers run them too.
     """
     assert config.sharding is not None
     choice = config.sharding.shard_backend
@@ -851,8 +856,7 @@ class ParallelEvaluator:
         backend_name = resolve_shard_backend(self.config)
         for worker in workers:
             worker.prepare(
-                backend_name, self.config.use_indexes,
-                self.config.evaluator_style, self.config.executor,
+                backend_name, self.config.evaluator_style, self.config.executor,
                 trace=self.tracer.enabled,
             )
         pool = make_pool(pool_kind, workers)
@@ -898,8 +902,10 @@ class ParallelEvaluator:
             for shard_rows in collected:
                 for name, rows in shard_rows.items():
                     self.storage.absorb_rows(name, rows)
-            if backend_name is None and self.config.executor == "vectorized":
-                drain_pool_vectorized_stats(pool, self.profile)
+            drain_pool_vectorized_stats(
+                pool, self.profile,
+                backend_name is None and self.config.executor == "vectorized",
+            )
             if self.tracer.enabled and span is not None:
                 # Reparent worker-recorded spans onto this stratum span
                 # (fork children serialise theirs back over the pipe).

@@ -21,8 +21,9 @@ the same physical plan:
   and call the comprehension, which emits distinct rows).  There is exactly
   one implementation of those batch operators;
   :class:`VectorizedSubqueryEvaluator` runs it as an interpreter (lower on
-  first sight of a plan, then run) and the lambda JIT backend stitches its
-  artifacts from the same kernels at compile time.
+  first sight of a plan, then run) and every compiling JIT backend stitches
+  its artifacts from the same kernels at compile time — the backends differ
+  only in how a comprehension's text becomes a callable.
 """
 
 from __future__ import annotations
@@ -394,6 +395,8 @@ class PushSubqueryEvaluator:
 Rows = Union[List[Row], Set[Row]]
 #: One lowered body position: ``(storage, rows in) -> rows out``.
 Step = Callable[[StorageManager, Rows], Rows]
+#: Turns one generated comprehension's source text into its callable.
+KernelCompiler = Callable[[str], Callable[..., Rows]]
 
 #: Kernels one evaluator memoises before it starts over.
 _KERNEL_MEMO_LIMIT = 256
@@ -652,18 +655,27 @@ def _project_rows(positions: Tuple[int, ...], width: int,
 # -- generated join comprehensions ------------------------------------------------
 
 
+def kernel_filename(source: str) -> str:
+    """The file name a generated comprehension is compiled under.
+
+    The text is registered in :mod:`linecache` under that name, so a
+    traceback out of a kernel shows the comprehension.
+    """
+    filename = f"<repro-kernel:{zlib.crc32(source.encode()):08x}>"
+    linecache.cache[filename] = (len(source), None, [source + "\n"], filename)
+    return filename
+
+
 @functools.lru_cache(maxsize=None)
 def _compile_kernel(source: str) -> Callable[..., Rows]:
     """``compile()`` one generated comprehension, once per distinct text.
 
     Constants are arguments of the lambda, never part of its source, so a
     plan re-lowered after a reorder — or another rule with the same shape —
-    is a cache hit.  The text is registered in :mod:`linecache` under its
-    file name, so a traceback out of a kernel shows the comprehension.
+    is a cache hit.  ``_compile_kernel.__wrapped__`` is the same compilation
+    without the cache.
     """
-    filename = f"<repro-kernel:{zlib.crc32(source.encode()):08x}>"
-    linecache.cache[filename] = (len(source), None, [source + "\n"], filename)
-    return eval(compile(source, filename, "eval"))  # noqa: S307
+    return eval(compile(source, kernel_filename(source), "eval"))  # noqa: S307
 
 
 def _tuple_source(cells: Sequence[str]) -> str:
@@ -731,15 +743,17 @@ def _join_source(layout: JoinLayout, width: int, probe: Optional[int]) -> str:
 # -- step lowering ---------------------------------------------------------------
 
 
-def _lower_join(layout: JoinLayout, width: int,
-                stats: Dict[str, int]) -> Tuple[Step, str]:
+def _lower_join(layout: JoinLayout, width: int, stats: Dict[str, int],
+                compile_kernel: KernelCompiler = _compile_kernel,
+                ) -> Tuple[Step, str]:
     """Lower one positive atom to its batch join kernel and its source.
 
     The batch counterpart of the pushdown evaluator's per-tuple
-    probe/extend step.  Lowering generates and compiles the atom's
-    comprehension (:func:`_join_source` — one variant per key column, so
-    the kernel can probe whichever of them is indexed when the batch
-    arrives); the kernel only fetches what the comprehension iterates:
+    probe/extend step.  Lowering generates the atom's comprehension
+    (:func:`_join_source` — one variant per key column, so the kernel can
+    probe whichever of them is indexed when the batch arrives) and turns
+    each text into a callable with ``compile_kernel``; the kernel only
+    fetches what the comprehension iterates:
 
     * unkeyed (scan / cartesian / existence filter): the relation's rows,
       pre-filtered by the atom's constants through ``Relation.probe``;
@@ -758,7 +772,7 @@ def _lower_join(layout: JoinLayout, width: int,
         probe: _join_source(layout, width, probe)
         for probe in (keys if 0 < len(keys) < layout.arity else (None,))
     }
-    variants = {probe: _compile_kernel(text) for probe, text in sources.items()}
+    variants = {probe: compile_kernel(text) for probe, text in sources.items()}
     text = "\n".join(sources.values())
 
     if not keys:
@@ -992,7 +1006,8 @@ class BlockKernel:
 
 def lower_plan(plan: JoinPlan, symbols=IDENTITY, tracer=NOOP_TRACER,
                governor=NOOP_GOVERNOR,
-               stats: Optional[Dict[str, int]] = None) -> BlockKernel:
+               stats: Optional[Dict[str, int]] = None,
+               compile_kernel: KernelCompiler = _compile_kernel) -> BlockKernel:
     """Stage the block executor for one plan.
 
     Does, once, everything about evaluating ``plan`` block-at-a-time that
@@ -1001,8 +1016,10 @@ def lower_plan(plan: JoinPlan, symbols=IDENTITY, tracer=NOOP_TRACER,
     positive atom (its output written in head order when it is the last to
     produce columns, and as the result set itself when it is the last step),
     compiled term accessors for the built-ins.  The interpreter
-    (:class:`VectorizedSubqueryEvaluator`) and the lambda JIT backend run
-    the very same kernels.
+    (:class:`VectorizedSubqueryEvaluator`) and every compiling JIT backend
+    run the very same kernels; ``compile_kernel`` is how each
+    comprehension's text becomes a callable (by default compiled once per
+    distinct text in the process).
     """
     if stats is None:
         stats = new_block_stats()
@@ -1015,7 +1032,8 @@ def lower_plan(plan: JoinPlan, symbols=IDENTITY, tracer=NOOP_TRACER,
         slots = {variable: slot for slot, variable in enumerate(variables)}
         text: Optional[str] = None
         if layout is not None:
-            step, text = _lower_join(layout, len(variables), stats)
+            step, text = _lower_join(layout, len(variables), stats,
+                                     compile_kernel)
         elif isinstance(literal, Atom):
             step = _lower_negation(literal, slots, len(variables))
         elif isinstance(literal, Comparison):
@@ -1061,11 +1079,12 @@ class VectorizedSubqueryEvaluator:
         #: id(plan) -> (plan, kernel); holding the plan keeps its id unique.
         self._kernels: Dict[int, Tuple[JoinPlan, BlockKernel]] = {}
 
-    def lower(self, plan: JoinPlan) -> BlockKernel:
+    def lower(self, plan: JoinPlan,
+              compile_kernel: KernelCompiler = _compile_kernel) -> BlockKernel:
         """A kernel for ``plan`` wired to this evaluator's tracer, governor
         and counters (what a JIT backend stitches its artifacts from)."""
         return lower_plan(plan, self.symbols, self.tracer, self.governor,
-                          self.stats)
+                          self.stats, compile_kernel)
 
     def evaluate(self, plan: JoinPlan) -> Set[Row]:
         entry = self._kernels.get(id(plan))
@@ -1122,9 +1141,10 @@ class SubqueryEvaluator:
             return self._push.evaluate(plan)
         return self._pull.evaluate(plan)
 
-    def lower(self, plan: JoinPlan) -> BlockKernel:
+    def lower(self, plan: JoinPlan,
+              compile_kernel: KernelCompiler = _compile_kernel) -> BlockKernel:
         """Stage ``plan`` as a block kernel (see :func:`lower_plan`)."""
-        return self._blocks.lower(plan)
+        return self._blocks.lower(plan, compile_kernel)
 
     @property
     def vectorized_stats(self) -> Dict[str, int]:

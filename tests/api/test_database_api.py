@@ -379,6 +379,8 @@ class TestExplain:
     @pytest.mark.parametrize("config", [
         EngineConfig.interpreted().with_(executor="vectorized"),
         EngineConfig.jit("lambda"),
+        EngineConfig.jit("quotes"),
+        EngineConfig.jit("bytecode"),
     ], ids=lambda config: config.describe())
     def test_explain_prints_the_generated_comprehensions(self, config):
         """The text the kernels run, under the sub-query it was lowered from."""

@@ -109,12 +109,13 @@ class TestCompilationCorrectness:
     @pytest.mark.parametrize("name", ALL_BACKENDS)
     def test_indexes_do_not_change_results(self, name):
         storage = graph_storage()
-        unindexed = get_backend(name).compile_plans([tc_plan()], storage, use_indexes=False)
-        result_without = unindexed(storage)
+        compiled_unindexed = get_backend(name).compile_plans([tc_plan()], storage)
+        result_without = compiled_unindexed(storage)
         storage.register_index("edge", 0)
         storage.register_index("path", 1)
-        indexed = get_backend(name).compile_plans([tc_plan()], storage, use_indexes=True)
-        assert indexed(storage) == result_without
+        compiled_indexed = get_backend(name).compile_plans([tc_plan()], storage)
+        assert compiled_indexed(storage) == result_without
+        assert compiled_unindexed(storage) == result_without
 
 
 class TestLambdaBlockKernels:
@@ -241,14 +242,9 @@ class TestBackendProperties:
 
     def test_quotes_generated_source_is_attached(self):
         storage = graph_storage()
-        backend = QuotesBackend()
-        artifact = backend.compile_plans([tc_plan()], storage)
-        assert "def " in artifact.function.generated_source
-
-    def test_generate_source_without_compiling(self):
-        storage = graph_storage()
-        source = QuotesBackend().generate_source([tc_plan()], storage)
-        assert "storage.relation('path'" in source
+        artifact = QuotesBackend().compile_plans([tc_plan()], storage)
+        (kernel,) = artifact.kernels
+        assert all(text.startswith("lambda rows, src") for text in kernel.sources)
 
     def test_revertibility_flags(self):
         assert QuotesBackend.revertible and LambdaBackend.revertible
@@ -259,3 +255,103 @@ class TestBackendProperties:
         assert QuotesBackend.invokes_compiler and BytecodeBackend.invokes_compiler
         assert not LambdaBackend.invokes_compiler
         assert not IRGeneratorBackend.invokes_compiler
+
+
+class TestOneExecutor:
+    """Every compiling backend runs ``lower_plan``'s block kernels; they
+    differ only in how a comprehension's text becomes a callable."""
+
+    COMPILING = ["quotes", "bytecode", "lambda"]
+
+    @staticmethod
+    def comprehensions(artifact):
+        """The compiled comprehension callables of every join step."""
+        import inspect
+
+        found = []
+        for kernel in artifact.kernels:
+            for step in kernel.steps:
+                cells = inspect.getclosurevars(step).nonlocals
+                if "variants" in cells:
+                    found.extend(cells["variants"].values())
+                elif "run" in cells:
+                    found.append(cells["run"])
+        return found
+
+    @pytest.mark.parametrize("name", COMPILING)
+    def test_artifacts_carry_exactly_the_lowered_sources(self, name):
+        from repro.relational.operators import lower_plan
+
+        storage = graph_storage()
+        plans = [tc_plan(True), tc_plan(False), builtin_plan()]
+        artifact = get_backend(name).compile_plans(plans, storage)
+        assert [kernel.sources for kernel in artifact.kernels] == [
+            lower_plan(plan).sources for plan in plans
+        ]
+
+    @pytest.mark.parametrize("name,shared", [
+        ("quotes", False), ("bytecode", False), ("lambda", True),
+    ])
+    def test_which_backends_reuse_code_objects(self, name, shared):
+        storage = graph_storage()
+        first, second = (
+            self.comprehensions(get_backend(name).compile_plans([tc_plan()], storage))
+            for _ in range(2)
+        )
+        assert len(first) == len(second) == 2
+        for one, other in zip(first, second):
+            assert (one.__code__ is other.__code__) == shared
+            assert one.__code__.co_filename.startswith("<repro-kernel:")
+
+    def test_bytecode_snippet_request_compiles_the_kernels(self):
+        from repro.relational.operators import lower_plan
+
+        storage = graph_storage()
+        artifact = BytecodeBackend().compile_plans(
+            [tc_plan()], storage, mode="snippet", continuations=[lambda s: {(7,)}]
+        )
+        assert artifact.mode == "full"
+        assert [k.sources for k in artifact.kernels] == [lower_plan(tc_plan()).sources]
+        assert artifact(storage) == {(1, 3), (2, 4)}
+
+    def test_block_joins_are_equal_across_backends_on_cspa(self):
+        from repro.analyses.ordering import Ordering
+        from repro.analyses.registry import get_benchmark
+        from repro.core.config import EngineConfig
+        from repro.engine.engine import ExecutionEngine
+
+        spec = get_benchmark("cspa_tiny")
+        counts, results = {}, {}
+        for name in self.COMPILING:
+            engine = ExecutionEngine(spec.build(Ordering.WORST), EngineConfig.jit(name))
+            results[name] = engine.evaluate()
+            counts[name] = engine.profile.block_joins
+        assert counts["lambda"]["batches"] > 0
+        assert counts["quotes"] == counts["bytecode"] == counts["lambda"]
+        assert results["quotes"] == results["bytecode"] == results["lambda"]
+
+
+class TestCompilationEventLabels:
+    @pytest.mark.parametrize("asynchronous", [False, True])
+    @pytest.mark.parametrize("granularity", ["relation", "rule", "join"])
+    def test_events_name_the_relation_or_rule(self, granularity, asynchronous):
+        from repro.core.config import CompilationGranularity, EngineConfig
+        from repro.datalog.parser import parse_program
+        from repro.engine.engine import ExecutionEngine
+
+        # A 30-edge chain: enough iterations for an asynchronous
+        # compilation to be swapped in before the fixpoint.
+        program = parse_program(
+            " ".join(f"edge({i}, {i + 1})." for i in range(30)) + "\n"
+            "path(X, Y) :- edge(X, Y).\n"
+            "path(X, Z) :- path(X, Y), edge(Y, Z).\n"
+        )
+        config = EngineConfig.jit(
+            "quotes", granularity=CompilationGranularity(granularity),
+            asynchronous=asynchronous,
+        )
+        engine = ExecutionEngine(program, config)
+        engine.evaluate()
+        labels = {event.label for event in engine.profile.compile_events}
+        assert labels
+        assert labels <= {"path"} | {rule.name for rule in program.rules}

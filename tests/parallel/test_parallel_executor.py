@@ -278,3 +278,29 @@ class TestTermination:
         engine.evaluate()
         report = engine.parallel_report
         assert report.strata[0].rounds <= 2
+
+
+class TestShardBlockCounters:
+    """Compiled shard artifacts run block kernels; their counters reach the
+    profile just like a single-shard run's."""
+
+    def test_every_compiling_backend_reports_its_kernels(self, tc_edges, tc_reference):
+        seen = {}
+        for shards in (1, 2):
+            for backend in ("lambda", "quotes", "bytecode"):
+                config = EngineConfig.parallel(
+                    shards=shards, pool="serial", base=EngineConfig.jit(backend)
+                )
+                engine = tc_engine(tc_edges, config)
+                assert engine.evaluate()["path"] == tc_reference
+                joins = engine.profile.block_joins
+                assert joins["batches"] > 0, (shards, backend)
+                seen[shards, backend] = (joins["candidates"], joins["projected"])
+        assert len(set(seen.values())) == 1, seen
+
+    def test_default_sharded_interpretation_runs_bytecode_kernels(self, tc_edges):
+        config = EngineConfig.parallel(shards=2, pool="serial")
+        assert resolve_shard_backend(config) == "bytecode"
+        engine = tc_engine(tc_edges, config)
+        engine.evaluate()
+        assert engine.profile.block_joins["batches"] > 0

@@ -74,7 +74,5 @@ class TestCodegenProperties:
         )
         plan = build_join_plan(rule, delta_index=0)
         reference = evaluate_subquery(storage, plan)
-        artifact = get_backend(backend).compile_plans(
-            [plan], storage, use_indexes=use_indexes
-        )
+        artifact = get_backend(backend).compile_plans([plan], storage)
         assert artifact(storage) == reference
