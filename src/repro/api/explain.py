@@ -104,6 +104,7 @@ def render_explain(
             f"execution: {profile.iteration_count()} iterations, "
             f"{len(profile.compile_events)} compilations "
             f"({profile.total_compile_seconds() * 1000:.1f} ms), "
+            f"{profile.artifacts_reused} artifacts reused, "
             + sources
         )
         if profile.block_joins:
@@ -134,7 +135,8 @@ def render_explain(
                     f"  [{record.stage}] {record.rule_name}: "
                     f"{_format_order(record.decision.original_order)} -> "
                     f"{_format_order(record.decision.chosen_order)} "
-                    f"(est. cost {record.decision.estimated_cost:.1f})"
+                    f"(est. cost {record.decision.estimated_cost:.1f}"
+                    + (f", {record.reason})" if record.reason else ")")
                 )
                 shown += 1
                 if shown >= 12:

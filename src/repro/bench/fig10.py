@@ -4,7 +4,8 @@ Five configurations over the microbenchmarks, all reported as speedup over
 the unoptimized interpreted baseline: the JIT-lambda configuration at the
 lowest granularity (no information before execution), and the four macro
 combinations of {facts+rules, rules-only} × {with, without} the online
-IRGenerator re-sorter.
+IRGenerator re-sorter.  Every row also names each configuration's executor
+and whether all of them computed the baseline's result size.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from typing import Dict, List, Optional, Sequence
 from repro.analyses.ordering import Ordering
 from repro.analyses.registry import MICRO_BENCHMARKS
 from repro.bench.configurations import fig10_configurations
-from repro.bench.measurement import measure_benchmark, speedup
+from repro.bench.measurement import agreement, measure_benchmark, speedup
 from repro.core.config import EngineConfig
 
 
@@ -24,16 +25,18 @@ def run_fig10(benchmarks: Optional[Sequence[str]] = None, repeat: int = 1,
     names = list(benchmarks) if benchmarks is not None else list(MICRO_BENCHMARKS)
     rows: List[Dict[str, object]] = []
     for name in names:
-        baseline = measure_benchmark(
-            name, EngineConfig.interpreted(use_indexes), Ordering.WORST, repeat=repeat
-        )
+        baseline_config = EngineConfig.interpreted(use_indexes)
+        baseline = measure_benchmark(name, baseline_config, Ordering.WORST, repeat=repeat)
         row: Dict[str, object] = {
             "benchmark": name,
             "baseline_seconds": baseline.seconds,
         }
+        runs = [(baseline_config, baseline)]
         for label, config in fig10_configurations(use_indexes):
             measured = measure_benchmark(name, config, Ordering.WORST, repeat=repeat)
             row[label] = speedup(baseline.seconds, measured.seconds)
+            runs.append((config, measured))
+        row.update(agreement(runs))
         rows.append(row)
     return rows
 
@@ -41,5 +44,5 @@ def run_fig10(benchmarks: Optional[Sequence[str]] = None, repeat: int = 1,
 FIG10_COLUMNS = (
     "benchmark", "baseline_seconds", "JIT-lambda",
     "Macro Facts+rules (online)", "Macro Rules (online)",
-    "Macro Facts+rules", "Macro Rules",
+    "Macro Facts+rules", "Macro Rules", "executor", "equal",
 )

@@ -5,7 +5,8 @@ For each benchmark the baseline is the interpreted evaluation of the
 also runs on that same worst-ordered program (no help from the user), while
 "Hand-Optimized" runs the interpreter on the hand-optimized formulation.
 Fig. 6 covers the macrobenchmarks, Fig. 7 the microbenchmarks, each measured
-both with and without indexes.
+both with and without indexes.  Every row also names each configuration's
+executor and whether all of them computed the baseline's result size.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Dict, List, Optional, Sequence
 from repro.analyses.ordering import Ordering
 from repro.analyses.registry import MACRO_BENCHMARKS, MICRO_BENCHMARKS
 from repro.bench.configurations import jit_configurations
-from repro.bench.measurement import measure_benchmark, speedup
+from repro.bench.measurement import agreement, measure_benchmark, speedup
 from repro.core.config import EngineConfig
 
 
@@ -32,9 +33,12 @@ def _speedups_over_unoptimized(benchmarks: Sequence[str], use_indexes: bool,
         }
         hand = measure_benchmark(name, baseline_config, Ordering.OPTIMIZED, repeat=repeat)
         row["Hand-Optimized"] = speedup(baseline.seconds, hand.seconds)
+        runs = [(baseline_config, baseline), (baseline_config, hand)]
         for label, config in jit_configurations(use_indexes):
             measured = measure_benchmark(name, config, Ordering.WORST, repeat=repeat)
             row[label] = speedup(baseline.seconds, measured.seconds)
+            runs.append((config, measured))
+        row.update(agreement(runs))
         rows.append(row)
     return rows
 
@@ -63,4 +67,5 @@ FIG67_COLUMNS = (
     "benchmark", "indexes", "baseline_seconds", "Hand-Optimized",
     "JIT IRGenerator", "JIT Lambda Blocking", "JIT Bytecode Async",
     "JIT Bytecode Blocking", "JIT Quotes Async", "JIT Quotes Blocking",
+    "executor", "equal",
 )

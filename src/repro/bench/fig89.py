@@ -4,7 +4,8 @@ Here every configuration — including the JIT — runs on the *hand-optimized*
 formulation, and the baseline is its interpreted evaluation; values below 1
 mean the JIT's overhead degraded an already-good program, which is the risk
 §VI-B2 quantifies.  Fig. 8 covers the macrobenchmarks (including CSDA),
-Fig. 9 the microbenchmarks.
+Fig. 9 the microbenchmarks.  Every row also names each configuration's
+executor and whether all of them computed the baseline's result size.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from typing import Dict, List, Optional, Sequence
 from repro.analyses.ordering import Ordering
 from repro.analyses.registry import MACRO_BENCHMARKS_WITH_CSDA, MICRO_BENCHMARKS
 from repro.bench.configurations import jit_configurations
-from repro.bench.measurement import measure_benchmark, speedup
+from repro.bench.measurement import agreement, measure_benchmark, speedup
 from repro.core.config import EngineConfig
 
 
@@ -29,9 +30,12 @@ def _speedups_over_optimized(benchmarks: Sequence[str], use_indexes: bool,
             "indexes": "indexed" if use_indexes else "unindexed",
             "baseline_seconds": baseline.seconds,
         }
+        runs = [(baseline_config, baseline)]
         for label, config in jit_configurations(use_indexes):
             measured = measure_benchmark(name, config, Ordering.OPTIMIZED, repeat=repeat)
             row[label] = speedup(baseline.seconds, measured.seconds)
+            runs.append((config, measured))
+        row.update(agreement(runs))
         rows.append(row)
     return rows
 
@@ -63,4 +67,5 @@ FIG89_COLUMNS = (
     "benchmark", "indexes", "baseline_seconds",
     "JIT IRGenerator", "JIT Lambda Blocking", "JIT Bytecode Async",
     "JIT Bytecode Blocking", "JIT Quotes Async", "JIT Quotes Blocking",
+    "executor", "equal",
 )

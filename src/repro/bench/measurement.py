@@ -7,7 +7,7 @@ import math
 import time
 import tracemalloc
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.analyses.ordering import Ordering
 from repro.analyses.registry import BenchmarkSpec, get_benchmark
@@ -88,6 +88,23 @@ def measure_benchmark(name: str, config: EngineConfig,
         program, config, spec.query_relation,
         benchmark=name, ordering=Ordering(ordering).value, repeat=repeat,
     )
+
+
+def agreement(runs: Sequence[Tuple[EngineConfig, MeasurementResult]]
+              ) -> Dict[str, object]:
+    """The ``executor`` and ``equal`` columns of one paper-figure row.
+
+    ``runs`` pairs each configuration of the row with its measurement, the
+    baseline first.  ``executor`` lists every configuration's executor in
+    that order; ``equal`` says whether every ``result_size`` matches the
+    baseline's, so a configuration that computes a different fixpoint
+    cannot read as a speed-up.
+    """
+    baseline = runs[0][1].result_size
+    return {
+        "executor": ",".join(config.executor for config, _ in runs),
+        "equal": all(result.result_size == baseline for _, result in runs),
+    }
 
 
 def speedup(baseline_seconds: float, seconds: float) -> float:

@@ -115,7 +115,7 @@ def run_vectorized(
         for label, base_factory in modes:
             base = base_factory()
             pushdown_seconds, pushdown_rows, _ = _measure(
-                build_program, relation, base, repeat
+                build_program, relation, base.with_(executor="pushdown"), repeat
             )
             vectorized_seconds, vectorized_rows, profile = _measure(
                 build_program, relation,

@@ -6,7 +6,9 @@ next safe point once it is ready (paper §V-B2, §V-C1).  The manager below
 owns that machinery: per-IR-node artifact cache, pending futures, the
 cardinality snapshot each artifact was compiled against (for the freshness
 test), and a log of compilation events for the profiler and the Fig. 5
-code-generation benchmark.
+code-generation benchmark.  Every artifact a node compiled stays filed under
+the join orders it runs, so a re-plan that lands on one of them swaps it
+back in instead of compiling again (:meth:`CompilationManager.reuse`).
 """
 
 from __future__ import annotations
@@ -15,10 +17,10 @@ import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.backends.base import ArtifactFunction, Backend, CompiledArtifact
-from repro.relational.operators import JoinPlan, SubqueryEvaluator
+from repro.relational.operators import AtomSource, JoinPlan, SubqueryEvaluator
 from repro.relational.statistics import CardinalitySnapshot
 from repro.relational.storage import StorageManager
 
@@ -43,6 +45,14 @@ class _NodeState:
     future: Optional[Future] = None
     future_snapshot: Optional[CardinalitySnapshot] = None
     future_label: str = ""
+    #: Every artifact compiled for the node, by the join orders it runs.
+    orders: Dict[Tuple[Tuple[AtomSource, ...], ...], CompiledArtifact] = field(
+        default_factory=dict
+    )
+
+
+def _orders_of(plans: Sequence[JoinPlan]) -> Tuple[Tuple[AtomSource, ...], ...]:
+    return tuple(plan.sources for plan in plans)
 
 
 class CompilationManager:
@@ -96,12 +106,26 @@ class CompilationManager:
                 state.artifact = artifact
                 state.snapshot = state.future_snapshot
                 state.future = None
+                state.orders[_orders_of(artifact.plans)] = artifact
                 self._record_event(artifact, state.future_label, asynchronous=True)
             return state.artifact
 
     def artifact_snapshot(self, node_id: int) -> Optional[CardinalitySnapshot]:
         with self._lock:
             return self._state(node_id).snapshot
+
+    def reuse(self, node_id: int, plans: Sequence[JoinPlan],
+              snapshot: CardinalitySnapshot) -> Optional[CompiledArtifact]:
+        """Make the artifact ``node_id`` already compiled for ``plans``'
+        join orders current again, valid as of ``snapshot``; None when the
+        node never compiled those orders (nothing changes then)."""
+        with self._lock:
+            state = self._state(node_id)
+            artifact = state.orders.get(_orders_of(plans))
+            if artifact is not None:
+                state.artifact = artifact
+                state.snapshot = snapshot
+            return artifact
 
     def is_compiling(self, node_id: int) -> bool:
         with self._lock:
@@ -114,6 +138,7 @@ class CompilationManager:
             state = self._state(node_id)
             state.artifact = None
             state.snapshot = None
+            state.orders.clear()
             if state.future is not None and not state.future.done():
                 state.future.cancel()
             state.future = None
@@ -161,6 +186,7 @@ class CompilationManager:
             state.snapshot = snapshot
             state.future = None
             state.future_snapshot = None
+            state.orders[_orders_of(artifact.plans)] = artifact
         self._record_event(artifact, label, asynchronous=False)
         return artifact
 

@@ -110,10 +110,13 @@ class EngineConfig:
     #: binding recursion (the oracle every other executor is tested
     #: against), ``"vectorized"`` the batch executor (lowered block kernels) —
     #: ``EngineConfig.with_(executor="vectorized")`` turns it on over any
-    #: configuration.  Orthogonal to mode/backend/sharding: it changes how
-    #: interpreted sub-queries run (under the JIT: the seed stage, async
-    #: waits, snippet continuations, ``irgen`` artifacts), never what they
-    #: compute.  ``lambda`` artifacts are batch kernels either way.
+    #: configuration, and :meth:`jit` configurations start with it.
+    #: Orthogonal to mode/backend/sharding: it changes how interpreted
+    #: sub-queries run (under the JIT: the seed stage, non-recursive strata,
+    #: async waits, snippet continuations, ``irgen`` artifacts), never what
+    #: they compute.  Compiled artifacts of the other backends are block
+    #: kernels either way, so ``jit().with_(executor="pushdown")`` differs
+    #: from the default JIT only in those interpreted stages.
     executor: str = "pushdown"                 # "pushdown" or "vectorized"
     #: Dictionary-encoded storage: intern every constant into a dense int
     #: domain at load/insert time and run the whole fixpoint over int
@@ -209,7 +212,16 @@ class EngineConfig:
         use_indexes: bool = True,
         compile_mode: str = "full",
     ) -> "EngineConfig":
-        """A JIT configuration (the "JIT <backend> <blocking|async>" bars)."""
+        """A JIT configuration (the "JIT <backend> <blocking|async>" bars).
+
+        Whatever the JIT interprets — the seed stage, non-recursive strata,
+        sub-queries waiting on an asynchronous compilation, ``irgen``
+        artifacts — runs on the same block kernels its compiled artifacts
+        do (``executor="vectorized"``), so adapting never falls back to a
+        slower evaluator than the one it compiles for.
+        ``.with_(executor="pushdown")`` interprets tuple at a time instead:
+        the oracle the kernels are tested against.
+        """
         return EngineConfig(
             mode=ExecutionMode.JIT,
             backend=backend,
@@ -217,6 +229,7 @@ class EngineConfig:
             granularity=granularity,
             use_indexes=use_indexes,
             compile_mode=compile_mode,
+            executor="vectorized",
         )
 
     @staticmethod

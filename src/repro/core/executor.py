@@ -12,7 +12,14 @@ reaches a node at the configured compilation granularity, it:
    or asynchronously while the interpreter keeps making progress on the
    freshly reordered (but interpreted) plans,
 3. applies the freshness test before re-generating code for a node that
-   already has an artifact.
+   already has an artifact, and skips the code generation when the re-plan
+   lands on join orders the node has already compiled: that artifact runs
+   again (recorded as ``"reused-order"``, against ``"recompiled"``).
+
+Re-planned plans are kept per (σπ⋈ node, join order), so interpreting an
+order a second time — during an asynchronous compilation, inside an
+``irgen`` artifact, under reorder-only execution — finds the block kernel
+lowered the first time.
 
 Because all state lives in the relational storage layer, every node boundary
 is a safe point: execution can switch between interpretation and any
@@ -39,7 +46,7 @@ from repro.core.join_order import (
     storage_cardinality_view,
     storage_index_view,
 )
-from repro.core.profile import RuntimeProfile
+from repro.core.profile import ReorderRecord, RuntimeProfile
 from repro.datalog.terms import Aggregate, Variable, evaluate_aggregate
 from repro.ir.ops import (
     AggregateOp,
@@ -55,7 +62,12 @@ from repro.ir.ops import (
     SwapClearOp,
     UnionOp,
 )
-from repro.relational.operators import JoinPlan, SubqueryEvaluator, evaluate_raw_term
+from repro.relational.operators import (
+    AtomSource,
+    JoinPlan,
+    SubqueryEvaluator,
+    evaluate_raw_term,
+)
 from repro.resilience.limits import NOOP_GOVERNOR
 from repro.relational.relation import Row
 from repro.relational.statistics import SnapshotCache, StatisticsCollector
@@ -105,6 +117,11 @@ class IRExecutor:
         self._block_kernels = config.executor == "vectorized" or (
             self.compilation is not None and config.backend != "irgen"
         )
+
+        #: (σπ⋈ node id, join order) -> the first plan re-planned to it; a
+        #: repeated order hands back that object, so the evaluator's kernel
+        #: memo (keyed by plan object) lowers each order once.
+        self._orders: Dict[Tuple[int, Tuple[AtomSource, ...]], JoinPlan] = {}
 
         self._current_iteration = 0
         # Cardinality snapshots are reused across adaptive nodes within one
@@ -281,24 +298,31 @@ class IRExecutor:
             result |= self._interpret_plan(plan)
         return result
 
-    def _reorder_plans(self, nodes: Sequence[JoinProjectOp], stage: str) -> List[JoinPlan]:
+    def _reorder_plans(self, nodes: Sequence[JoinProjectOp], stage: str,
+                       ) -> Tuple[List[JoinPlan], List[ReorderRecord]]:
+        """Re-plan every node; the plans and their recorded decisions."""
         assert self.optimizer is not None
         cardinalities = storage_cardinality_view(self.storage)
         indexes = storage_index_view(self.storage)
         ordered: List[JoinPlan] = []
+        records: List[ReorderRecord] = []
         for node in nodes:
             optimized, decision = self.optimizer.optimize_plan(
                 node.plan, cardinalities, indexes
             )
-            self.profile.record_reorder(node.node_id, node.plan.rule_name, stage, decision)
+            records.append(self.profile.record_reorder(
+                node.node_id, node.plan.rule_name, stage, decision
+            ))
             if self._block_kernels:
                 # Profile how the batch executor will run the chosen order.
                 self.profile.record_block_plan(
                     node.plan.rule_name,
                     annotate_block_strategies(optimized, indexes),
                 )
-            ordered.append(optimized)
-        return ordered
+            ordered.append(
+                self._orders.setdefault((node.node_id, optimized.sources), optimized)
+            )
+        return ordered, records
 
     def _adaptive_rows(self, node: IROp, join_nodes: Sequence[JoinProjectOp],
                        stage: str) -> Set[Row]:
@@ -308,7 +332,7 @@ class IRExecutor:
 
         if self.compilation is None:
             # Pure IR regeneration (AOT+online or reorder-only execution).
-            return self._interpret_plans(self._reorder_plans(join_nodes, "jit"))
+            return self._interpret_plans(self._reorder_plans(join_nodes, "jit")[0])
 
         # The freshness test gates re-optimization: while the artifact's
         # compile-time cardinality snapshot is still representative, neither
@@ -321,11 +345,26 @@ class IRExecutor:
                 self.profile.record_compiled()
                 return artifact(self.storage)
 
-        ordered_plans = self._reorder_plans(join_nodes, "jit")
+        ordered_plans, records = self._reorder_plans(join_nodes, "jit")
+
+        # A re-plan that lands on orders this node already compiled needs no
+        # code generation: that artifact runs again, valid as of now.
+        artifact = self.compilation.reuse(
+            node.node_id, ordered_plans, current_snapshot
+        )
+        if artifact is not None:
+            for record in records:
+                record.reason = "reused-order"
+            self.profile.artifacts_reused += 1
+            self.profile.record_compiled()
+            return artifact(self.storage)
 
         if self.compilation.is_compiling(node.node_id):
             # Asynchronous compilation still running: keep interpreting.
             return self._interpret_plans(ordered_plans)
+
+        for record in records:
+            record.reason = "recompiled"
 
         continuations: Optional[List[ArtifactFunction]] = None
         if self.config.compile_mode == "snippet":

@@ -1,21 +1,21 @@
 """The runtime join-order optimization (paper §IV).
 
 Given one conjunctive sub-query (a :class:`~repro.relational.operators.JoinPlan`)
-and a *live* view of relation cardinalities, the optimizer picks a left-deep
-order of the positive atoms greedily:
+and a *live* view of relation cardinalities, the optimizer picks the
+left-deep order of the positive atoms with the lowest estimated cost.  An
+order's cost is the sum, position by position, of joining the next atom
+against the current intermediate result; that step cost combines the atom's
+cardinality, the number of join conditions with already-bound variables
+(constant reduction factor per condition), whether a bound column is
+indexed, and a penalty for Cartesian products (no shared variable).  An
+empty delta atom makes everything after it free, so placing it first
+short-circuits the join (the paper's iteration-7 example).
 
-1. Start with the cheapest atom: smallest cardinality, preferring the delta
-   atom when its cardinality is competitive (it is usually the smallest and
-   shrinks over time — and when it is empty the whole sub-query is empty, so
-   putting it first short-circuits the join, the paper's iteration-7 example).
-2. Repeatedly append the atom with the lowest estimated join cost against the
-   current intermediate result, where cost combines the atom's cardinality,
-   the number of join conditions with already-bound variables (constant
-   reduction factor per condition), whether the joined column is indexed, and
-   a penalty for Cartesian products (no shared variable).
-
-Built-in literals and negated atoms are re-interleaved afterwards at the
-earliest legal position, so the optimizer never produces an unsafe order.
+Up to ``exhaustive_limit`` atoms the cheapest order is found exactly, by
+branch-and-bound over order prefixes; longer rules are ordered greedily
+(cheapest next step, delta atom first on a tie).  Built-in literals and
+negated atoms are re-interleaved afterwards at the earliest legal position,
+so the optimizer never produces an unsafe order.
 
 The same algorithm serves every stage: ahead-of-time (only rule schema →
 cardinalities all zero, selectivity/Cartesian avoidance decide), query
@@ -26,7 +26,7 @@ cardinalities of the current iteration).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, List, Sequence, Tuple
 
 from repro.datalog.literals import Atom
 from repro.datalog.terms import Constant, Variable
@@ -113,13 +113,14 @@ class JoinOrderOptimizer:
     only the three inputs the paper lists: input relation cardinality, index
     availability and a constant selectivity reduction factor.
 
-    For sub-queries with at most ``exhaustive_limit`` positive atoms every
-    left-deep order is costed and the cheapest wins (the factorial is tiny);
-    longer rules — the paper mentions a 9-atom rule — fall back to the greedy
-    construction.  Assignment literals participate in the cost model: once an
-    order binds an assignment's inputs, its target counts as bound for the
-    remaining atoms, which is what lets the optimizer turn a relation scan
-    into an indexed membership probe (e.g. the Primes composite rule).
+    For sub-queries with at most ``exhaustive_limit`` positive atoms the
+    cheapest left-deep order is found exactly, by branch-and-bound over
+    order prefixes (Selinger et al., SIGMOD 1979); longer rules — the paper
+    mentions a 9-atom rule — fall back to the greedy construction.
+    Assignment literals participate in the cost model: once an order binds
+    an assignment's inputs, its target counts as bound for the remaining
+    atoms, which is what lets the optimizer turn a relation scan into an
+    indexed membership probe (e.g. the Primes composite rule).
     """
 
     selectivity: SelectivityModel = field(default_factory=SelectivityModel)
@@ -128,141 +129,148 @@ class JoinOrderOptimizer:
 
     # -- cost helpers ----------------------------------------------------------
 
-    def _atom_cardinality(self, source: AtomSource, cardinalities: CardinalityView) -> int:
-        atom = source.literal
-        assert isinstance(atom, Atom)
-        kind = source.kind or DatabaseKind.DERIVED
-        return cardinalities(atom.relation, kind)
+    def _prepare(self, sources: Sequence[AtomSource],
+                 cardinalities: CardinalityView, indexes: IndexView,
+                 assignments: Sequence[Any]) -> Tuple[List[tuple], List[Tuple[int, int]]]:
+        """What the cost of each atom depends on, read once per search.
 
-    def _bound_conditions(self, atom: Atom, bound: Set[Variable]) -> int:
-        """Number of equality conditions usable when joining ``atom`` next."""
-        conditions = 0
-        seen: Set[Variable] = set()
-        for term in atom.terms:
-            if isinstance(term, Constant):
-                conditions += 1
-            elif isinstance(term, Variable):
-                if term in bound:
-                    conditions += 1
-                elif term in seen:
-                    conditions += 1  # repeated variable within the atom
-                seen.add(term)
-        return conditions
+        Variables become bits of one int, so a search step is integer
+        arithmetic.  An atom is ``(source, cardinality, fixed, first,
+        indexed, indexed_vars, binds)``: its equality conditions are the
+        ``fixed`` ones (constants, repeats of a variable within the atom)
+        plus one per ``first`` occurrence of a bound variable; a constant on
+        an indexed column sets ``indexed``, a bound variable of
+        ``indexed_vars`` does so too.  An assignment is ``(input bits,
+        target bit)``.
+        """
+        bits: Dict[Variable, int] = {}
 
-    def _has_indexed_bound_column(self, atom: Atom, bound: Set[Variable],
-                                  indexes: IndexView) -> bool:
-        for position, term in enumerate(atom.terms):
-            bound_here = isinstance(term, Constant) or (
-                isinstance(term, Variable) and term in bound
-            )
-            if bound_here and indexes(atom.relation, position):
-                return True
-        return False
+        def mask(variables: Any) -> int:
+            out = 0
+            for variable in variables:
+                out |= bits.setdefault(variable, 1 << len(bits))
+            return out
 
-    # -- the algorithm ---------------------------------------------------------
+        atoms = []
+        for source in sources:
+            atom = source.literal
+            assert isinstance(atom, Atom)
+            fixed = first = indexed_vars = binds = 0
+            indexed = False
+            for position, term in enumerate(atom.terms):
+                if isinstance(term, Constant):
+                    fixed += 1
+                    indexed = indexed or indexes(atom.relation, position)
+                elif isinstance(term, Variable):
+                    bit = bits.setdefault(term, 1 << len(bits))
+                    if first & bit:
+                        fixed += 1  # repeated variable within the atom
+                    first |= bit
+                    if indexes(atom.relation, position):
+                        indexed_vars |= bit
+                else:  # a computed term binds what it mentions
+                    binds |= mask(term.variables())
+            cardinality = cardinalities(atom.relation, source.kind or DatabaseKind.DERIVED)
+            atoms.append((source, cardinality, fixed, first, indexed,
+                          indexed_vars, binds | first))
+        fires = [(mask(a.input_variables()), mask((a.target,))) for a in assignments]
+        return atoms, fires
 
-    def _fire_assignments(self, bound: Set[Variable],
-                          pending: List[Any]) -> None:
-        """Add the targets of assignments whose inputs are bound (to fixpoint)."""
+    @staticmethod
+    def _fire(bound: int, fires: Sequence[Tuple[int, int]]) -> int:
+        """``bound`` plus the targets of assignments whose inputs are bound
+        (to fixpoint)."""
         changed = True
         while changed:
             changed = False
-            for assignment in list(pending):
-                if assignment.input_variables() <= bound:
-                    bound.add(assignment.target)
-                    pending.remove(assignment)
+            for inputs, target in fires:
+                if not inputs & ~bound and not target & bound:
+                    bound |= target
                     changed = True
+        return bound
 
-    def _cost_of_order(
-        self,
-        order: Sequence[AtomSource],
-        cardinalities: CardinalityView,
-        indexes: IndexView,
-        assignments: Sequence[Any],
-    ) -> float:
-        """Total estimated cost of evaluating ``order`` left to right."""
-        bound: Set[Variable] = set()
-        pending = list(assignments)
-        self._fire_assignments(bound, pending)
-        total = 0.0
-        intermediate = 1.0
-        for source in order:
-            atom = source.literal
-            assert isinstance(atom, Atom)
-            cardinality = self._atom_cardinality(source, cardinalities)
-            conditions = self._bound_conditions(atom, bound)
-            indexed = self._has_indexed_bound_column(atom, bound, indexes)
-            total += self.selectivity.join_cost(intermediate, cardinality, conditions, indexed)
-            produced = self.selectivity.output_cardinality(cardinality, conditions)
-            intermediate = intermediate * max(produced, 0.0)
-            bound.update(atom.variables())
-            self._fire_assignments(bound, pending)
-        return total
+    def _step(self, atom: tuple, bound: int, intermediate: float) -> Tuple[float, float]:
+        """Cost of joining ``atom`` next onto ``intermediate`` rows that bind
+        ``bound``, and the estimated intermediate size after it."""
+        _source, cardinality, fixed, first, indexed, indexed_vars, _binds = atom
+        conditions = fixed + bin(bound & first).count("1")
+        indexed = indexed or bool(bound & indexed_vars)
+        cost = self.selectivity.join_cost(intermediate, cardinality, conditions, indexed)
+        produced = self.selectivity.output_cardinality(cardinality, conditions)
+        return cost, intermediate * max(produced, 0.0)
 
-    def _estimated_rows(
-        self,
-        order: Sequence[AtomSource],
-        cardinalities: CardinalityView,
-        indexes: IndexView,
-        assignments: Sequence[Any],
-    ) -> Tuple[float, ...]:
-        """Per-position intermediate cardinalities of ``order`` (the same
-        running estimate :meth:`_cost_of_order` tracks), recorded into the
-        :class:`OrderingDecision` for EXPLAIN ANALYZE."""
-        bound: Set[Variable] = set()
-        pending = list(assignments)
-        self._fire_assignments(bound, pending)
-        intermediate = 1.0
-        estimates: List[float] = []
-        for source in order:
-            atom = source.literal
-            assert isinstance(atom, Atom)
-            cardinality = self._atom_cardinality(source, cardinalities)
-            conditions = self._bound_conditions(atom, bound)
-            produced = self.selectivity.output_cardinality(cardinality, conditions)
-            intermediate = intermediate * max(produced, 0.0)
-            estimates.append(intermediate)
-            bound.update(atom.variables())
-            self._fire_assignments(bound, pending)
-        return tuple(estimates)
+    # -- the algorithm ---------------------------------------------------------
+    #
+    # Both searches return the total estimated cost of their order, summed
+    # left to right, and the order as ``(atom, intermediate size after it)``
+    # pairs: what the :class:`OrderingDecision` records for EXPLAIN ANALYZE.
 
-    def _greedy_order(
-        self,
-        sources: Sequence[AtomSource],
-        cardinalities: CardinalityView,
-        indexes: IndexView,
-        assignments: Sequence[Any],
-    ) -> List[AtomSource]:
-        remaining = list(sources)
-        ordered: List[AtomSource] = []
-        bound: Set[Variable] = set()
-        pending = list(assignments)
-        self._fire_assignments(bound, pending)
-        intermediate = 1.0
+    def _branch_and_bound(self, atoms: Sequence[tuple], fires: Sequence[Tuple[int, int]],
+                          ) -> Tuple[float, List[Tuple[tuple, float]]]:
+        """The cheapest order, without costing every permutation.
 
-        def candidate_key(source: AtomSource) -> Tuple[float, int]:
-            atom = source.literal
-            assert isinstance(atom, Atom)
-            cardinality = self._atom_cardinality(source, cardinalities)
-            conditions = self._bound_conditions(atom, bound)
-            indexed = self._has_indexed_bound_column(atom, bound, indexes)
-            cost = self.selectivity.join_cost(intermediate, cardinality, conditions, indexed)
-            delta_preference = 0 if (self.prefer_delta_first and source.is_delta()) else 1
-            return (cost, delta_preference)
+        Prefixes are extended depth-first in ``itertools.permutations``
+        order, each carrying its running cost, intermediate size and bound
+        variables, and one is dropped as soon as its cost is not below the
+        best complete order's.  Every ``join_cost`` term is non-negative, so
+        no extension of a dropped prefix could win; and a later order
+        replaces the best only when strictly cheaper, so the result — ties
+        included — is exactly the first cheapest permutation.
+        """
+        best: List[Any] = [float("inf"), None]
+        prefix: List[Tuple[tuple, float]] = []
+
+        def extend(remaining: List[tuple], bound: int, total: float,
+                   intermediate: float) -> None:
+            if not remaining:
+                best[:] = total, list(prefix)
+            for i, atom in enumerate(remaining):
+                cost, after = self._step(atom, bound, intermediate)
+                if not total + cost < best[0]:  # NaN prefixes drop too
+                    continue
+                prefix.append((atom, after))
+                extend(remaining[:i] + remaining[i + 1:],
+                       self._fire(bound | atom[6], fires), total + cost, after)
+                prefix.pop()
+
+        extend(list(atoms), self._fire(0, fires), 0.0, 1.0)
+        assert best[1] is not None
+        return best[0], best[1]
+
+    def _greedy_order(self, atoms: Sequence[tuple], fires: Sequence[Tuple[int, int]],
+                      ) -> Tuple[float, List[Tuple[tuple, float]]]:
+        """Cheapest next step first, the delta atom winning a tie."""
+        remaining = list(atoms)
+        ordered: List[Tuple[tuple, float]] = []
+        bound = self._fire(0, fires)
+        total, intermediate = 0.0, 1.0
+
+        def candidate(atom: tuple) -> Tuple[Tuple[float, int], float, tuple]:
+            cost, after = self._step(atom, bound, intermediate)
+            delta_preference = 0 if (self.prefer_delta_first and atom[0].is_delta()) else 1
+            return (cost, delta_preference), after, atom
 
         while remaining:
-            best = min(remaining, key=candidate_key)
-            atom = best.literal
-            assert isinstance(atom, Atom)
-            cardinality = self._atom_cardinality(best, cardinalities)
-            conditions = self._bound_conditions(atom, bound)
-            produced = self.selectivity.output_cardinality(cardinality, conditions)
-            intermediate = intermediate * max(produced, 0.0)
-            ordered.append(best)
+            (cost, _), intermediate, best = min(map(candidate, remaining),
+                                                key=lambda c: c[0])
+            total += cost
+            ordered.append((best, intermediate))
             remaining.remove(best)
-            bound.update(atom.variables())
-            self._fire_assignments(bound, pending)
-        return ordered
+            bound = self._fire(bound | best[6], fires)
+        return total, ordered
+
+    def _order(self, sources: Sequence[AtomSource],
+               cardinalities: CardinalityView, indexes: IndexView,
+               assignments: Sequence[Any],
+               ) -> Tuple[List[AtomSource], float, Tuple[float, ...]]:
+        """The chosen order of two or more sources, its cost and its
+        per-position intermediate estimates."""
+        atoms, fires = self._prepare(sources, cardinalities, indexes, assignments)
+        search = (self._branch_and_bound if len(atoms) <= self.exhaustive_limit
+                  else self._greedy_order)
+        cost, chosen = search(atoms, fires)
+        return ([atom[0] for atom, _ in chosen], cost,
+                tuple(after for _, after in chosen))
 
     def order_sources(
         self,
@@ -273,25 +281,13 @@ class JoinOrderOptimizer:
     ) -> Tuple[List[AtomSource], float]:
         """Order positive-atom sources; returns (order, estimated cost).
 
-        Exhaustive for small sub-queries, greedy beyond ``exhaustive_limit``.
+        Exact for small sub-queries, greedy beyond ``exhaustive_limit``.
         """
         sources = list(sources)
         if len(sources) <= 1:
             return sources, 0.0
-        if len(sources) <= self.exhaustive_limit:
-            import itertools
-
-            best_order: Optional[Tuple[AtomSource, ...]] = None
-            best_cost = float("inf")
-            for permutation in itertools.permutations(sources):
-                cost = self._cost_of_order(permutation, cardinalities, indexes, assignments)
-                if cost < best_cost:
-                    best_cost = cost
-                    best_order = permutation
-            assert best_order is not None
-            return list(best_order), best_cost
-        ordered = self._greedy_order(sources, cardinalities, indexes, assignments)
-        return ordered, self._cost_of_order(ordered, cardinalities, indexes, assignments)
+        ordered, cost, _rows = self._order(sources, cardinalities, indexes, assignments)
+        return ordered, cost
 
     def optimize_plan(
         self,
@@ -308,43 +304,29 @@ class JoinOrderOptimizer:
             s.literal for s in plan.sources
             if not (isinstance(s.literal, Atom) and not s.literal.negated)
         ]
+        original = tuple(s.literal.relation for s in positive)  # type: ignore[union-attr]
         if len(positive) <= 1:
-            decision = OrderingDecision(
-                original_order=tuple(a.literal.relation for a in positive),  # type: ignore[union-attr]
-                chosen_order=tuple(a.literal.relation for a in positive),  # type: ignore[union-attr]
-                estimated_cost=0.0,
-                changed=False,
-                estimated_rows=self._estimated_rows(
-                    positive, cardinalities, indexes, ()
-                ),
-            )
+            atoms, _fires = self._prepare(positive, cardinalities, indexes, ())
+            rows = tuple(self._step(atom, 0, 1.0)[1] for atom in atoms)
+            decision = OrderingDecision(original, original, 0.0, False, rows)
             return plan, decision
 
         from repro.datalog.literals import Assignment
 
         assignments = [literal for literal in others if isinstance(literal, Assignment)]
-        ordered, cost = self.order_sources(positive, cardinalities, indexes, assignments)
-        sources = legalize_literal_order(ordered, others)
+        ordered, cost, rows = self._order(positive, cardinalities, indexes, assignments)
         new_plan = JoinPlan(
             head_relation=plan.head_relation,
             head_terms=plan.head_terms,
-            sources=sources,
+            sources=legalize_literal_order(ordered, others),
             rule_name=plan.rule_name,
-        )
-        original = tuple(
-            s.literal.relation for s in positive  # type: ignore[union-attr]
-        )
-        chosen = tuple(
-            s.literal.relation for s in ordered  # type: ignore[union-attr]
         )
         decision = OrderingDecision(
             original_order=original,
-            chosen_order=chosen,
+            chosen_order=tuple(s.literal.relation for s in ordered),  # type: ignore[union-attr]
             estimated_cost=cost,
             changed=[s.literal for s in positive] != [s.literal for s in ordered],
-            estimated_rows=self._estimated_rows(
-                ordered, cardinalities, indexes, assignments
-            ),
+            estimated_rows=rows,
         )
         return new_plan, decision
 

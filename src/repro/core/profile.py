@@ -35,6 +35,12 @@ class ReorderRecord:
     rule_name: str
     stage: str                      # "seed", "jit", "aot"
     decision: OrderingDecision
+    #: What a JIT re-plan did with its node's artifact: ``"recompiled"``
+    #: (the node had no artifact for these orders), ``"reused-order"`` (it
+    #: had one: swapped in, no lowering, no compile).  Empty for decisions
+    #: that gate no artifact (seed, ahead-of-time, reorder-only, a re-plan
+    #: interpreted while an asynchronous compilation is pending).
+    reason: str = ""
 
 
 @dataclass
@@ -83,6 +89,10 @@ class RuntimeProfile:
     #: Shard workers that died mid-stratum (each one also counts a pool
     #: degradation: the stratum re-ran on the next-safer pool kind).
     worker_failures: int = 0
+    #: Stale JIT re-plans that landed on join orders their node had already
+    #: compiled, and ran that artifact instead of compiling (the
+    #: ``"reused-order"`` decisions, counted once per node).
+    artifacts_reused: int = 0
 
     # -- recording -------------------------------------------------------------
 
@@ -100,8 +110,10 @@ class RuntimeProfile:
         )
 
     def record_reorder(self, node_id: int, rule_name: str, stage: str,
-                       decision: OrderingDecision) -> None:
-        self.reorders.append(ReorderRecord(node_id, rule_name, stage, decision))
+                       decision: OrderingDecision) -> ReorderRecord:
+        record = ReorderRecord(node_id, rule_name, stage, decision)
+        self.reorders.append(record)
+        return record
 
     def record_interpreted(self) -> None:
         self.sources.interpreted += 1
@@ -171,6 +183,7 @@ class RuntimeProfile:
             "reorders_changed": self.reorder_count(changed_only=True),
             "compilations": len(self.compile_events),
             "compile_seconds": self.total_compile_seconds(),
+            "artifacts_reused": self.artifacts_reused,
             "subqueries_interpreted": self.sources.interpreted,
             "subqueries_compiled": self.sources.compiled,
             "subqueries_vectorized": self.sources.vectorized,

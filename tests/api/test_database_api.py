@@ -371,7 +371,8 @@ class TestExplain:
 
     def test_lambda_jit_explain_reports_its_block_kernels(self):
         """Lambda artifacts are block kernels whatever the interpreter is."""
-        text = Database(TC_SOURCE, EngineConfig.jit("lambda")).query("path").explain()
+        config = EngineConfig.jit("lambda").with_(executor="pushdown")
+        text = Database(TC_SOURCE, config).query("path").explain()
         assert "executor=vectorized" not in text
         assert "vectorized batches:" in text
         assert "vectorized plan strategies (latest per rule):" in text

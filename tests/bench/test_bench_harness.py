@@ -259,3 +259,59 @@ class TestSectionSelection:
             main(["--only", ""])
         with pytest.raises(SystemExit):
             main(["--only", " , "])
+
+
+class TestDriversCheckTheirResults:
+    """Every Fig. 6–10 row names each configuration's executor and whether
+    all of them computed the baseline's result size."""
+
+    DRIVERS = {
+        "fig7": ("repro.bench.fig67", "jit_configurations",
+                 lambda: run_fig7(benchmarks=["fibonacci"], include_unindexed=False)),
+        "fig9": ("repro.bench.fig89", "jit_configurations",
+                 lambda: run_fig9(benchmarks=["fibonacci"], include_unindexed=False)),
+        "fig10": ("repro.bench.fig10", "fig10_configurations",
+                  lambda: run_fig10(benchmarks=["fibonacci"])),
+    }
+
+    @pytest.mark.parametrize("figure", sorted(DRIVERS))
+    def test_every_configuration_agrees_with_the_baseline(self, figure):
+        import importlib
+
+        module_name, configurations, run = self.DRIVERS[figure]
+        labelled = getattr(importlib.import_module(module_name), configurations)
+        rows = run()
+        assert rows and all(row["equal"] is True for row in rows)
+        for row in rows:
+            executors = row["executor"].split(",")
+            # The interpreted baseline first, then one per configuration.
+            assert executors[0] == "pushdown"
+            assert executors[-len(labelled(True)):] == [
+                config.executor for _, config in labelled(True)
+            ]
+
+    @pytest.mark.parametrize("figure", sorted(DRIVERS))
+    def test_a_configuration_that_drops_a_rule_is_flagged(self, figure, monkeypatch):
+        import importlib
+
+        from repro.analyses.registry import get_benchmark
+
+        module_name, configurations, run = self.DRIVERS[figure]
+        module = importlib.import_module(module_name)
+        labelled = getattr(module, configurations)
+        seeded = EngineConfig.jit("lambda").with_(label="drops-a-rule")
+        monkeypatch.setattr(module, configurations,
+                            lambda *args, **kwargs: labelled(*args, **kwargs)
+                            + [("Seeded", seeded)])
+
+        def measure(name, config, ordering=Ordering.WRITTEN, repeat=1):
+            spec = get_benchmark(name)
+            program = spec.build(ordering)
+            if config is seeded:
+                program.rules.remove(program.rules_for(spec.query_relation)[-1])
+            return measure_program(program, config, spec.query_relation,
+                                   benchmark=name, repeat=repeat)
+
+        monkeypatch.setattr(module, "measure_benchmark", measure)
+        rows = run()
+        assert rows and all(row["equal"] is False for row in rows)

@@ -117,3 +117,83 @@ class TestFreshness:
         new = self.snapshot({"a": 140})
         assert FreshnessTest(threshold=0.5).is_fresh(old, new)
         assert FreshnessTest(threshold=0.1).is_stale(old, new)
+
+
+class TestArtifactReuse:
+    """A stale re-plan that lands on join orders its node already compiled
+    runs that artifact again; any other order compiles."""
+
+    def test_every_stale_replan_compiles_or_reuses(self, monkeypatch):
+        from repro.analyses import Ordering
+        from repro.analyses.registry import get_benchmark
+        from repro.core.config import EngineConfig
+        from repro.core.executor import IRExecutor
+        from repro.engine.engine import ExecutionEngine
+
+        replans = []
+        original = IRExecutor._reorder_plans
+
+        def counting(self, nodes, stage):
+            replans.append(stage)
+            return original(self, nodes, stage)
+
+        monkeypatch.setattr(IRExecutor, "_reorder_plans", counting)
+        spec = get_benchmark("cspa_tiny")
+        engine = ExecutionEngine(spec.build(Ordering.WORST), EngineConfig.jit("lambda"))
+        result = engine.evaluate()[spec.query_relation]
+        monkeypatch.undo()
+        reference = ExecutionEngine(
+            spec.build(Ordering.WORST), EngineConfig.interpreted()
+        ).evaluate()[spec.query_relation]
+        assert result == reference
+
+        summary = engine.profile.summary()
+        assert summary["artifacts_reused"] > 0
+        assert summary["compilations"] + summary["artifacts_reused"] == len(replans)
+        reasons = {record.reason for record in engine.profile.reorders
+                   if record.stage == "jit"}
+        assert reasons == {"recompiled", "reused-order"}
+        explained = spec.query(EngineConfig.jit("lambda"), Ordering.WORST).explain()
+        assert f"{summary['artifacts_reused']} artifacts reused" in explained
+        assert "reused-order)" in explained
+
+    def test_a_cardinality_flip_that_changes_the_order_recompiles(self):
+        from repro.core.config import CompilationGranularity, EngineConfig
+        from repro.core.executor import IRExecutor
+        from repro.ir.ops import JoinProjectOp
+        from repro.relational.operators import evaluate_subquery
+
+        storage = StorageManager()
+        for name in ("a", "b", "r"):
+            storage.declare(name, 2)
+        rule = Rule(Atom("r", (x, z)), (Atom("a", (x, y)), Atom("b", (y, z))), "r")
+        node = JoinProjectOp(build_join_plan(rule))
+        executor = IRExecutor(storage, EngineConfig.jit(
+            "lambda", granularity=CompilationGranularity.JOIN
+        ))
+
+        def grow(relation, rows):
+            """Insert ``rows``, move to the next iteration, run the node:
+            (first relation of the artifact now current, compilations)."""
+            for row in rows:
+                storage.insert_derived(relation, row)
+            executor._current_iteration += 1
+            assert executor._adaptive_rows(node, [node], "loop") == (
+                evaluate_subquery(storage, node.plan)
+            )
+            artifact = executor.compilation.current_artifact(node.node_id)
+            first = artifact.plans[0].sources[0].literal.relation
+            return first, executor.compilation.compile_count()
+
+        # b is empty: it goes first, and the node compiles that order.
+        assert grow("a", [(i, i % 7) for i in range(100)]) == ("b", 1)
+        # b is stale but still the smaller: same order, artifact kept.
+        assert grow("b", [(j % 7, j) for j in range(2)]) == ("b", 1)
+        # b outgrows a: the order flips, so the node must compile again.
+        assert grow("b", [(j % 7, j) for j in range(2, 400)]) == ("a", 2)
+        # a outgrows b: back to b first, the order compiled at the start.
+        assert grow("a", [(i, i % 7) for i in range(100, 5000)]) == ("b", 2)
+        assert executor.profile.artifacts_reused == 2
+        assert [record.reason for record in executor.profile.reorders] == [
+            "recompiled", "reused-order", "recompiled", "reused-order",
+        ]

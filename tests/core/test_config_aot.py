@@ -23,7 +23,7 @@ class TestEngineConfig:
         assert EngineConfig.interpreted(False).describe() == "interpreted"
         assert EngineConfig.naive().describe() == "naive"
         assert EngineConfig.jit("quotes", asynchronous=True).describe() == (
-            "jit-quotes-async-rule"
+            "jit-quotes-async-rule+vec"
         )
         assert EngineConfig.aot(online=True).describe() == "macro-facts+online"
 

@@ -122,7 +122,11 @@ class TestProfileBookkeeping:
         assert engine.evaluate()["path"] == REFERENCE_TC
         summary = engine.profile.summary()
         joins = summary["block_joins"]
-        assert joins["batches"] == summary["subqueries_compiled"] > 0
+        # One batch per artifact call, plus one per vectorized seed plan.
+        assert joins["batches"] == (
+            summary["subqueries_compiled"] + summary["subqueries_vectorized"]
+        )
+        assert summary["subqueries_compiled"] > 0
         assert joins["index"] + joins["build"] > 0
         assert engine.profile.block_plans  # predicted strategies recorded too
 

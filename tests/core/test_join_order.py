@@ -1,6 +1,8 @@
 """Unit tests for the runtime join-order optimizer (paper §IV)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.join_order import (
     JoinOrderOptimizer,
@@ -337,3 +339,182 @@ class TestBlockStrategyAnnotation:
             assert annotate_block_strategies(
                 plan, lambda relation, c, column=column: relation == "t" and c == column
             ) == ("scan", expected)
+
+
+# -- the exact search against the search it replaced ----------------------------
+
+
+def _reference_order(model, sources, cardinalities, indexes, assignments):
+    """Cost every ``itertools.permutations`` order of ``sources`` left to
+    right and keep the first strictly cheapest one: the exhaustive search
+    branch-and-bound must reproduce, order (ties included) and cost."""
+    import itertools
+
+    def fire(bound, pending):
+        changed = True
+        while changed:
+            changed = False
+            for assignment in list(pending):
+                if assignment.input_variables() <= bound:
+                    bound.add(assignment.target)
+                    pending.remove(assignment)
+                    changed = True
+
+    def cost_of(order):
+        bound, pending = set(), list(assignments)
+        fire(bound, pending)
+        total, intermediate = 0.0, 1.0
+        for source in order:
+            atom = source.literal
+            cardinality = cardinalities(atom.relation, source.kind or DatabaseKind.DERIVED)
+            seen, conditions, indexed = set(), 0, False
+            for position, term in enumerate(atom.terms):
+                is_bound = isinstance(term, Constant) or term in bound
+                conditions += is_bound or term in seen
+                indexed = indexed or (is_bound and indexes(atom.relation, position))
+                if isinstance(term, Variable):
+                    seen.add(term)
+            total += model.join_cost(intermediate, cardinality, conditions, indexed)
+            intermediate *= max(model.output_cardinality(cardinality, conditions), 0.0)
+            bound.update(atom.variables())
+            fire(bound, pending)
+        return total
+
+    best, best_cost = None, float("inf")
+    for permutation in itertools.permutations(sources):
+        cost = cost_of(permutation)
+        if cost < best_cost:
+            best, best_cost = list(permutation), cost
+    return best, best_cost
+
+
+#: The Fig. 8 / Fig. 9 workloads at their smallest registered scale.
+FIG89_TINY = ("andersen", "inverse_functions", "cspa_tiny", "csda",
+              "ackermann", "fibonacci", "primes")
+
+
+def _run_recording_plans(name, ordering, config, on_plan):
+    """Evaluate a benchmark, calling ``on_plan(optimizer, plan, cards,
+    indexes, optimized, decision)`` at every ``optimize_plan``."""
+    from repro.analyses import Ordering
+    from repro.analyses.registry import get_benchmark
+    from repro.engine.engine import ExecutionEngine
+
+    original = JoinOrderOptimizer.optimize_plan
+
+    def recording(self, plan, cardinalities, indexes=no_index_view):
+        optimized, decision = original(self, plan, cardinalities, indexes)
+        on_plan(self, plan, cardinalities, indexes, optimized, decision)
+        return optimized, decision
+
+    spec = get_benchmark(name)
+    JoinOrderOptimizer.optimize_plan = recording
+    try:
+        result = ExecutionEngine(spec.build(Ordering(ordering)), config).evaluate()
+    finally:
+        JoinOrderOptimizer.optimize_plan = original
+    return result[spec.query_relation]
+
+
+def _positive(plan):
+    return [s for s in plan.sources
+            if isinstance(s.literal, Atom) and not s.literal.negated]
+
+
+class TestExactSearch:
+    @pytest.mark.parametrize("ordering", ["optimized", "worst"])
+    @pytest.mark.parametrize("name", FIG89_TINY)
+    def test_matches_exhaustive_search_on_every_plan_the_jit_sees(self, name, ordering):
+        from repro.core.config import EngineConfig
+        from repro.datalog.literals import Assignment as AssignmentLiteral
+
+        checked = []
+
+        def check(optimizer, plan, cardinalities, indexes, optimized, decision):
+            positive = _positive(plan)
+            if not 2 <= len(positive) <= optimizer.exhaustive_limit:
+                return
+            assignments = [s.literal for s in plan.sources
+                           if isinstance(s.literal, AssignmentLiteral)]
+            expected, cost = _reference_order(
+                optimizer.selectivity, positive, cardinalities, indexes, assignments
+            )
+            assert _positive(optimized) == expected
+            assert decision.estimated_cost == cost  # the same float, not close
+            checked.append(len(positive))
+
+        _run_recording_plans(name, ordering, EngineConfig.jit("lambda"), check)
+        assert checked
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_matches_exhaustive_search_on_random_plans(self, data):
+        relations = ["a", "b", "c"]
+        names = st.sampled_from([Variable(n) for n in "uvwxyz"])
+        terms = st.one_of(names, names, st.builds(Constant, st.integers(0, 2)))
+        atoms = data.draw(st.lists(
+            st.tuples(st.sampled_from(relations), st.lists(terms, min_size=1, max_size=3),
+                      st.booleans()),
+            min_size=2, max_size=6,
+        ))
+        sources = [
+            AtomSource(Atom(relation, tuple(args)),
+                       DatabaseKind.DELTA_KNOWN if delta else DatabaseKind.DERIVED)
+            for relation, args, delta in atoms
+        ]
+        sizes = st.sampled_from([0, 0, 1, 10, 10, 100, 1000])
+        cards = {relation: data.draw(sizes) for relation in relations}
+        cards.update({("delta", r): data.draw(sizes) for r in relations})
+        indexed = data.draw(st.sets(st.tuples(st.sampled_from(relations),
+                                              st.integers(0, 2))))
+        assignments = [
+            Assignment(target, source + 1)
+            for target, source in data.draw(st.lists(st.tuples(names, names), max_size=2))
+            if target != source
+        ]
+        view = cardinality_view(cards)
+
+        def indexes(relation, column):
+            return (relation, column) in indexed
+
+        optimizer = JoinOrderOptimizer()
+        order, cost = optimizer.order_sources(sources, view, indexes, assignments)
+        expected, expected_cost = _reference_order(
+            optimizer.selectivity, sources, view, indexes, assignments
+        )
+        assert order == expected
+        assert cost == expected_cost
+
+    def test_effort_against_exhaustive_search_on_inverse_functions(self):
+        """``join_cost`` calls of the whole JIT run, branch-and-bound
+        against costing every permutation (n! orders of n steps each) on
+        the same plans.  Deterministic: the plans and cardinalities are."""
+        import math
+
+        from repro.core.config import EngineConfig
+        from repro.relational.statistics import SelectivityModel
+
+        class Counting(SelectivityModel):
+            calls = 0
+
+            def join_cost(self, *args):
+                Counting.calls += 1
+                return super().join_cost(*args)
+
+        searched = exhaustive = counted = 0
+
+        def tally(optimizer, plan, cardinalities, indexes, optimized, decision):
+            nonlocal searched, exhaustive, counted
+            calls, counted = Counting.calls - counted, Counting.calls
+            n = len(_positive(plan))
+            if 2 <= n <= optimizer.exhaustive_limit:
+                searched += calls
+                exhaustive += math.factorial(n) * n
+
+        config = EngineConfig.jit("lambda").with_(selectivity=Counting())
+        _run_recording_plans("inverse_functions", "worst", config, tally)
+        assert exhaustive > 0
+        ratio = searched / exhaustive
+        assert ratio <= 0.25
+        # Measured: 592 calls where every permutation would take 5020.
+        assert (searched, exhaustive) == (592, 5020)
