@@ -19,7 +19,7 @@ the PR-4 vectorized baseline, kept alive as the differential oracle):
   once, in the symbol table, instead of once per occurrence.  Measured
   ~3.5x retained.
 * ``test_interned_results_bitwise_equal_across_modes`` — decoded results
-  equal the raw oracle across execution modes and shard counts (the
+  equal the raw oracle across execution modes (the
   property suite covers randomized programs; this pins a full workload).
 
 These are deliberately long-running acceptance gates (tens of seconds per
@@ -88,7 +88,7 @@ def test_interning_memory_on_load():
 
 
 def test_interned_results_bitwise_equal_across_modes():
-    """Every mode x shard count decodes to the raw oracle's exact fixpoint."""
+    """Every mode decodes to the raw oracle's exact fixpoint."""
     edges = symbolic_edges(random_edges(2_000, 1_500, seed=11))
     reference = ExecutionEngine(
         build_transitive_closure_program(edges),
@@ -101,14 +101,11 @@ def test_interned_results_bitwise_equal_across_modes():
         EngineConfig.aot(),
     ]
     for base in bases:
-        for shards in (1, 2, 4):
-            config = EngineConfig.parallel(shards=shards, base=base).with_(
-                executor="vectorized"
-            )
-            engine = ExecutionEngine(build_transitive_closure_program(edges), config)
-            assert engine.evaluate()["path"] == reference, (
-                f"{config.describe()} diverged"
-            )
+        config = base.with_(executor="vectorized")
+        engine = ExecutionEngine(build_transitive_closure_program(edges), config)
+        assert engine.evaluate()["path"] == reference, (
+            f"{config.describe()} diverged"
+        )
 
 
 @pytest.mark.parametrize("codec", ["raw", "interned"])

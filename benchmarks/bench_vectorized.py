@@ -33,8 +33,7 @@ and enforces its headline guarantees:
   to pushdown.  Duplicates collapse inside the join step that creates
   them, not in a ``set()`` pass over the materialised candidate list.
 * ``test_vectorized_bitwise_equal_across_modes`` — vectorized results are
-  bit-for-bit equal to pushdown results across execution modes and shard
-  counts (the differential property suite covers randomized programs;
+  bit-for-bit equal to pushdown results across execution modes (the differential property suite covers randomized programs;
   this pins the full-size workload).
 
 Run with:  PYTHONPATH=src python -m pytest benchmarks/bench_vectorized.py
@@ -146,7 +145,7 @@ def test_jit_backend_tracks_vectorized_interpreter(workload, backend):
 
 
 def test_vectorized_bitwise_equal_across_modes():
-    """Every mode x shard-count combination computes the identical fixpoint."""
+    """Every mode computes the identical fixpoint."""
     edges = random_edges(2_000, 1_500, seed=11)
     reference = ExecutionEngine(
         build_transitive_closure_program(edges), EngineConfig.interpreted()
@@ -158,14 +157,11 @@ def test_vectorized_bitwise_equal_across_modes():
         EngineConfig.aot(),
     ]
     for base in bases:
-        for shards in (1, 2, 4):
-            config = EngineConfig.parallel(shards=shards, base=base).with_(
-                executor="vectorized"
-            )
-            engine = ExecutionEngine(build_transitive_closure_program(edges), config)
-            assert engine.evaluate()["path"] == reference, (
-                f"{config.describe()} diverged"
-            )
+        config = base.with_(executor="vectorized")
+        engine = ExecutionEngine(build_transitive_closure_program(edges), config)
+        assert engine.evaluate()["path"] == reference, (
+            f"{config.describe()} diverged"
+        )
 
 
 @pytest.fixture(scope="module")

@@ -4,7 +4,7 @@ Builds the classic graph-reachability query with the embedded DSL, opens a
 :class:`repro.Database` over it, and shows the whole public surface in one
 sitting: one-shot queries, stateful connections with incremental updates,
 ``QueryResult`` pagination/exports, ``.explain()``, and the fact that every
-execution strategy (interpreted, JIT, AOT, shard-parallel) returns
+execution strategy (interpreted, JIT, AOT) returns
 bit-for-bit identical rows through the same API.
 
 Run with:  python examples/quickstart.py
@@ -36,8 +36,6 @@ def main() -> None:
         ("JIT / lambda backend", EngineConfig.jit("lambda")),
         ("JIT / quotes backend (runtime codegen)", EngineConfig.jit("quotes")),
         ("ahead-of-time + online reordering", EngineConfig.aot(online=True)),
-        ("shard-parallel (2 shards over JIT)",
-         EngineConfig.parallel(shards=2, base=EngineConfig.jit("lambda"))),
     ]
 
     # -- one-shot queries: same rows through every execution subsystem --------

@@ -38,11 +38,11 @@ python -m pytest -x -q \
 echo
 echo "== subsystem smoke benches (perf trajectory -> BENCH.json) =="
 # One machine-readable dump per CI run: incremental update latency (with
-# the heavy-retraction tail), 2-shard parallel, vectorized executor,
+# the heavy-retraction tail), vectorized executor,
 # dictionary-encoded storage, telemetry overhead, governance overhead,
 # concurrent serving latency and durable warm restart at --quick scale.  smoke.yml uploads BENCH.json as an artifact, and the
 # committed baseline gates it below.
-python -m repro.bench --quick --only incremental,parallel,vectorized,interning,telemetry,resilience,serving,durability --json BENCH.json
+python -m repro.bench --quick --only incremental,vectorized,interning,telemetry,resilience,serving,durability --json BENCH.json
 
 echo
 echo "== what a server start imports (-> BOOT_IMPORTS.txt) =="
@@ -252,7 +252,7 @@ PY
 
 echo
 echo "== sample trace (JSON-lines artifact -> TRACE_SAMPLE.jsonl) =="
-# A small sharded, vectorized, fully traced round-trip; the trace lands in
+# A small vectorized, fully traced round-trip; the trace lands in
 # TRACE_SAMPLE.jsonl (one JSON document per completed trace), which
 # smoke.yml uploads so reviewers can eyeball span trees without re-running.
 python - <<'PY'
@@ -266,7 +266,7 @@ path(x, y) <= edge(x, y)
 path(x, z) <= path(x, y) & edge(y, z)
 edge.add_facts([(i, i + 1) for i in range(40)])
 
-config = EngineConfig.parallel(shards=4, pool="thread").with_(
+config = EngineConfig.interpreted().with_(
     executor="vectorized",
     telemetry=tracing(ring=16, jsonl_path="TRACE_SAMPLE.jsonl"),
 )
@@ -281,7 +281,7 @@ PY
 test -s TRACE_SAMPLE.jsonl
 
 echo
-echo "== public-API drift guard (snapshot + deprecation shims) =="
+echo "== public-API drift guard (snapshot) =="
 python -m pytest -x -q tests/api
 
 echo

@@ -27,9 +27,8 @@ a first-class :class:`QueryResult`::
         print(result.count(), result.take(3))
         print(result.explain())
 
-Every execution subsystem — interpreted, JIT, AOT, incremental sessions,
-shard-parallel (``EngineConfig.parallel(shards=N)``) — plugs in beneath this
-one surface and returns bit-for-bit identical results.
+Every execution subsystem — interpreted, JIT, AOT, incremental sessions —
+plugs in beneath this one surface and returns bit-for-bit identical results.
 """
 
 from repro.api.database import Connection, Database
@@ -39,7 +38,6 @@ from repro.core.config import (
     CompilationGranularity,
     EngineConfig,
     ExecutionMode,
-    ShardingConfig,
 )
 from repro.datalog.dsl import Program, RelationHandle
 from repro.durability import DurabilityConfig
@@ -56,7 +54,6 @@ from repro.resilience import (
     QueryLimits,
     ResilienceError,
     ResourceExhausted,
-    WorkerFailed,
 )
 
 __version__ = "1.1.0"
@@ -83,9 +80,7 @@ __all__ = [
     "ResourceExhausted",
     "ResultSchema",
     "ResultSet",
-    "ShardingConfig",
     "Variable",
-    "WorkerFailed",
     "compare",
     "let",
     "parse_program",

@@ -1,11 +1,11 @@
 """The public embedded-database API: ``Database`` / ``Connection`` / ``QueryResult``.
 
 One coherent surface over every execution subsystem (interpreted, JIT, AOT,
-incremental sessions, shard-parallel evaluation)::
+incremental sessions)::
 
     from repro import Database, EngineConfig
 
-    db = Database(program, EngineConfig.parallel(shards=4))
+    db = Database(program, EngineConfig.jit())
     with db.connect() as conn:
         conn.insert_facts("edge", [(1, 2), (2, 3)])
         result = conn.query("path")

@@ -24,9 +24,8 @@ a first-class :class:`~repro.api.result.QueryResult`.
         print(result.explain())
 
 Every execution subsystem plugs in underneath this one surface: the
-configuration decides whether a connection evaluates interpreted, JIT, AOT
-or shard-parallel (``EngineConfig.parallel(shards=N, ...)``), and the results
-are bit-for-bit identical across all of them.
+configuration decides whether a connection evaluates interpreted, JIT or
+AOT, and the results are bit-for-bit identical across all of them.
 
 A :class:`Database` accepts an embedded-DSL :class:`~repro.datalog.dsl.Program`,
 a bare :class:`~repro.datalog.program.DatalogProgram`, or textual Datalog
@@ -85,30 +84,14 @@ def schema_for(program: DatalogProgram, relation: str) -> ResultSchema:
     )
 
 
-def _shard_rows_provider(session: IncrementalSession):
-    """The ``sys_shards`` row source for one session's shard topology."""
-
-    def provider():
-        from repro.parallel.executor import shard_stat_rows
-
-        state = session._shard_state
-        return shard_stat_rows(
-            session.config,
-            pool=state.pool if state is not None else None,
-            degradations=session.profile.pool_degradations,
-        )
-
-    return provider
-
-
 class Connection:
     """A stateful handle on one evaluated program: mutate facts, read results.
 
     Wraps a long-lived :class:`~repro.incremental.IncrementalSession`: the
     first read computes the fixpoint, mutations repair it incrementally
-    (delta propagation / DRed, shard-parallel when the configuration says
-    so), and repeated queries are served from the result cache.  Every read
-    returns an immutable :class:`QueryResult` snapshot.
+    (delta propagation / DRed), and repeated queries are served from the
+    result cache.  Every read returns an immutable :class:`QueryResult`
+    snapshot.
     """
 
     def __init__(self, session: IncrementalSession,
@@ -396,7 +379,6 @@ class Connection:
             if self._durability is not None:
                 self._durability.close()
                 self._durability = None
-            self._session.close()
             self._closed = True
             if self._database is not None:
                 self._database._forget(self)
@@ -426,8 +408,8 @@ class Database:
     program, open :class:`Connection` objects for stateful work, or use
     :meth:`query` for one-shot reads.  The configuration given here is the
     default for every connection; ``connect(config=...)`` overrides it per
-    connection (e.g. one interpreted and one shard-parallel connection over
-    the same program).
+    connection (e.g. one interpreted and one JIT connection over the same
+    program).
     """
 
     def __init__(self, program: ProgramLike,
@@ -484,7 +466,6 @@ class Database:
             metrics=self._metrics, catalog=catalog,
         )
         catalog.bind_storage(lambda: session.storage)
-        catalog.bind_shards(_shard_rows_provider(session))
         catalog.bind_resilience(session.resilience_stats)
         connection = Connection(session, _database=self, catalog=catalog)
         if self.durability is not None and self._durability_owner is None:
@@ -525,8 +506,8 @@ class Database:
 
         ``sys_``-prefixed names read the system catalog: trace- and
         metrics-backed relations cover this database's whole workload, but
-        the storage-backed ones (``sys_relations``, ``sys_symbols``,
-        ``sys_shards``) are empty here — a one-shot read keeps no session
+        the storage-backed ones (``sys_relations``, ``sys_symbols``) are
+        empty here — a one-shot read keeps no session
         state to observe; open a connection for those.
         """
         self._check_open()

@@ -1,8 +1,8 @@
 """Rendering of query plans and adaptive-execution decisions.
 
 One formatter serves every producer of :class:`~repro.api.result.QueryResult`
-objects — the single-shot engine, connections over incremental sessions, and
-shard-parallel evaluations — so ``.explain()`` output looks the same whatever
+objects — the single-shot engine and connections over incremental
+sessions — so ``.explain()`` output looks the same whatever
 path computed the rows: the configuration, the (possibly JIT-rewritten) IR
 tree, and the join-order / code-generation decisions taken at runtime.
 """
@@ -74,8 +74,6 @@ def render_explain(
         )
     if config.mode.value == "aot":
         detail += f" sort={config.aot_sort.value} online={config.aot_online}"
-    if config.sharding is not None and config.sharding.shards > 1:
-        detail += f" shards={config.sharding.shards} pool={config.sharding.pool}"
     lines.append(detail)
     if symbols is not None and not getattr(symbols, "identity", True):
         lines.append(
@@ -151,11 +149,6 @@ def render_explain(
             lines.append(
                 f"snapshot cache: {probes.get('hit', 0)} hits, "
                 f"{probes.get('miss', 0)} misses"
-            )
-        if profile.pool_degradations:
-            lines.append(
-                f"pool degradations: {profile.pool_degradations} "
-                "(process pool substituted)"
             )
 
     if trace is not None:

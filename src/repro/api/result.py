@@ -1,7 +1,7 @@
 """First-class query results: schema-carrying, ordered, lazily materialised.
 
 :class:`QueryResult` replaces the raw ``set`` / ``dict`` / ``frozenset`` zoo
-the engine, the incremental session and the parallel executor used to return.
+the engine and the incremental session used to return.
 One result object knows
 
 * its **schema** (:class:`ResultSchema`: relation name, arity, column names),
@@ -26,7 +26,7 @@ plain ``set`` objects (a derived result has no single source relation).
 
 :class:`ResultSet` is the multi-relation analogue — an immutable mapping of
 relation name to :class:`QueryResult` — and compares equal to the plain
-``Dict[str, Set[Row]]`` the legacy ``ExecutionEngine.run()`` returned.
+``Dict[str, Set[Row]]`` of every relation's rows.
 
 Carried order
 -------------

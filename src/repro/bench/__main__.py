@@ -1,8 +1,8 @@
 """Run the whole evaluation harness: ``python -m repro.bench [options]``.
 
 Prints every table and figure of the paper's evaluation section — plus the
-repository's own subsystem benchmarks (``incremental``, ``parallel``,
-``vectorized``) — regenerated over the synthetic datasets at the selected
+repository's own subsystem benchmarks (``incremental``, ``vectorized``,
+``interning``, ...) — regenerated over the synthetic datasets at the selected
 scale.
 
 Sections register in a single table (:data:`SECTIONS`: name → title →
@@ -30,7 +30,6 @@ from repro.bench.durability import DURABILITY_COLUMNS, run_durability
 from repro.bench.formatting import format_rows
 from repro.bench.incremental import INCREMENTAL_COLUMNS, run_incremental
 from repro.bench.interning import INTERNING_COLUMNS, run_interning
-from repro.bench.parallel import PARALLEL_COLUMNS, run_parallel
 from repro.bench.resilience import RESILIENCE_COLUMNS, run_resilience
 from repro.bench.serving import SERVING_COLUMNS, run_serving
 from repro.bench.table1 import TABLE1_COLUMNS, run_table1
@@ -103,12 +102,6 @@ SECTIONS: Tuple[BenchSection, ...] = (
         "incremental",
         "Incremental sessions — update latency vs full recompute",
         INCREMENTAL_COLUMNS, _incremental_runner,
-    ),
-    BenchSection(
-        "parallel",
-        "Shard-parallel evaluation — shards scaling vs single shard",
-        PARALLEL_COLUMNS,
-        lambda args: run_parallel(repeat=args.repeat, quick=args.quick),
     ),
     BenchSection(
         "vectorized",

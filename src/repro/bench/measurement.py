@@ -50,7 +50,11 @@ def measure_program(program: DatalogProgram, config: EngineConfig,
 
     Every repetition builds a fresh engine over a copy of the program so that
     no derived state leaks between runs (the paper's JMH setup similarly
-    re-evaluates from scratch per measurement iteration).
+    re-evaluates from scratch per measurement iteration).  Each repetition
+    drops its engine and results once the counters are read: a result set
+    holds its engine, so keeping either alive into the next repetition
+    would keep the whole previous storage reachable for its collections to
+    walk.
     """
     times: List[float] = []
     result_size = 0
@@ -65,6 +69,7 @@ def measure_program(program: DatalogProgram, config: EngineConfig,
         iterations = engine.profile.iteration_count()
         compilations = len(engine.profile.compile_events)
         compile_seconds = engine.profile.total_compile_seconds()
+        del engine, results
     return MeasurementResult(
         benchmark=benchmark,
         configuration=config.describe(),

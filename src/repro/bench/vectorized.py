@@ -12,7 +12,7 @@ which stays near 1 as long as duplicate derivations collapse inside the
 join steps instead of travelling to the end of the plan.
 
 Workloads are the two acceptance benches: the 10k-edge transitive closure
-(the shared yardstick of the incremental and parallel subsystems) and the
+(the yardstick of the incremental subsystem) and the
 CSPA pointer analysis (three mutually recursive relations — the paper's
 Fig. 1 program).
 """

@@ -56,45 +56,6 @@ class AOTSortMode(str, enum.Enum):
     FACTS_AND_RULES = "facts"     # initial EDB cardinalities + selectivity
 
 
-@dataclass(frozen=True)
-class ShardingConfig:
-    """Configuration of the shard-parallel evaluation subsystem.
-
-    Orthogonal to :class:`ExecutionMode`: any mode except NAIVE (a baseline
-    kept deliberately simple) can be sharded.  ``shards=1`` means sharding
-    is disabled — evaluation takes the ordinary single-shard engine path,
-    so ``EngineConfig.parallel(shards=1)`` is exactly the standard engine.
-
-    ``pool`` selects the worker pool: ``"auto"`` uses forked processes when
-    the machine has enough cores for the requested shard count (shard
-    evaluation is pure Python, so threads would contend on the GIL — only
-    processes parallelise it) and falls back to serial round-robin
-    otherwise (including under pytest/CI, where oversubscription hurts more
-    than it helps); ``"serial"``, ``"thread"`` and ``"process"`` force a
-    specific pool (``"process"`` requires the fork start method and
-    degrades to serial where unavailable).
-
-    ``shard_backend`` controls how workers evaluate their loop plans.  A
-    shard's plans are frozen for the whole fixpoint, so — unlike the
-    adaptive single-shard JIT, which must keep re-deciding — one compilation
-    per shard at setup amortises over every round.  ``"auto"`` compiles with
-    the ``bytecode`` backend (block kernels, like every code-generating
-    backend) in interpreted mode, the configured JIT backend
-    in JIT mode, and interprets the (pre-reordered) plans in AOT mode;
-    ``"none"`` forces pure interpretation inside workers; any backend name
-    forces that backend.
-    """
-
-    shards: int = 1
-    pool: str = "auto"              # "auto" | "serial" | "thread" | "process"
-    shard_backend: str = "auto"     # "auto" | "none" | a backend name
-    max_rounds: int = 1_000_000
-
-    def with_(self, **changes) -> "ShardingConfig":
-        """A modified copy (dataclasses.replace wrapper)."""
-        return replace(self, **changes)
-
-
 @dataclass
 class EngineConfig:
     """Every knob of one program evaluation."""
@@ -111,7 +72,7 @@ class EngineConfig:
     #: against), ``"vectorized"`` the batch executor (lowered block kernels) —
     #: ``EngineConfig.with_(executor="vectorized")`` turns it on over any
     #: configuration, and :meth:`jit` configurations start with it.
-    #: Orthogonal to mode/backend/sharding: it changes how interpreted
+    #: Orthogonal to mode/backend: it changes how interpreted
     #: sub-queries run (under the JIT: the seed stage, non-recursive strata,
     #: async waits, snippet continuations, ``irgen`` artifacts), never what
     #: they compute.  Compiled artifacts of the other backends are block
@@ -123,7 +84,7 @@ class EngineConfig:
     #: tuples, decoding lazily at the QueryResult boundary.  On by default;
     #: ``interning=False`` keeps raw values end-to-end (the PR-4 behaviour)
     #: and doubles as the differential oracle the encoded engine is tested
-    #: against.  Orthogonal to mode/backend/executor/sharding.
+    #: against.  Orthogonal to mode/backend/executor.
     interning: bool = True
     freshness_threshold: float = 0.2
     optimize_seed: bool = True
@@ -132,7 +93,6 @@ class EngineConfig:
     aot_sort: AOTSortMode = AOTSortMode.NONE
     aot_online: bool = False
     collect_profile: bool = True
-    sharding: Optional[ShardingConfig] = None
     #: Observability wiring (:class:`repro.telemetry.TelemetryConfig`).
     #: ``None`` (the default) means the zero-overhead no-op tracer and a
     #: private metrics registry — evaluation semantics never depend on it,
@@ -168,25 +128,16 @@ class EngineConfig:
                            token)
 
     def describe(self) -> str:
-        """A short configuration name for result tables.
-
-        Sharded configurations always carry their shard count (an ``xN``
-        suffix), including labelled ones — a parallel configuration's name
-        round-trips through :meth:`with_` without losing the shard count.
-        The suffix is appended unconditionally to labels (no substring
-        guessing), so a label must not embed the count itself.
-        """
+        """A short configuration name for result tables."""
         suffix = "+vec" if self.executor == "vectorized" else ""
         if not self.interning:
             suffix += "+raw"
-        if self.sharding is not None and self.sharding.shards > 1:
-            suffix += f"x{self.sharding.shards}"
         if self.label:
             return self.label + suffix
         if self.mode == ExecutionMode.INTERPRETED:
             return "interpreted" + ("+idx" if self.use_indexes else "") + suffix
         if self.mode == ExecutionMode.NAIVE:
-            return "naive"  # no shard suffix: NAIVE always bypasses sharding
+            return "naive"
         if self.mode == ExecutionMode.AOT:
             online = "+online" if self.aot_online else ""
             return f"macro-{self.aot_sort.value}{online}{suffix}"
@@ -247,59 +198,6 @@ class EngineConfig:
             backend="irgen",
         )
 
-    @staticmethod
-    def parallel(
-        shards: int = 2,
-        base: Optional["EngineConfig"] = None,
-        pool: str = "auto",
-        shard_backend: str = "auto",
-        max_rounds: int = 1_000_000,
-        **changes,
-    ) -> "EngineConfig":
-        """A shard-parallel configuration over any base configuration.
-
-        Sharding composes orthogonally with the execution mode::
-
-            EngineConfig.parallel(shards=4)                          # interpreted base
-            EngineConfig.parallel(shards=4, base=EngineConfig.jit()) # sharded JIT
-            EngineConfig.parallel(shards=2, mode=ExecutionMode.AOT)  # keyword overrides
-
-        ``shards=1`` disables sharding (the standard single-shard engine
-        runs); NAIVE mode always bypasses sharding.
-        """
-        if shards < 1:
-            raise ValueError(f"shards must be >= 1, got {shards}")
-        config = base if base is not None else EngineConfig()
-        if changes:
-            config = config.with_(**changes)
-        return config.with_(
-            sharding=ShardingConfig(
-                shards=shards,
-                pool=pool,
-                shard_backend=shard_backend,
-                max_rounds=max_rounds,
-            )
-        )
-
-    #: ``with_`` keys routed into the nested :class:`ShardingConfig`.
-    _SHARDING_KEYS = frozenset({"shards", "pool", "shard_backend", "max_rounds"})
-
     def with_(self, **changes) -> "EngineConfig":
-        """A modified copy (dataclasses.replace wrapper).
-
-        Sharding-level knobs (``shards``, ``pool``, ``shard_backend``,
-        ``max_rounds``) are routed into the nested :class:`ShardingConfig`,
-        so a parallel configuration survives copy-with-changes:
-        ``EngineConfig.parallel(shards=4).with_(shards=2)`` re-shards, and
-        ``.with_(use_indexes=False)`` keeps the sharding intact.
-        """
-        shard_changes = {
-            key: changes.pop(key)
-            for key in list(changes)
-            if key in self._SHARDING_KEYS
-        }
-        config = replace(self, **changes)
-        if shard_changes:
-            base = config.sharding if config.sharding is not None else ShardingConfig()
-            config = replace(config, sharding=replace(base, **shard_changes))
-        return config
+        """A modified copy (dataclasses.replace wrapper)."""
+        return replace(self, **changes)

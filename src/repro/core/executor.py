@@ -29,6 +29,7 @@ compiled artifact between any two IROps (paper §V-B3).
 from __future__ import annotations
 
 import time
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.backends.base import ArtifactFunction, get_backend
@@ -74,21 +75,32 @@ from repro.relational.statistics import SnapshotCache, StatisticsCollector
 from repro.relational.storage import DatabaseKind, StorageManager
 
 
+@dataclass
+class _PlannedOrder:
+    """One join order a σπ⋈ node was re-planned to.
+
+    ``plan`` is the first plan object with that order (the evaluator's
+    kernel memo is keyed by plan object, so each order lowers once);
+    ``strategies`` is its predicted block strategy per positive atom,
+    valid while the storage's registered index columns of the plan's
+    relations are ``index_key``.
+    """
+
+    plan: JoinPlan
+    index_key: Optional[Tuple[Tuple[int, ...], ...]] = None
+    strategies: Tuple[str, ...] = ()
+
+
 class IRExecutor:
     """Executes an IROp tree under one :class:`EngineConfig`."""
 
     def __init__(self, storage: StorageManager, config: EngineConfig,
                  profile: Optional[RuntimeProfile] = None,
-                 tracer=None, trace_strata: bool = True,
-                 governor=None) -> None:
+                 tracer=None, governor=None) -> None:
         self.storage = storage
         self.config = config
         self.profile = profile if profile is not None else RuntimeProfile()
-        #: ``trace_strata=False`` suppresses this executor's own stratum
-        #: spans — used when a parallel coordinator already opened one and
-        #: runs strata through a nested serial executor.
         self.tracer = tracer if tracer is not None else config.tracer()
-        self.trace_strata = trace_strata
         #: Query-lifecycle governance: deadline / row / round limits plus
         #: cooperative cancellation, checked at iteration boundaries (and
         #: per sub-query plan inside the evaluator).  NOOP when unbounded.
@@ -118,10 +130,10 @@ class IRExecutor:
             self.compilation is not None and config.backend != "irgen"
         )
 
-        #: (σπ⋈ node id, join order) -> the first plan re-planned to it; a
-        #: repeated order hands back that object, so the evaluator's kernel
-        #: memo (keyed by plan object) lowers each order once.
-        self._orders: Dict[Tuple[int, Tuple[AtomSource, ...]], JoinPlan] = {}
+        #: (σπ⋈ node id, join order) -> that order's plan and block
+        #: strategies; a repeated order hands back the same plan object and
+        #: prediction, so neither is rebuilt by a re-plan that keeps it.
+        self._orders: Dict[Tuple[int, Tuple[AtomSource, ...]], _PlannedOrder] = {}
 
         self._current_iteration = 0
         # Cardinality snapshots are reused across adaptive nodes within one
@@ -136,10 +148,7 @@ class IRExecutor:
         started = time.perf_counter()
         try:
             for stratum in program.strata:
-                if self.trace_strata:
-                    with self.tracer.span("stratum", index=stratum.index):
-                        self._execute_stratum(stratum)
-                else:
+                with self.tracer.span("stratum", index=stratum.index):
                     self._execute_stratum(stratum)
         finally:
             self.profile.absorb_block_stats(self.evaluator.vectorized_stats)
@@ -313,16 +322,31 @@ class IRExecutor:
             records.append(self.profile.record_reorder(
                 node.node_id, node.plan.rule_name, stage, decision
             ))
+            planned = self._planned(node.node_id, optimized)
             if self._block_kernels:
                 # Profile how the batch executor will run the chosen order.
-                self.profile.record_block_plan(
-                    node.plan.rule_name,
-                    annotate_block_strategies(optimized, indexes),
+                index_key = tuple(
+                    self.storage.registered_indexes(source.literal.relation)
+                    for source in planned.plan.sources if source.kind is not None
                 )
-            ordered.append(
-                self._orders.setdefault((node.node_id, optimized.sources), optimized)
-            )
+                if planned.index_key != index_key:
+                    planned.index_key = index_key
+                    planned.strategies = annotate_block_strategies(
+                        planned.plan, indexes
+                    )
+                self.profile.record_block_plan(
+                    node.plan.rule_name, planned.strategies
+                )
+            ordered.append(planned.plan)
         return ordered, records
+
+    def _planned(self, node_id: int, plan: JoinPlan) -> _PlannedOrder:
+        """The memo entry of ``plan``'s join order at node ``node_id``."""
+        key = (node_id, plan.sources)
+        planned = self._orders.get(key)
+        if planned is None:
+            planned = self._orders[key] = _PlannedOrder(plan)
+        return planned
 
     def _adaptive_rows(self, node: IROp, join_nodes: Sequence[JoinProjectOp],
                        stage: str) -> Set[Row]:

@@ -83,12 +83,6 @@ class RuntimeProfile:
     #: evaluation — currently the per-iteration SnapshotCache; folded into
     #: the telemetry registry as ``snapshot_cache_total``.
     cache_probes: Dict[str, int] = field(default_factory=dict)
-    #: Times a requested worker pool was substituted for a safer kind
-    #: (e.g. process → thread when compiled plans allocate symbols).
-    pool_degradations: int = 0
-    #: Shard workers that died mid-stratum (each one also counts a pool
-    #: degradation: the stratum re-ran on the next-safer pool kind).
-    worker_failures: int = 0
     #: Stale JIT re-plans that landed on join orders their node had already
     #: compiled, and ran that artifact instead of compiling (the
     #: ``"reused-order"`` decisions, counted once per node).

@@ -13,7 +13,6 @@ from repro.core.config import (
     CompilationGranularity,
     EngineConfig,
     ExecutionMode,
-    ShardingConfig,
 )
 from repro.core.profile import RuntimeProfile
 from repro.engine.engine import ExecutionEngine
@@ -25,7 +24,6 @@ __all__ = [
     "EngineConfig",
     "ExecutionEngine",
     "ExecutionMode",
-    "ShardingConfig",
     "RuntimeProfile",
     "select_indexes",
 ]

@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 import time
-import warnings
-from typing import TYPE_CHECKING, Dict, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Optional, Set, Tuple
 
 if TYPE_CHECKING:  # repro.api sits above this layer; import only for types
     from repro.api.result import QueryResult, ResultSet
@@ -101,23 +100,10 @@ def apply_aot_if_configured(
         )
 
 
-def sharding_active(config: EngineConfig) -> bool:
-    """Whether this configuration evaluates through the parallel subsystem.
-
-    ``shards=1`` is the standard single-shard engine by definition, and the
-    NAIVE mode — a deliberately simple baseline — always bypasses sharding.
-    """
-    return (
-        config.sharding is not None
-        and config.sharding.shards > 1
-        and config.mode != ExecutionMode.NAIVE
-    )
-
-
 class ExecutionEngine:
     """Evaluates one Datalog program under one configuration.
 
-    The engine is single-shot: construct, :meth:`run`, read results.  This
+    The engine is single-shot: construct, :meth:`evaluate`, read results.  This
     mirrors how the paper benchmarks Carac (each measurement is a fresh
     evaluation over freshly loaded facts) and keeps the storage lifecycle
     unambiguous.
@@ -139,8 +125,6 @@ class ExecutionEngine:
         )
         self.setup_seconds = time.perf_counter() - setup_start
         self._ran = False
-        #: Set by :meth:`run` when the shard-parallel evaluator was used.
-        self.parallel_report = None
         # Telemetry: the registry of the configured TelemetryConfig, else a
         # private one; the API layer folds the profile in after evaluation.
         from repro.telemetry.config import metrics_of
@@ -156,17 +140,7 @@ class ExecutionEngine:
         """Run the fixpoint computation (idempotent)."""
         if self._ran:
             return
-        if sharding_active(self.config):
-            # Lazy import: repro.parallel sits above the engine layer.
-            from repro.parallel.executor import ParallelEvaluator
-
-            evaluator = ParallelEvaluator(
-                self.program, self.config, self.storage, self.tree, self.profile
-            )
-            self.parallel_report = evaluator.run()
-        else:
-            executor = IRExecutor(self.storage, self.config, self.profile)
-            executor.execute(self.tree)
+        IRExecutor(self.storage, self.config, self.profile).execute(self.tree)
         self._ran = True
         self.metrics.absorb_profile(self.profile)
 
@@ -205,28 +179,6 @@ class ExecutionEngine:
             schema, lambda: self.storage.tuples(name), explain=explain,
             symbols=self.storage.symbols, trace=self._trace_source,
         )
-
-    def run(self) -> Dict[str, Set[Row]]:
-        """Deprecated: use :meth:`evaluate` (or :class:`repro.Database`).
-
-        Evaluates to fixpoint and returns the legacy ``{relation: set(rows)}``
-        dictionary over every IDB relation.
-        """
-        warnings.warn(
-            "ExecutionEngine.run() is deprecated; use ExecutionEngine.evaluate() "
-            "or the repro.Database API, which return QueryResult objects",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        if self._ran:
-            raise RuntimeError(
-                "this engine has already run; build a new ExecutionEngine to re-evaluate"
-            )
-        self._execute_once()
-        return {
-            relation: self.storage.decoded_tuples(relation)
-            for relation in self.program.idb_relations()
-        }
 
     def relation(self, name: str) -> Set[Row]:
         """Tuples of one relation (IDB or EDB) after evaluation, decoded."""

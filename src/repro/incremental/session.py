@@ -33,7 +33,6 @@ from __future__ import annotations
 import hashlib
 import threading
 import time
-import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
@@ -44,7 +43,6 @@ from repro.core.config import EngineConfig
 from repro.core.executor import IRExecutor
 from repro.core.join_order import JoinOrderOptimizer
 from repro.core.profile import RuntimeProfile
-from repro.relational.storage import DatabaseKind
 from repro.datalog.fingerprint import fingerprint_program
 from repro.datalog.program import DatalogProgram
 from repro.engine.engine import (
@@ -64,33 +62,19 @@ from repro.incremental.dred import (
 from repro.ir.builder import build_update_ir
 from repro.ir.encoding import encode_tree
 from repro.ir.ops import ProgramOp
-from repro.relational.columnar import ColumnarBlock
 from repro.relational.operators import SubqueryEvaluator
 from repro.relational.relation import Row
-from repro.resilience.errors import ResilienceError, WorkerFailed
+from repro.resilience.errors import ResilienceError
 from repro.resilience.limits import NOOP_GOVERNOR
 
 RowBatch = Iterable[Sequence[object]]
 
 
 @dataclass
-class _SessionShardState:
-    """The session's persistent shard-parallel propagation machinery."""
-
-    spec: "object"      # repro.parallel.partition.PartitionSpec
-    sharded: "object"   # repro.parallel.sharded_storage.ShardedStorage
-    pool: "object"      # repro.parallel.executor.WorkerPool
-    #: Workers interpret through the vectorized executor (no compiled
-    #: backend), so each drained batch also counts as one vectorized
-    #: sub-query evaluation.
-    vectorized: bool = False
-
-
-@dataclass
 class UpdateReport:
     """What one mutation batch did to the session's fixpoint."""
 
-    strategy: str = "incremental"          # "incremental[-sharded]" or "recompute"
+    strategy: str = "incremental"          # "incremental" or "recompute"
     inserted: int = 0                      # genuinely new rows asserted
     retracted: int = 0                     # base rows actually retracted
     over_deleted: int = 0                  # size of the DRed deletion cone
@@ -276,10 +260,6 @@ class IncrementalSession:
         self._decoded_results: Dict[str, Tuple[FrozenSet[Row], FrozenSet[Row]]] = {}
         self.updates_applied = 0
         self.last_report: Optional[UpdateReport] = None
-        # Shard-parallel update propagation (see _propagate_parallel): the
-        # per-shard replicas and their worker pool are built lazily on the
-        # first batch that needs them and then kept in sync across batches.
-        self._shard_state = None
         # MVCC snapshot publication (opt-in; see enable_snapshots).  The
         # write lock serializes apply() so concurrent callers — the server
         # funnels all mutations through one worker thread, but embedded
@@ -291,44 +271,14 @@ class IncrementalSession:
         # batch's snapshot publishes.  None for non-durable sessions.
         self._durability = None  # Optional[DurabilityManager]
         # Resilience accounting surfaced through ``sys_resilience``:
-        # taxonomy-code -> count of queries aborted by governance, plus
-        # shard-propagation rebuild events.
+        # taxonomy-code -> count of queries aborted by governance.
         self.resilience_events: Dict[str, int] = {}
-
-    # -- lifecycle ---------------------------------------------------------------
-
-    def close(self) -> None:
-        """Release pooled resources (idempotent; only needed when sharded)."""
-        if self._shard_state is not None:
-            self._shard_state.pool.close()
-            self._shard_state = None
-
-    def __enter__(self) -> "IncrementalSession":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
     # -- evaluation -------------------------------------------------------------
 
     def _execute(self, tree: ProgramOp, governor=None) -> RuntimeProfile:
         profile = RuntimeProfile()
-        from repro.engine.engine import sharding_active
-
-        if tree is self.tree and sharding_active(self.config):
-            # The initial fixpoint (and any full rebuild) takes the same
-            # shard-parallel path a sharded ExecutionEngine would.
-            from repro.parallel.executor import ParallelEvaluator
-
-            ParallelEvaluator(
-                self.program, self.config, self.storage, tree, profile,
-                governor=governor,
-            ).run()
-        else:
-            executor = IRExecutor(
-                self.storage, self.config, profile, governor=governor
-            )
-            executor.execute(tree)
+        IRExecutor(self.storage, self.config, profile, governor=governor).execute(tree)
         self._absorb_profile(profile)
         return profile
 
@@ -349,7 +299,7 @@ class IncrementalSession:
         self.profile.sources.vectorized += profile.sources.vectorized
         self.profile.wall_seconds += profile.wall_seconds
         # Size-like fields: the latest snapshot wins (they describe current
-        # state, not deltas); counter-like cache/pool fields accumulate.
+        # state, not deltas); cache probe counters accumulate.
         self.profile.result_sizes.update(profile.result_sizes)
         if profile.symbol_stats:
             self.profile.symbol_stats = dict(profile.symbol_stats)
@@ -357,8 +307,6 @@ class IncrementalSession:
             self.profile.cache_probes[result] = (
                 self.profile.cache_probes.get(result, 0) + count
             )
-        self.profile.pool_degradations += profile.pool_degradations
-        self.profile.worker_failures += profile.worker_failures
         self.metrics.absorb_profile(profile)
 
     def _ensure_evaluated(self, governor=None) -> None:
@@ -554,7 +502,7 @@ class IncrementalSession:
         """Validate one mutation batch and encode it into the storage domain.
 
         This is the session's interning boundary: everything downstream
-        (delta seeding, DRed, shard scatter, the base-row ledger) works on
+        (delta seeding, DRed, the base-row ledger) works on
         encoded rows.  ``allocate=False`` is the retraction path — a value
         the symbol table has never seen cannot occur in any stored row, so
         such rows are dropped here instead of allocating ids for them.
@@ -609,11 +557,6 @@ class IncrementalSession:
                 dred_span.set(rows=report.over_deleted)
             for name, rows in cone.deleted.items():
                 self.storage.retract_rows(name, rows)
-                if self._shard_state is not None:
-                    # Keep the persistent shard replicas consistent with the
-                    # deletion cone so insert batches after a retraction can
-                    # still propagate shard-parallel without a rebuild.
-                    self._shard_state.sharded.retract_rows(name, rows)
             with self.tracer.span("dred:rederive") as dred_span:
                 steps: List[RederiveStep] = []
                 seeds = rederivation_seeds(
@@ -649,12 +592,8 @@ class IncrementalSession:
         # incomplete fixpoint, and the WAL (written after apply) would
         # diverge from in-memory state.
         if seeded:
-            if self._sharded_propagation():
-                report.propagated = self._propagate_parallel()
-                report.strategy = "incremental-sharded"
-            else:
-                profile = self._execute(self._update_tree, NOOP_GOVERNOR)
-                report.propagated = sum(it.promoted for it in profile.iterations)
+            profile = self._execute(self._update_tree, NOOP_GOVERNOR)
+            report.propagated = sum(it.promoted for it in profile.iterations)
         self._advance_mutation_digests(effective_inserts, eligible)
         return report
 
@@ -674,171 +613,6 @@ class IncrementalSession:
                 for s in steps if s.decision is not None
             ),
         )
-
-    # -- shard-parallel propagation ----------------------------------------------
-
-    def _sharded_propagation(self) -> bool:
-        from repro.engine.engine import sharding_active
-
-        return self.incremental_capable and sharding_active(self.config)
-
-    def _build_shard_state(self):
-        """Build the persistent per-shard replicas for update propagation.
-
-        The update tree's delta choice ranges over *every* positive atom, so
-        no pivot-aligned partitioning exists: propagation always runs the
-        replicated strategy — each shard mirrors the whole derived database
-        and owns a hash slice of every delta.  The fork pool is excluded
-        here: children would stop seeing the coordinator's between-batch
-        replica maintenance, so an explicit ``pool="process"`` request
-        degrades to serial for session propagation (full evaluations still
-        honour it).
-        """
-        from repro.ir.builder import collect_loop_plans
-        from repro.parallel.exchange import ExchangeRouter
-        from repro.parallel.executor import (
-            ShardWorker,
-            make_pool,
-            resolve_pool_kind,
-            resolve_shard_backend,
-        )
-        from repro.parallel.partition import PartitionSpec
-        from repro.parallel.sharded_storage import ShardedStorage
-
-        sharding = self.config.sharding
-        relations = self.storage.relation_names()
-        spec = PartitionSpec(
-            shards=sharding.shards,
-            columns={name: 0 for name in relations},
-            replicated=frozenset(),
-            aligned=False,
-        )
-        sharded = ShardedStorage(spec, self.storage)
-        for name in relations:
-            sharded.replicate_derived(self.storage, name)
-        groups = collect_loop_plans(self._update_tree.strata[0].loop)
-        if groups is None:  # pragma: no cover - update trees are always flat
-            return None
-        router = ExchangeRouter(spec)
-        workers = [
-            ShardWorker(shard, sharded.shard(shard), groups, relations, router=router)
-            for shard in range(spec.shards)
-        ]
-        backend_name = resolve_shard_backend(self.config)
-        for worker in workers:
-            worker.prepare(
-                backend_name, self.config.evaluator_style, self.config.executor,
-                trace=self.tracer.enabled,
-            )
-        pool_kind = resolve_pool_kind(sharding, spec.shards)
-        if pool_kind == "process":
-            pool_kind = "serial"
-            self.profile.pool_degradations += 1
-            self.metrics.counter("pool_degradations_total").inc()
-        pool = make_pool(pool_kind, workers)
-        return _SessionShardState(
-            spec=spec, sharded=sharded, pool=pool,
-            vectorized=backend_name is None and self.config.executor == "vectorized",
-        )
-
-    def _propagate_parallel(self) -> int:
-        """Propagate the just-seeded deltas through the shard pool.
-
-        The global storage has already absorbed the seeds (Derived and
-        Delta-Known); the shards receive the seed rows (replica maintenance
-        plus owner-sliced deltas) and iterate exchange rounds to global
-        quiescence, folding each round's accepted rows back into the global
-        storage as they appear.  Returns the number of propagated facts —
-        the same count the serial update tree would report.
-        """
-        from repro.parallel.exchange import QuiescenceTracker
-        from repro.parallel.executor import run_replicated_rounds
-
-        fresh = self._shard_state is None
-        if fresh:
-            self._shard_state = self._build_shard_state()
-        state = self._shard_state
-        if state is None:  # pragma: no cover - defensive fallback
-            profile = self._execute(self._update_tree, NOOP_GOVERNOR)
-            return sum(it.promoted for it in profile.iterations)
-
-        def absorb(accepted: Mapping[str, Sequence[Sequence[object]]]) -> None:
-            for name, rows in accepted.items():
-                self.storage.absorb_rows(name, rows)
-
-        try:
-            for name in self.storage.relation_names():
-                delta = self.storage.relation(name, DatabaseKind.DELTA_KNOWN)
-                if not len(delta):
-                    continue
-                # Move the seeded delta around in block form: one columnar
-                # batch per relation feeds both replica maintenance and the
-                # owner split, which hashes the partition column column-wise.
-                block = ColumnarBlock.from_relation(delta)
-                if not fresh:
-                    # Replicas built earlier have not seen this batch's seeds.
-                    state.sharded.broadcast_derived(name, block)
-                state.sharded.scatter_delta(name, block)
-
-            # The update tree is one flat stratum; the span mirrors the
-            # level a serial propagation would produce, and worker-recorded
-            # spans are reparented onto it below.
-            tracker = QuiescenceTracker()
-            with self.tracer.span("stratum", index=0, strategy="replicated",
-                                  shards=state.spec.shards) as span:
-                result = run_replicated_rounds(
-                    state.pool,
-                    state.spec.shards,
-                    max_rounds=min(
-                        self.config.max_iterations, self.config.sharding.max_rounds
-                    ),
-                    tracker=tracker,
-                    on_accepted=absorb,
-                )
-                if self.tracer.enabled:
-                    for records in state.pool.invoke("drain_spans"):
-                        self.tracer.merge_buffer(records, parent=span)
-        except WorkerFailed:
-            # A shard died (or was fault-injected) mid-propagation.  The
-            # global storage may hold a partially-absorbed round — and delta
-            # seeding dedupes against derived rows, so re-driving the update
-            # tree from that state could MISS derivations.  The one always-
-            # correct recovery is a full recompute from base facts.
-            state.pool.close()
-            self._shard_state = None
-            self.profile.worker_failures += 1
-            self.metrics.counter("worker_failures_total").inc()
-            self.resilience_events["propagation_rebuilds"] = (
-                self.resilience_events.get("propagation_rebuilds", 0) + 1
-            )
-            self._reset_to_base()
-            # Ungoverned like every mutation-path execution: a governed
-            # recovery aborting mid-recompute would strand storage between
-            # base and fixpoint with the abort already swallowed here.
-            profile = self._execute(self.tree, NOOP_GOVERNOR)
-            self._evaluated = True
-            return sum(it.promoted for it in profile.iterations)
-
-        # Fold this propagation into the lifetime profile exactly like a
-        # serial update execution would: per-round iteration records, the
-        # workers' batch counters, and the post-update relation sizes —
-        # without this, session reuse under sharding under-reported in
-        # ``explain()`` and the metrics registry.
-        rounds_profile = RuntimeProfile()
-        for stats in tracker.rounds:
-            rounds_profile.record_iteration(
-                0, stats.round_index, stats.promoted, None, 0.0
-            )
-        from repro.parallel.executor import drain_pool_vectorized_stats
-
-        drain_pool_vectorized_stats(state.pool, rounds_profile, state.vectorized)
-        state.sharded.clear_deltas()
-        self.storage.clear_deltas(self.storage.relation_names())
-        for name in self.storage.relation_names():
-            rounds_profile.result_sizes[name] = self.storage.cardinality(name)
-        rounds_profile.record_symbol_stats(self.storage.symbols)
-        self._absorb_profile(rounds_profile)
-        return result.promoted
 
     def _apply_recompute(
         self,
@@ -999,18 +773,6 @@ class IncrementalSession:
         self._decoded_results[relation] = (rows, decoded)
         return decoded
 
-    def query(self, relation: str) -> FrozenSet[Row]:
-        """Deprecated: use :meth:`fetch` (or ``Connection.query`` for
-        :class:`~repro.api.result.QueryResult` objects)."""
-        warnings.warn(
-            "IncrementalSession.query() is deprecated; use "
-            "IncrementalSession.fetch() or a repro.Database connection, whose "
-            "query() returns QueryResult objects",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.fetch(relation)
-
     def results(self) -> Dict[str, FrozenSet[Row]]:
         """Every IDB relation's tuples (cached individually)."""
         return {name: self.fetch(name) for name in self.program.idb_relations()}
@@ -1018,16 +780,12 @@ class IncrementalSession:
     def resilience_stats(self):
         """``sys_resilience`` rows: ``(kind, name, value)`` counters.
 
-        Covers governance aborts by taxonomy code, shard degradations and
-        worker failures from the lifetime profile, and — when a fault
+        Covers governance aborts by taxonomy code and — when a fault
         registry is installed — per-point hit/injection counts.
         """
         from repro.resilience import faults as fault_registry
 
-        rows = [
-            ("profile", "worker_failures", self.profile.worker_failures),
-            ("profile", "pool_degradations", self.profile.pool_degradations),
-        ]
+        rows = []
         for name in sorted(self.resilience_events):
             rows.append(("event", name, self.resilience_events[name]))
         rows.extend(fault_registry.active().stat_rows())

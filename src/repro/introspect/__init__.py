@@ -1,7 +1,7 @@
 """Self-observability: the queryable system catalog and EXPLAIN ANALYZE.
 
 The introspection layer turns the engine's own state — storage statistics,
-finished traces, metrics, shard topology — into first-class Datalog
+finished traces, metrics — into first-class Datalog
 relations under the reserved ``sys_`` namespace, so every operational
 question is answerable with the engine's own query language::
 
@@ -10,7 +10,7 @@ question is answerable with the engine's own query language::
 Two pieces:
 
 * :mod:`repro.introspect.catalog` — the :class:`SystemCatalog`: schemas for
-  the seven ``sys_`` relations, on-demand materialization into a session's
+  the ``sys_`` relations, on-demand materialization into a session's
   storage (interned through the normal symbol-table path, so catalog rows
   compose with joins, negation, aggregation and the vectorized executor),
   and content digests that keep the result cache honest.
@@ -21,7 +21,7 @@ Two pieces:
 
 Layering rule (the mirror image of the telemetry-sinks rule): this package
 may import :mod:`repro.telemetry` and the relational layer, but engine-core
-modules (``core``, ``engine``, ``incremental``, ``parallel``, ``relational``,
+modules (``core``, ``engine``, ``incremental``, ``relational``,
 ``ir``, ``datalog``) never import ``repro.introspect`` — they receive the
 catalog as an opaque duck-typed parameter from the API layer.  CI greps for
 violations and ``tests/introspect/test_layering.py`` pins the same rule.

@@ -2,7 +2,7 @@
 
 One :class:`SystemCatalog` serves one connection (or one-shot query): it
 snapshots the telemetry ring, the metrics registry and the bound session's
-storage/shard state into plain raw-domain rows, and materializes them into
+storage state into plain raw-domain rows, and materializes them into
 a session's :class:`~repro.relational.storage.StorageManager` as ordinary
 base facts whenever a program references a ``sys_`` relation in a rule
 body.  Materialized rows go through ``storage.symbols`` like any other
@@ -45,7 +45,6 @@ CATALOG_COLUMNS: Dict[str, Tuple[str, ...]] = {
     ),
     "sys_span_attrs": ("span_id", "key", "value"),
     "sys_metrics": ("name", "labels", "kind", "value"),
-    "sys_shards": ("shard", "pool", "degradations"),
     "sys_symbols": ("count", "bytes_estimate"),
     "sys_connections": (
         "conn", "peer", "state", "mode", "queries", "mutations",
@@ -102,8 +101,8 @@ class SystemCatalog:
         :class:`~repro.telemetry.TelemetryConfig`.  ``None`` (telemetry
         off) leaves the trace-backed relations empty.
 
-    Storage- and shard-backed relations read through late-bound providers
-    (:meth:`bind_storage`, :meth:`bind_shards`) installed by the API layer
+    Storage-backed relations read through a late-bound provider
+    (:meth:`bind_storage`) installed by the API layer
     once the session exists; :meth:`install`/:meth:`refresh` receive the
     storage explicitly, so materialization into a session under
     construction needs no provider.
@@ -114,7 +113,6 @@ class SystemCatalog:
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.ring = ring
         self._storage_provider: Optional[Callable[[], object]] = None
-        self._shard_provider: Optional[Callable[[], List[Row]]] = None
         self._connection_provider: Optional[Callable[[], List[Row]]] = None
         self._server_provider: Optional[Callable[[], List[Row]]] = None
         self._durability_provider: Optional[Callable[[], List[Row]]] = None
@@ -130,10 +128,6 @@ class SystemCatalog:
         ``sys_symbols`` reads (a zero-argument callable, late-bound so the
         catalog can be constructed before the session it observes)."""
         self._storage_provider = provider
-
-    def bind_shards(self, provider: Callable[[], List[Row]]) -> None:
-        """Install the provider of ``sys_shards`` rows."""
-        self._shard_provider = provider
 
     def bind_connections(self, provider: Callable[[], List[Row]]) -> None:
         """Install the provider of ``sys_connections`` rows (the query
@@ -151,7 +145,7 @@ class SystemCatalog:
 
     def bind_resilience(self, provider: Callable[[], List[Row]]) -> None:
         """Install the provider of ``sys_resilience`` rows (governance
-        aborts, degradations, worker failures and fault-injection counts)."""
+        aborts and fault-injection counts)."""
         self._resilience_provider = provider
 
     # -- row sources -------------------------------------------------------------
@@ -182,10 +176,6 @@ class SystemCatalog:
             return self._attr_rows()
         if name == "sys_metrics":
             return self.metrics.rows()
-        if name == "sys_shards":
-            return [] if self._shard_provider is None else list(
-                self._shard_provider()
-            )
         if name == "sys_connections":
             return [] if self._connection_provider is None else list(
                 self._connection_provider()

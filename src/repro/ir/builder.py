@@ -181,13 +181,12 @@ def build_update_ir(program: DatalogProgram, check_safety: bool = True) -> Progr
 def collect_loop_plans(loop: DoWhileOp) -> Optional[List[Tuple[str, List["JoinPlan"]]]]:
     """Extract ``(relation, plans)`` groups from a semi-naive loop body.
 
-    The shard-parallel evaluator executes loop bodies itself (so it can
-    interleave the exchange step between iterations) instead of walking the
-    IR tree per round; this flattens one ``DoWhileOp`` — as produced by
-    :func:`build_program_ir` or :func:`build_update_ir`, including after
-    AOT join-order rewriting — into per-relation plan groups.  Returns None
-    when the body contains anything but Insert→Union→σπ⋈ structure and the
-    trailing SwapClear (callers then fall back to ordinary execution).
+    Flattens one ``DoWhileOp`` — as produced by :func:`build_program_ir` or
+    :func:`build_update_ir`, including after AOT join-order rewriting — into
+    per-relation plan groups, for callers that time or run a loop body's
+    sub-queries one plan at a time (the benchmark ledger's per-plan
+    stages).  Returns None when the body contains anything but
+    Insert→Union→σπ⋈ structure and the trailing SwapClear.
     """
     groups: List[Tuple[str, List[JoinPlan]]] = []
     for child in loop.body.children:

@@ -20,11 +20,7 @@ encoded constants survive every later rewrite.
 Built-in literals evaluate in the *raw* domain (ordering comparisons and
 arithmetic are meaningless on ids); their evaluators resolve encoded
 constants and variable bindings through the symbol table — one C-level list
-subscript per operand — and re-intern computed results.  Because those
-computed results are the only place a fixpoint can *allocate* new ids,
-:func:`plan_allocates` tells the shard-parallel evaluator which plans must
-stay off the fork pool (a forked child inventing ids would diverge from its
-siblings).
+subscript per operand — and re-intern computed results.
 """
 
 from __future__ import annotations
@@ -33,7 +29,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.datalog.literals import Assignment, Atom, Comparison, Literal
-from repro.datalog.terms import Aggregate, BinaryExpression, Constant, Term, Variable
+from repro.datalog.terms import BinaryExpression, Constant, Term
 from repro.ir.ops import AggregateOp, IROp, JoinProjectOp, walk
 from repro.relational.operators import AtomSource, JoinPlan
 
@@ -113,18 +109,3 @@ def encode_tree(tree: IROp, symbols) -> IROp:
                 encode_term(term, symbols) for term in node.head_terms
             )
     return tree
-
-
-def plan_allocates(plan: JoinPlan) -> bool:
-    """Whether evaluating ``plan`` can intern *new* symbols mid-fixpoint.
-
-    True when the plan computes fresh values — an assignment literal or a
-    non-trivial head term (arithmetic).  Joins, filters and negation only
-    ever move already-interned ids around.
-    """
-    for source in plan.sources:
-        if isinstance(source.literal, Assignment):
-            return True
-    return any(
-        not isinstance(term, (Variable, Constant)) for term in plan.head_terms
-    )

@@ -12,7 +12,6 @@ JIT, backends) manipulates relations only through these classes.
 
 from repro.relational.relation import HashIndex, Relation
 from repro.relational.storage import DatabaseKind, StorageManager
-from repro.relational.columnar import ColumnarBlock
 from repro.relational.operators import (
     AtomSource,
     JoinPlan,
@@ -31,7 +30,6 @@ from repro.relational.statistics import (
 __all__ = [
     "AtomSource",
     "CardinalitySnapshot",
-    "ColumnarBlock",
     "DatabaseKind",
     "HashIndex",
     "JoinPlan",

@@ -144,9 +144,10 @@ class Relation:
     def absorb_set(self, rows: Iterable[Row]) -> int:
         """Bulk-insert already-tupled rows via set arithmetic.
 
-        The fast path for the shard-parallel scatter/merge steps, which move
-        tens of thousands of rows at once: the membership filtering happens
-        in one C-level set difference instead of one Python call per row.
+        The fast path for batch writers (Delta-New promotion, trusted delta
+        seeding, bulk loads), which move tens of thousands of rows at once:
+        the membership filtering happens in one C-level set difference
+        instead of one Python call per row.
         Rows must already be tuples of the right arity — callers own that
         invariant (they read the rows out of another relation).
         """

@@ -230,7 +230,7 @@ class StorageManager:
                        kind: DatabaseKind = DatabaseKind.DERIVED) -> Set[Row]:
         """The rows of ``name`` translated back into the raw value domain.
 
-        The legacy-shape result boundary (``ExecutionEngine.run()``, session
+        The plain-set result boundary (``ExecutionEngine.relation``, session
         ``fetch``): one decode pass, no effect under the identity codec.
         """
         rows = self.relation(name, kind).rows()
@@ -264,27 +264,6 @@ class StorageManager:
         inserted = self.insert_derived(name, row)
         self._base_rows[name].add(tuple(row))
         return inserted
-
-    def adopt_derived(self, name: str, relation: Relation) -> None:
-        """Use ``relation`` as this manager's Derived copy of ``name``.
-
-        The zero-copy sharing hook of the shard-parallel subsystem: a
-        replicated *read-only* support relation can back any number of
-        shard-local storages at once.  The adopting manager must never
-        mutate the relation — the callers (see
-        :meth:`repro.parallel.sharded_storage.ShardedStorage.share_derived`)
-        only adopt relations their plans read, never write.
-        """
-        self._require(name)
-        if relation.arity != self._arities[name]:
-            raise ValueError(
-                f"cannot adopt {relation!r} as {name!r}: arity mismatch"
-            )
-        self._derived[name] = relation
-        # The adopted relation's contents may differ from the replaced copy
-        # without a generation bump; drop any frozen view of the old copy.
-        self._frozen_cache.pop(name, None)
-        self._bump_version()
 
     def base_rows(self, name: str) -> Set[Row]:
         """The explicitly asserted rows of ``name`` (a copy)."""
@@ -391,11 +370,10 @@ class StorageManager:
     def absorb_rows(self, name: str, rows: Iterable[Sequence[Any]]) -> int:
         """Bulk-insert rows into the Derived database, one generation bump.
 
-        The bulk path of the shard-parallel subsystem: scattering partitions
-        to shards and merging shard results back both move tens of thousands
-        of rows at once, and bumping the generation counter per batch (not
-        per row) keeps result-cache tokens meaningful.  Returns the number
-        of rows that were new.
+        The bulk path for loaders that move tens of thousands of rows at
+        once (e.g. the interning benchmark's EDB load): bumping the
+        generation counter per batch (not per row) keeps result-cache tokens
+        meaningful.  Returns the number of rows that were new.
         """
         self._require(name)
         inserted = self._derived[name].absorb_set(
@@ -408,10 +386,10 @@ class StorageManager:
     def force_delta(self, name: str, rows: Iterable[Sequence[Any]]) -> int:
         """Insert rows into Delta-Known only, regardless of Derived membership.
 
-        Used when seeding shard-local deltas: the rows are already present
-        in the (local or replicated) Derived database, so :meth:`seed_delta`
-        — which skips anything already derived — would drop them.  Returns
-        the number of rows new to Delta-Known.
+        Used when the rows are already present in the Derived database
+        (DRed's re-derivation survivors), where :meth:`seed_delta` — which
+        skips anything already derived — would drop them.  Returns the
+        number of rows new to Delta-Known.
         """
         self._require(name)
         self._bump_version()

@@ -3,7 +3,7 @@
 Dictionary encoding is the storage trick every production Datalog engine
 (Soufflé and friends) leans on: intern each constant **once** into a dense
 ``0..N-1`` integer domain and run the entire fixpoint — hash-join
-build/probe, delta dedup, shard routing, index maintenance — over
+build/probe, delta dedup, index maintenance — over
 machine-word tuples.  Strings, composite keys and floats are hashed and
 compared exactly once, at interning time; every later touch is an int.
 
@@ -31,23 +31,19 @@ Two codecs implement the same tiny protocol:
   encoding rewrite.  It is the differential oracle the encoded engine is
   tested against.
 
-Shard safety
-------------
+Sharing
+-------
 
 The table is **append-only** and safe to share:
 
 * *Threads* — the allocation path takes a lock (with a lock-free fast path
-  for already-interned values, safe under the GIL), so shard workers on the
-  thread pool may intern concurrently.
-* *Forked processes* — children inherit the table at fork time; ids are
-  consistent because allocation is deterministic and the coordinator only
-  forks after loading/encoding.  Plans that can *allocate* mid-fixpoint
-  (assignments, arithmetic head terms) are kept off the fork pool by the
-  parallel evaluator, so a child never invents an id its siblings lack.
-* *Pickling* — a table pickles by its value list (the id map and lock are
-  rebuilt on load), so spawn-style workers can ship the whole table, and
-  :meth:`entries_since` / :meth:`extend` ship incremental deltas: the
-  receiver replays the sender's appended suffix and ends up id-identical.
+  for already-interned values, safe under the GIL), so the query server's
+  reader threads may resolve and intern while the writer allocates.
+* *Pickling and replay* — a table pickles by its value list (the id map and
+  lock are rebuilt on load), and :meth:`entries_since` / :meth:`extend`
+  ship incremental deltas: the receiver replays the sender's appended
+  suffix and ends up id-identical.  The WAL records each batch's delta
+  this way, and recovery replays it.
 
 Per-symbol memo
 ---------------
@@ -262,7 +258,7 @@ class SymbolTable:
             out.append(symbol)
         return tuple(out)
 
-    # -- shard/process plumbing --------------------------------------------------
+    # -- delta replay ------------------------------------------------------------
 
     def __len__(self) -> int:
         return len(self._values)
@@ -278,7 +274,7 @@ class SymbolTable:
     def extend(self, values: Iterable[Any], base: Optional[int] = None) -> int:
         """Replay another table's appended suffix; returns entries added.
 
-        Receiving side of the cross-process delta protocol: appending the
+        Receiving side of the delta replay protocol: appending the
         sender's ``entries_since(mark)`` with ``base=mark`` reproduces its
         allocations exactly, so row ids stay comparable across the
         boundary.  Raises ``ValueError`` when the replay would assign any

@@ -4,7 +4,7 @@ Three small modules wired through every layer of the engine:
 
 - :mod:`repro.resilience.errors` — the stable error taxonomy
   (``DeadlineExceeded`` / ``ResourceExhausted`` / ``Cancelled`` /
-  ``WorkerFailed`` / ``DurabilityError``) with wire-stable codes.
+  ``DurabilityError``) with wire-stable codes.
 - :mod:`repro.resilience.faults` — named fault points at the real failure
   sites with deterministic seeded schedules; zero-overhead when disabled.
 - :mod:`repro.resilience.limits` / :mod:`repro.resilience.cancel` — per
@@ -12,7 +12,7 @@ Three small modules wired through every layer of the engine:
   ``QueryGovernor`` the executors poll at iteration boundaries.
 
 This package sits below the engine layers (it imports nothing from them),
-so storage, durability, parallel and server code can all use it freely.
+so storage, durability and server code can all use it freely.
 """
 
 from repro.resilience.cancel import NOOP_TOKEN, CancellationToken
@@ -23,7 +23,6 @@ from repro.resilience.errors import (
     ResilienceError,
     ResourceExhausted,
     TAXONOMY,
-    WorkerFailed,
     error_from_code,
 )
 from repro.resilience.faults import (
@@ -59,7 +58,6 @@ __all__ = [
     "ResilienceError",
     "ResourceExhausted",
     "TAXONOMY",
-    "WorkerFailed",
     "error_from_code",
     "fault_scope",
     "governor_of",

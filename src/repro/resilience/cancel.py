@@ -1,12 +1,11 @@
 """Cooperative cancellation: one token per query, checked at loop boundaries.
 
 A :class:`CancellationToken` is the cheap half of query governance: it holds
-an optional absolute deadline (``time.monotonic`` domain — CLOCK_MONOTONIC
-is system-wide on Linux, so a deadline crosses ``fork`` to shard workers
-as a plain float) and a cancel flag any thread may set.  The engine checks
+an optional absolute deadline (``time.monotonic`` domain) and a cancel flag
+any thread may set.  The engine checks
 it cooperatively: per fixpoint iteration in :class:`~repro.core.executor.
-IRExecutor`, per sub-query batch in the vectorized operators, per round in
-the shard workers.  Unbounded-growth programs therefore abort within one
+IRExecutor` and per sub-query batch in the vectorized operators.
+Unbounded-growth programs therefore abort within one
 iteration of the deadline instead of spinning to ``max_iterations``.
 
 :data:`NOOP_TOKEN` is the disabled singleton — ``active`` is False, every

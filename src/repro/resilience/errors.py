@@ -1,11 +1,10 @@
 """The typed error taxonomy: every failure the engine reports, one class each.
 
 Before this module the failure surface was ad hoc: a wedged queue raised a
-``BackpressureError`` with free-form codes, a dead shard worker surfaced as
-a bare ``RuntimeError``, and an I/O error mid-commit crossed the wire as an
-unstructured traceback string.  The taxonomy replaces all of that with five
-stable classes — :class:`DeadlineExceeded`, :class:`ResourceExhausted`,
-:class:`Cancelled`, :class:`WorkerFailed`, :class:`DurabilityError` — whose
+``BackpressureError`` with free-form codes, and an I/O error mid-commit
+crossed the wire as an unstructured traceback string.  The taxonomy replaces
+that with four stable classes — :class:`DeadlineExceeded`,
+:class:`ResourceExhausted`, :class:`Cancelled`, :class:`DurabilityError` — whose
 ``code`` strings are wire-stable: the server serialises them with
 :meth:`ResilienceError.to_wire`, clients re-raise them from
 :func:`error_from_code`, and tests pin each code exactly once.
@@ -13,7 +12,7 @@ stable classes — :class:`DeadlineExceeded`, :class:`ResourceExhausted`,
 Every instance optionally carries a ``reason`` (a short machine-readable
 discriminator inside one code, e.g. ``queue_full`` vs ``oversized_frame``
 for :class:`ResourceExhausted`) and arbitrary keyword ``details`` that ride
-along in the wire object (``shard``, ``policy``, ``point``, ...).
+along in the wire object (``policy``, ``point``, ...).
 """
 
 from __future__ import annotations
@@ -69,24 +68,16 @@ class Cancelled(ResilienceError):
     code = "cancelled"
 
 
-class WorkerFailed(ResilienceError):
-    """A shard worker died mid-stratum; the engine degrades and re-runs."""
-
-    code = "worker_failed"
-
-
 class DurabilityError(ResilienceError):
     """The WAL or a checkpoint could not be made durable."""
 
     code = "durability_error"
 
 
-#: code -> class, for re-raising typed errors from wire objects and from
-#: cross-process worker failure payloads.
+#: code -> class, for re-raising typed errors from wire objects.
 TAXONOMY: Dict[str, type] = {
     cls.code: cls
-    for cls in (DeadlineExceeded, ResourceExhausted, Cancelled, WorkerFailed,
-                DurabilityError)
+    for cls in (DeadlineExceeded, ResourceExhausted, Cancelled, DurabilityError)
 }
 
 

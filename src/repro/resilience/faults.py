@@ -1,8 +1,8 @@
 """Fault injection: named fault points at the engine's real failure sites.
 
 Every place the system can genuinely fail in production — a WAL ``fsync``
-returning ``EIO``, a checkpoint rename racing a crash, a shard worker dying
-mid-invoke, a client socket resetting mid-write — carries a *fault point*:
+returning ``EIO``, a checkpoint rename racing a crash, a client socket
+resetting mid-write — carries a *fault point*:
 a one-line ``faults.fire("wal.fsync", DurabilityError)`` hook.  When no
 registry is installed the hook is one attribute test on a shared no-op
 singleton (the ``NOOP_TRACER`` discipline); when a :class:`FaultRegistry`
@@ -20,13 +20,13 @@ is installed, each hit consults that point's :class:`FaultSpec` schedule:
     Sleep per hit without failing (slow-disk / slow-network simulation).
 
 Injected failures raise the *site's* taxonomy error (the same class a real
-EIO or worker death would produce), so chaos tests exercise the production
+EIO would produce), so chaos tests exercise the production
 error paths, not a parallel test-only channel.
 
 Activation: ``EngineConfig.with_(faults=FaultRegistry(...))`` (installed
 when the engine prepares an evaluation), :func:`fault_scope` in tests, or
 the ``REPRO_FAULTS`` environment variable for whole-process injection —
-``REPRO_FAULTS="wal.fsync:fail_nth=1;pool.invoke:fail_rate=0.1"``.
+``REPRO_FAULTS="wal.fsync:fail_nth=1;server.send:fail_rate=0.1"``.
 """
 
 from __future__ import annotations
@@ -49,7 +49,6 @@ FAULT_POINTS = (
     "wal.fsync",         # WAL fsync, batch or always policy (durability/wal.py)
     "checkpoint.rename", # atomic tmp -> final rename (durability/checkpoint.py)
     "symbols.extend",    # symbol-table delta absorb (relational/symbols.py)
-    "pool.invoke",       # shard worker-pool dispatch (parallel/executor.py)
     "server.send",       # response write to a client socket (server/server.py)
     "queue.enqueue",     # mutation-queue admission (server/backpressure.py)
 )
@@ -195,7 +194,7 @@ class _NoopRegistry:
 NOOP_FAULTS = _NoopRegistry()
 
 #: The process-wide active registry.  Fault points are physical sites (one
-#: WAL file, one worker pool, one server socket), so activation is
+#: WAL file, one server socket), so activation is
 #: process-scoped — exactly like ``faulthandler`` — and the last install
 #: wins.  ``clear()`` restores the free no-op.
 _ACTIVE: Union[FaultRegistry, _NoopRegistry] = NOOP_FAULTS

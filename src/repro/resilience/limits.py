@@ -70,7 +70,7 @@ class QueryGovernor:
         if self.limits.deadline_seconds is not None:
             budget = time.monotonic() + self.limits.deadline_seconds
             deadline = budget if deadline is None else min(deadline, budget)
-        #: Absolute monotonic deadline, shippable to forked workers.
+        #: Absolute monotonic deadline.
         self.deadline = deadline
         self.rows_derived = 0
         self.rounds = 0

@@ -4,19 +4,17 @@ The observability layer under the future query server.  Three pieces:
 
 * :mod:`repro.telemetry.spans` — a :class:`Tracer` producing hierarchical
   :class:`Span` trees (monotonic ``perf_counter_ns`` timestamps, attributes,
-  status, ambient current-span via ``contextvars``), a
-  :class:`SpanBuffer` for shard workers whose records are remapped into the
-  coordinator's trace at exchange time, and the zero-overhead
+  status, ambient current-span via ``contextvars``), and the zero-overhead
   :data:`NOOP_TRACER` the engine defaults to.
 * :mod:`repro.telemetry.metrics` — a :class:`MetricsRegistry` of named
   counters, gauges and fixed-bucket histograms, aggregating across
-  connections and shards, with stable-snapshot, Prometheus-text and JSON
+  connections, with stable-snapshot, Prometheus-text and JSON
   exporters.
 * :mod:`repro.telemetry.sinks` — pluggable :class:`SpanSink`\\ s (in-memory
   ring buffer, JSON-lines file, stderr slow-query log).
 
 Layering rule: engine-core modules (``core``, ``engine``, ``incremental``,
-``parallel``, ``relational``) may import ``spans``/``metrics``/``config``
+``relational``) may import ``spans``/``metrics``/``config``
 but never ``sinks`` — sinks are user-facing policy, wired in through
 ``EngineConfig.with_(telemetry=...)``.  CI greps for violations.
 
@@ -51,7 +49,6 @@ from repro.telemetry.sinks import (
 from repro.telemetry.spans import (
     NOOP_TRACER,
     Span,
-    SpanBuffer,
     Trace,
     Tracer,
     current_span,
@@ -67,7 +64,6 @@ __all__ = [
     "RingBufferSink",
     "SlowQueryLog",
     "Span",
-    "SpanBuffer",
     "SpanSink",
     "TelemetryConfig",
     "Trace",

@@ -1,7 +1,7 @@
 """Metrics: named counters, gauges and fixed-bucket histograms.
 
-One :class:`MetricsRegistry` aggregates across every connection (and, via
-profile folding, every shard) of a :class:`~repro.api.database.Database`.
+One :class:`MetricsRegistry` aggregates across every connection of a
+:class:`~repro.api.database.Database`.
 Instruments are keyed by ``(name, sorted label items)`` — asking for the
 same name+labels twice returns the same instrument, so concurrent
 connections share counters instead of shadowing each other.
@@ -266,12 +266,6 @@ class MetricsRegistry:
         for result, count in getattr(profile, "cache_probes", {}).items():
             if count:
                 self.counter("snapshot_cache_total", result=result).inc(count)
-        degradations = getattr(profile, "pool_degradations", 0)
-        if degradations:
-            self.counter("pool_degradations_total").inc(degradations)
-        worker_failures = getattr(profile, "worker_failures", 0)
-        if worker_failures:
-            self.counter("worker_failures_total").inc(worker_failures)
 
     # -- exporters ---------------------------------------------------------------
 

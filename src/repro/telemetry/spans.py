@@ -1,12 +1,9 @@
-"""Hierarchical trace spans: Tracer, Span, worker SpanBuffer, Trace.
+"""Hierarchical trace spans: Tracer, Span, Trace.
 
 Design constraints (see the telemetry package docstring):
 
-* **Monotonic, cross-process-comparable clocks.**  Timestamps are
-  ``time.perf_counter_ns()`` — monotonic, nanosecond-resolution, and (on
-  Linux, where the fork pool exists) backed by ``CLOCK_MONOTONIC``, which is
-  shared across ``fork``, so worker-recorded intervals nest correctly inside
-  coordinator spans.
+* **Monotonic clocks.**  Timestamps are ``time.perf_counter_ns()`` —
+  monotonic and nanosecond-resolution.
 * **Ambient current span.**  The parent of a new span defaults to the
   calling context's current span (a ``contextvars.ContextVar``), so nested
   engine calls attach to whatever root the API layer opened without any
@@ -14,12 +11,6 @@ Design constraints (see the telemetry package docstring):
 * **Zero-overhead when disabled.**  The engine defaults to
   :data:`NOOP_TRACER`; hot paths guard with ``if tracer.enabled`` so the
   disabled cost is one attribute load and a branch — no allocation.
-* **Worker spans merge by id remapping.**  Shard workers record into a
-  :class:`SpanBuffer` (plain picklable dicts, local ids); the coordinator
-  drains buffers through the worker pool — the same idiom as the PR-5
-  vectorized-stats drain — and :meth:`Tracer.merge_buffer` rewrites ids into
-  the live trace, reparenting each buffer-root onto the coordinator span
-  that drove the rounds.
 """
 
 from __future__ import annotations
@@ -201,9 +192,6 @@ class _NoopTracer:
     def event(self, name: str, **attributes: Any) -> None:
         pass
 
-    def merge_buffer(self, records, parent=None) -> List[Span]:
-        return []
-
 
 NOOP_SPAN = _NoopSpan()
 NOOP_TRACER = _NoopTracer()
@@ -271,44 +259,6 @@ class Tracer:
 
     def add_sink(self, sink: object) -> None:
         self._sinks.append(sink)
-
-    # -- worker-span merging ----------------------------------------------------
-
-    def merge_buffer(
-        self, records: Sequence[Dict[str, Any]], parent: Optional[Span] = None
-    ) -> List[Span]:
-        """Fold one :class:`SpanBuffer` drain into ``parent``'s live trace.
-
-        Every record gets a fresh coordinator span id; intra-buffer parent
-        links are remapped through the id translation table, and buffer
-        roots are reparented onto ``parent`` (the coordinator span that
-        drove the worker rounds).  Records carry ``perf_counter_ns``
-        timestamps, comparable across the thread/fork pool boundary.
-        """
-        if parent is None or parent.noop or not records:
-            return []
-        id_map: Dict[int, int] = {}
-        merged: List[Span] = []
-        with self._lock:
-            for record in records:
-                id_map[record["span_id"]] = next(self._next_span)
-        for record in records:
-            span = Span(
-                tracer=None,
-                trace_id=parent.trace_id,
-                span_id=id_map[record["span_id"]],
-                parent_id=id_map.get(record["parent_id"], parent.span_id),
-                name=record["name"],
-                attributes=dict(record["attributes"]),
-                start_ns=record["start_ns"],
-                ambient=False,
-            )
-            span.end_ns = record["end_ns"]
-            span.status = record.get("status", "ok")
-            merged.append(span)
-        with self._lock:
-            self._open.setdefault(parent.trace_id, []).extend(merged)
-        return merged
 
     # -- trace assembly ---------------------------------------------------------
 
@@ -441,101 +391,3 @@ class Trace:
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         root = self.root.name if self.root is not None else "?"
         return f"Trace({self.trace_id!r}, root={root!r}, spans={len(self.spans)})"
-
-
-class _BufferedSpan:
-    """A lightweight span recorded into a worker's :class:`SpanBuffer`."""
-
-    __slots__ = ("_buffer", "record", "_stacked")
-
-    noop = False
-
-    def __init__(self, buffer: "SpanBuffer", record: Dict[str, Any],
-                 stacked: bool) -> None:
-        self._buffer = buffer
-        self.record = record
-        self._stacked = stacked
-
-    def set(self, **attributes: Any) -> "_BufferedSpan":
-        self.record["attributes"].update(attributes)
-        return self
-
-    def event(self, name: str, **attributes: Any) -> None:
-        pass  # worker spans carry attributes only
-
-    def finish(self) -> None:
-        if self.record["end_ns"] is not None:
-            return
-        self.record["end_ns"] = time.perf_counter_ns()
-        if self._stacked:
-            self._buffer._pop(self.record["span_id"])
-
-    def __enter__(self) -> "_BufferedSpan":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        if exc_type is not None:
-            self.record["status"] = f"error:{exc_type.__name__}"
-        self.finish()
-        return False
-
-
-class SpanBuffer:
-    """A Tracer-shaped recorder for shard workers.
-
-    Spans are recorded as plain dicts (picklable — fork-pool children drain
-    over pipes), ids are worker-local, and parenting uses an explicit stack
-    rather than contextvars: a worker runs one task at a time, and records
-    must survive pickling.  The coordinator remaps everything via
-    :meth:`Tracer.merge_buffer`.
-    """
-
-    enabled = True
-
-    def __init__(self) -> None:
-        self._next = itertools.count(1)
-        self._stack: List[int] = []
-        self.records: List[Dict[str, Any]] = []
-
-    def span(
-        self,
-        name: str,
-        parent: Optional[object] = None,
-        root: bool = False,
-        ambient: bool = True,
-        **attributes: Any,
-    ) -> _BufferedSpan:
-        span_id = next(self._next)
-        record: Dict[str, Any] = {
-            "span_id": span_id,
-            "parent_id": self._stack[-1] if self._stack else None,
-            "name": name,
-            "start_ns": time.perf_counter_ns(),
-            "end_ns": None,
-            "status": "ok",
-            "attributes": dict(attributes),
-        }
-        self.records.append(record)
-        if ambient:
-            self._stack.append(span_id)
-        return _BufferedSpan(self, record, stacked=ambient)
-
-    def event(self, name: str, **attributes: Any) -> None:
-        pass
-
-    def _pop(self, span_id: int) -> None:
-        if self._stack and self._stack[-1] == span_id:
-            self._stack.pop()
-        elif span_id in self._stack:  # pragma: no cover - defensive
-            self._stack.remove(span_id)
-
-    def drain(self) -> List[Dict[str, Any]]:
-        """Finished records, reset after reading (unfinished spans close now)."""
-        drained = []
-        for record in self.records:
-            if record["end_ns"] is None:  # pragma: no cover - defensive
-                record["end_ns"] = record["start_ns"]
-            drained.append(record)
-        self.records = []
-        self._stack = []
-        return drained

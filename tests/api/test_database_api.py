@@ -220,12 +220,11 @@ class TestResultSet:
         EngineConfig.naive(),
         EngineConfig.jit("lambda"),
         EngineConfig.jit("bytecode"),
+        EngineConfig.jit("quotes", asynchronous=True),
         EngineConfig.aot(),
-        EngineConfig.parallel(shards=2),
-        EngineConfig.parallel(shards=4, base=EngineConfig.jit("lambda")),
+        EngineConfig.interpreted().with_(executor="vectorized", interning=False),
     ], ids=lambda c: c.describe())
     def test_query_all_returns_same_idb_relations_in_every_mode(self, config):
-        """solve()-with-no-relation consistency, now via the Database path."""
         results = Database(TC_SOURCE, config).query()
         assert results.relations() == ("path",)
         assert results == {"path": TC_PATHS}
@@ -329,10 +328,13 @@ class TestConnection:
             b.query("path")  # replica: same program, same history -> cache hit
             assert cache.stats.hits > hits_before
 
-    def test_parallel_connection_matches_single_shard(self):
+    @pytest.mark.parametrize("config", [
+        EngineConfig.interpreted().with_(executor="vectorized"),
+        EngineConfig.jit("lambda"),
+    ], ids=lambda c: c.describe())
+    def test_connection_updates_match_a_fresh_database(self, config):
         program = build_reachability()
         expected = Database(program).query("path")
-        config = EngineConfig.parallel(shards=2)
         with Database(program, config).connect() as conn:
             assert conn.query("path") == expected
             conn.insert_facts("edge", [(4, 5), (5, 6)])

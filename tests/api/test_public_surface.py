@@ -6,7 +6,11 @@ change in the README migration notes.  ``scripts/smoke.sh`` runs this file
 (and the examples) so silent API drift fails the smoke workflow.
 """
 
+import dataclasses
+import importlib
 import inspect
+
+import pytest
 
 import repro
 from repro import (
@@ -43,9 +47,7 @@ EXPECTED_ALL = [
     "ResourceExhausted",
     "ResultSchema",
     "ResultSet",
-    "ShardingConfig",
     "Variable",
-    "WorkerFailed",
     "compare",
     "let",
     "parse_program",
@@ -86,21 +88,17 @@ EXPECTED_SIGNATURES = {
     "ResultSet.explain": "(self) -> str",
     "ResultSet.to_sets": "(self) -> Dict[str, set]",
     # Program ------------------------------------------------------------------
-    "Program.solve": "(self, relation: Optional[str] = None, config: Optional[EngineConfig] = None)",
     "Program.session": "(self, config: Optional[EngineConfig] = None) -> IncrementalSession",
     "Program.database": "(self, config: Optional[EngineConfig] = None) -> Database",
     "Program.relation": "(self, name: str, arity: Optional[int] = None, columns: Optional[Sequence[str]] = None) -> RelationHandle",
     # ExecutionEngine ----------------------------------------------------------
     "ExecutionEngine.evaluate": "(self) -> ResultSet",
     "ExecutionEngine.result": "(self, name: str) -> QueryResult",
-    "ExecutionEngine.run": "(self) -> Dict[str, Set[Row]]",
     # IncrementalSession -------------------------------------------------------
     "IncrementalSession.fetch": "(self, relation: str, limits=None, token=None) -> FrozenSet[Row]",
-    "IncrementalSession.query": "(self, relation: str) -> FrozenSet[Row]",
     "IncrementalSession.insert_facts": "(self, relation: str, rows: RowBatch) -> UpdateReport",
     "IncrementalSession.retract_facts": "(self, relation: str, rows: RowBatch) -> UpdateReport",
     # EngineConfig -------------------------------------------------------------
-    "EngineConfig.parallel": "(shards: int = 2, base: Optional[EngineConfig] = None, pool: str = auto, shard_backend: str = auto, max_rounds: int = 1000000, **changes) -> EngineConfig",
     "EngineConfig.with_": "(self, **changes) -> EngineConfig",
     "EngineConfig.describe": "(self) -> str",
 }
@@ -135,6 +133,48 @@ def test_public_signatures_are_the_snapshot():
         if actual != expected:
             drift[key] = actual
     assert not drift, f"public signatures drifted: {drift}"
+
+
+#: Entry points removed from the surface: the three deprecated call forms
+#: (``evaluate()`` / ``fetch()`` / ``database().query()`` replace them) and
+#: the shard-parallel subsystem with everything that existed only for it.
+REMOVED = [
+    ("repro.datalog.dsl.Program", "solve"),
+    ("repro.engine.engine.ExecutionEngine", "run"),
+    ("repro.engine.engine.ExecutionEngine", "parallel_report"),
+    ("repro.incremental.IncrementalSession", "query"),
+    ("repro.incremental.IncrementalSession", "close"),
+    ("repro.core.config.EngineConfig", "parallel"),
+    ("repro.core.config.EngineConfig", "sharding"),
+    ("repro.core.profile.RuntimeProfile", "worker_failures"),
+    ("repro.resilience", "WorkerFailed"),
+    ("repro.telemetry.spans.Tracer", "merge_buffer"),
+    ("repro.introspect.catalog", "bind_shards"),
+    ("repro.relational.storage.StorageManager", "adopt_derived"),
+    ("repro", "WorkerFailed"),
+]
+
+
+def resolve(dotted):
+    """Import the longest module prefix of ``dotted``, then walk attributes."""
+    parts = dotted.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            target = importlib.import_module(".".join(parts[:cut]))
+        except ImportError:
+            continue
+        for name in parts[cut:]:
+            target = getattr(target, name)
+        return target
+    raise ImportError(dotted)
+
+
+@pytest.mark.parametrize("owner,name", REMOVED, ids=lambda v: v.rsplit(".", 1)[-1])
+def test_removed_entry_points_stay_removed(owner, name):
+    target = resolve(owner)
+    if dataclasses.is_dataclass(target):  # fields may live on instances only
+        assert name not in {field.name for field in dataclasses.fields(target)}
+    assert not hasattr(target, name)
 
 
 def test_result_schema_is_frozen_value_type():

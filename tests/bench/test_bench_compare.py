@@ -153,7 +153,7 @@ class TestSelfTestAndCli:
         out = io.StringIO()
         assert bench_compare.self_test(baseline, out=out) == 0
         assert set(baseline["sections"]) == {
-            "incremental", "parallel", "vectorized", "interning", "telemetry",
+            "incremental", "vectorized", "interning", "telemetry",
             "resilience", "serving", "durability",
         }
         assert all("retract_heavy_ms" in row for row in baseline["sections"]["incremental"])

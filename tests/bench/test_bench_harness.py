@@ -7,6 +7,7 @@ default scale.
 """
 
 import math
+import weakref
 
 import pytest
 
@@ -49,6 +50,27 @@ class TestMeasurement:
     def test_repeat_averages(self):
         result = measure_benchmark("fibonacci", EngineConfig.interpreted(), repeat=2)
         assert result.runs == 2
+
+    def test_each_repetition_releases_the_previous_engine(self, monkeypatch):
+        """A repetition's engine (and the storage its results hold) is
+        unreachable by the time the next repetition builds its own."""
+        from repro.bench import measurement
+
+        built = []
+        alive_at_construction = []
+
+        class RecordingEngine(measurement.ExecutionEngine):
+            def __init__(self, *args, **kwargs):
+                alive_at_construction.append(
+                    [ref() is not None for ref in built]
+                )
+                super().__init__(*args, **kwargs)
+                built.append(weakref.ref(self))
+
+        monkeypatch.setattr(measurement, "ExecutionEngine", RecordingEngine)
+        result = measure_benchmark("fibonacci", EngineConfig.jit("lambda"), repeat=3)
+        assert result.runs == 3
+        assert alive_at_construction == [[], [False], [False, False]]
 
     def test_speedup(self):
         assert speedup(10.0, 2.0) == 5.0

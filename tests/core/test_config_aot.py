@@ -36,53 +36,11 @@ class TestEngineConfig:
         assert base.use_indexes and not changed.use_indexes
         assert changed.backend == "lambda"
 
-
-class TestShardedConfigRoundTrip:
-    """`with_` / `describe` round-trips for parallel configurations."""
-
-    def test_with_preserves_sharding(self):
-        config = EngineConfig.parallel(shards=4, base=EngineConfig.jit("lambda"))
-        changed = config.with_(use_indexes=False)
-        assert changed.sharding is not None and changed.sharding.shards == 4
-        assert changed.describe().endswith("x4")
-
-    def test_with_routes_sharding_keys_into_nested_config(self):
-        config = EngineConfig.parallel(shards=4)
-        resharded = config.with_(shards=2)
-        assert resharded.sharding.shards == 2
-        assert resharded.describe().endswith("x2")
-        assert config.sharding.shards == 4  # original untouched
-        pooled = config.with_(pool="serial", shard_backend="none")
-        assert pooled.sharding.pool == "serial"
-        assert pooled.sharding.shard_backend == "none"
-        assert pooled.sharding.shards == 4
-
-    def test_with_shards_on_unsharded_config_enables_sharding(self):
-        config = EngineConfig.jit("lambda").with_(shards=3)
-        assert config.sharding is not None and config.sharding.shards == 3
-        assert config.describe().endswith("x3")
-
-    def test_mixed_engine_and_sharding_changes(self):
-        config = EngineConfig.parallel(shards=4).with_(
-            mode=ExecutionMode.JIT, shards=2
-        )
-        assert config.mode == ExecutionMode.JIT
-        assert config.sharding.shards == 2
-
-    def test_labeled_parallel_config_prints_shard_count(self):
-        config = EngineConfig.parallel(shards=4, label="myconfig")
-        assert config.describe() == "myconfigx4"
-        # Appended unconditionally — no substring guessing, so a label that
-        # merely looks like it ends in a shard count stays unambiguous.
-        assert EngineConfig.parallel(shards=2, label="index2").describe() == "index2x2"
-        # Unsharded labels are untouched.
-        assert EngineConfig(label="plain").describe() == "plain"
-
-    def test_sharding_config_with_(self):
-        sharding = EngineConfig.parallel(shards=2).sharding
-        assert sharding.with_(shards=8).shards == 8
-        assert sharding.with_(pool="thread").pool == "thread"
-        assert sharding.shards == 2
+    def test_with_rejects_unknown_keys(self):
+        # The shard keys (shards / pool / shard_backend / max_rounds) went
+        # with the shard-parallel subsystem; with_ no longer routes them.
+        with pytest.raises(TypeError):
+            EngineConfig.jit("lambda").with_(shards=2)
 
     def test_factories_set_modes(self):
         assert EngineConfig.jit("irgen").mode == ExecutionMode.JIT

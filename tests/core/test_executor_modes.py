@@ -166,14 +166,13 @@ class TestProfileBookkeeping:
             for record in engine.profile.iterations
         )
 
-    def test_evaluate_is_idempotent_but_legacy_run_cannot_rerun(self):
+    def test_evaluate_is_idempotent_and_never_reruns(self):
         engine = ExecutionEngine(parse_program(TC_SOURCE), EngineConfig.interpreted())
         first = engine.evaluate()
+        iterations = len(engine.profile.iterations)
         second = engine.evaluate()  # no re-execution: fresh view of same state
         assert first == second
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(RuntimeError):
-                engine.run()
+        assert len(engine.profile.iterations) == iterations
 
     def test_max_iterations_bounds_execution(self):
         config = EngineConfig.interpreted().with_(max_iterations=1)
@@ -200,3 +199,50 @@ class TestFreshnessThresholdBehaviour:
         )
         lazy.evaluate()
         assert len(eager.profile.compile_events) >= len(lazy.profile.compile_events)
+
+
+class TestReplanBlockPrediction:
+    """A JIT re-plan predicts an order's block strategies once, not per re-plan."""
+
+    def evaluate(self):
+        from repro.analyses.ordering import Ordering
+        from repro.analyses.registry import get_benchmark
+
+        spec = get_benchmark("cspa_tiny")
+        engine = ExecutionEngine(spec.build(Ordering.WORST), EngineConfig.jit("lambda"))
+        engine.evaluate()
+        return engine.profile
+
+    def test_one_prediction_per_node_and_order_with_unchanged_block_plans(
+        self, monkeypatch
+    ):
+        from repro.core import executor as executor_module
+
+        real_annotate = executor_module.annotate_block_strategies
+        real_planned = executor_module.IRExecutor._planned
+        annotations, pairs = [], set()
+
+        def counting_annotate(plan, indexes):
+            annotations.append(plan.sources)
+            return real_annotate(plan, indexes)
+
+        def recording_planned(self, node_id, plan):
+            pairs.add((node_id, plan.sources))
+            return real_planned(self, node_id, plan)
+
+        # The reference: every re-plan gets a fresh memo entry, so every
+        # re-plan predicts again (what the executor did before the memo).
+        monkeypatch.setattr(executor_module.IRExecutor, "_planned",
+                            lambda self, node_id, plan:
+                            executor_module._PlannedOrder(plan))
+        reference = self.evaluate()
+        replans = sum(1 for r in reference.reorders if r.stage == "jit")
+
+        monkeypatch.setattr(executor_module, "annotate_block_strategies",
+                            counting_annotate)
+        monkeypatch.setattr(executor_module.IRExecutor, "_planned",
+                            recording_planned)
+        profile = self.evaluate()
+
+        assert profile.block_plans == reference.block_plans
+        assert len(annotations) == len(pairs) < replans

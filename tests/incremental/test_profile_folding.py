@@ -1,12 +1,12 @@
 """Regression: session reuse must keep folding per-update profiles.
 
 ``Connection.explain()`` renders the session-lifetime profile.  Updates on
-a reused session run through side paths (the DRed + delta-propagation tree,
-and — under sharding — the replicated worker rounds), and those executions
+a reused session run through side paths (the DRed + delta-propagation
+tree), and those executions
 historically vanished from the profile: after the first mutation the
 explain output still described only the initial fixpoint (no new
 iterations, stale relation sizes, no vectorized batch counts).  These tests
-pin the fix for both the vectorized serial path and the sharded one.
+pin the fix on the vectorized path, interpreted and under the JIT.
 """
 
 import pytest
@@ -22,37 +22,43 @@ def fresh_session(config):
     return IncrementalSession(build_transitive_closure_program(EDGES), config)
 
 
-@pytest.mark.parametrize("config", [
+#: Both run their sub-queries on the block kernels: the vectorized
+#: interpreter directly, the JIT in its interpreted stages.
+CONFIGS = pytest.mark.parametrize("config", [
     EngineConfig.interpreted().with_(executor="vectorized"),
-    EngineConfig.parallel(shards=2, pool="thread").with_(executor="vectorized"),
-], ids=["vectorized-serial", "vectorized-sharded"])
-def test_updates_keep_extending_the_lifetime_profile(config):
-    with fresh_session(config) as session:
-        session.refresh()
-        after_fixpoint = len(session.profile.iterations)
-        assert after_fixpoint > 0
-        vectorized_after_fixpoint = session.profile.sources.vectorized
-
-        session.insert_facts("edge", [(100, 0)])
-        session.insert_facts("edge", [(101, 100)])
-
-        assert len(session.profile.iterations) > after_fixpoint, (
-            "update propagation recorded no iterations in the session profile"
-        )
-        assert session.profile.sources.vectorized > vectorized_after_fixpoint, (
-            "update sub-queries missing from the lifetime source counters"
-        )
-        # Relation sizes must describe the *current* state, not the initial
-        # fixpoint: both inserts extend the closure.
-        assert session.profile.result_sizes["path"] == len(
-            session.fetch("path")
-        )
+    EngineConfig.jit("lambda"),
+], ids=lambda c: c.describe())
 
 
-@pytest.mark.parametrize("config", [
-    EngineConfig.interpreted().with_(executor="vectorized"),
-    EngineConfig.parallel(shards=2, pool="thread").with_(executor="vectorized"),
-], ids=["vectorized-serial", "vectorized-sharded"])
+@pytest.mark.parametrize("config,source", [
+    (EngineConfig.interpreted().with_(executor="vectorized"), "vectorized"),
+    # The JIT runs update sub-queries through its compiled artifacts.
+    (EngineConfig.jit("lambda"), "compiled"),
+], ids=["vectorized", "jit-lambda"])
+def test_updates_keep_extending_the_lifetime_profile(config, source):
+    session = fresh_session(config)
+    session.refresh()
+    after_fixpoint = len(session.profile.iterations)
+    assert after_fixpoint > 0
+    source_after_fixpoint = getattr(session.profile.sources, source)
+
+    session.insert_facts("edge", [(100, 0)])
+    session.insert_facts("edge", [(101, 100)])
+
+    assert len(session.profile.iterations) > after_fixpoint, (
+        "update propagation recorded no iterations in the session profile"
+    )
+    assert getattr(session.profile.sources, source) > source_after_fixpoint, (
+        "update sub-queries missing from the lifetime source counters"
+    )
+    # Relation sizes must describe the *current* state, not the initial
+    # fixpoint: both inserts extend the closure.
+    assert session.profile.result_sizes["path"] == len(
+        session.fetch("path")
+    )
+
+
+@CONFIGS
 def test_explain_reflects_updates_after_session_reuse(config):
     from repro.api.database import Database
 
@@ -75,12 +81,12 @@ def test_explain_reflects_updates_after_session_reuse(config):
     assert "vectorized" in after
 
 
-def test_retraction_profiles_fold_too():
-    config = EngineConfig.interpreted().with_(executor="vectorized")
-    with fresh_session(config) as session:
-        session.refresh()
-        after_fixpoint = len(session.profile.iterations)
-        session.retract_facts("edge", [(5, 6)])
-        session.insert_facts("edge", [(5, 6)])
-        assert len(session.profile.iterations) > after_fixpoint
-        assert session.profile.result_sizes["path"] == len(session.fetch("path"))
+@CONFIGS
+def test_retraction_profiles_fold_too(config):
+    session = fresh_session(config)
+    session.refresh()
+    after_fixpoint = len(session.profile.iterations)
+    session.retract_facts("edge", [(5, 6)])
+    session.insert_facts("edge", [(5, 6)])
+    assert len(session.profile.iterations) > after_fixpoint
+    assert session.profile.result_sizes["path"] == len(session.fetch("path"))

@@ -4,7 +4,7 @@ The differential criteria of the introspection subsystem:
 
 * ``conn.query("sys_spans")`` / ``sys_span_attrs`` / ``sys_queries`` agree
   row-for-row with ``QueryResult.trace()`` and the ring-buffer contents —
-  across pushdown/vectorized executors and shards ∈ {1, 4};
+  across pushdown/vectorized executors;
 * a Datalog rule over ``sys_queries`` selects precisely the queries the
   :class:`SlowQueryLog` logged;
 * catalog relations never pollute user result sets, and the result cache
@@ -37,20 +37,17 @@ def tc_program(n=24):
     return source
 
 
-def config_for(executor, shards, telemetry):
-    if shards > 1:
-        base = EngineConfig.parallel(shards=shards, pool="thread")
-    else:
-        base = EngineConfig()
+def config_for(executor, telemetry, mode="interpreted"):
+    base = EngineConfig.jit("lambda") if mode == "jit" else EngineConfig()
     return base.with_(executor=executor, telemetry=telemetry)
 
 
 class TestCatalogMatchesTelemetryOracles:
     @pytest.mark.parametrize("executor", ["pushdown", "vectorized"])
-    @pytest.mark.parametrize("shards", [1, 4])
-    def test_sys_tables_agree_with_ring_row_for_row(self, executor, shards):
+    @pytest.mark.parametrize("mode", ["interpreted", "jit"])
+    def test_sys_tables_agree_with_ring_row_for_row(self, mode, executor):
         telemetry = tracing(ring=32)
-        config = config_for(executor, shards, telemetry)
+        config = config_for(executor, telemetry, mode)
         with Database(tc_program(), config) as db, db.connect() as conn:
             result = conn.query("path")
             assert result.trace() is not None
@@ -68,11 +65,11 @@ class TestCatalogMatchesTelemetryOracles:
                 query_summary_rows(ring_traces)
             )
 
-    def test_sharded_vectorized_catalog_reproduces_exact_span_tree(self):
-        """shards=4 + vectorized: sys_spans rows for the query's trace are
-        bit-for-bit the (id, parent, name, timing) tuples of ``trace()``."""
+    def test_vectorized_catalog_reproduces_exact_span_tree(self):
+        """vectorized: sys_spans rows for the query's trace are bit-for-bit
+        the (id, parent, name, timing) tuples of ``trace()``."""
         telemetry = tracing(ring=32)
-        config = config_for("vectorized", 4, telemetry)
+        config = config_for("vectorized", telemetry)
         with Database(tc_program(), config) as db, db.connect() as conn:
             result = conn.query("path")
             trace = result.trace()
@@ -244,15 +241,6 @@ class TestCatalogContents:
             ((count, bytes_estimate),) = conn.query("sys_symbols")
             assert count >= 2
             assert bytes_estimate > 0
-
-    def test_sys_shards_reports_topology(self):
-        config = EngineConfig.parallel(shards=4, pool="thread")
-        with Database(tc_program(8), config) as db, db.connect() as conn:
-            rows = sorted(conn.query("sys_shards"))
-            assert [row[0] for row in rows] == [0, 1, 2, 3]
-            assert all(row[1] == "thread" for row in rows)
-        with Database(tc_program(8)) as db, db.connect() as conn:
-            assert conn.query("sys_shards").count() == 0
 
     def test_sys_metrics_exposes_histogram_quantiles(self):
         config = EngineConfig().with_(telemetry=tracing())

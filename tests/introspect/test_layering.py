@@ -12,7 +12,7 @@ import re
 
 #: Everything below repro.api in the layering diagram.
 ENGINE_CORE_PACKAGES = (
-    "core", "engine", "incremental", "parallel", "relational", "ir",
+    "core", "engine", "incremental", "relational", "ir",
     "datalog",
 )
 

@@ -1,14 +1,13 @@
-"""Acceptance property: the Database API equals the legacy API, every mode.
+"""Acceptance property: every path into the engine agrees, every mode.
 
-For randomized fact bases and insert batches, one round trip through the new
-surface — ``Database(...).connect()`` → ``insert_facts`` → ``query("path")``
-— must return a :class:`QueryResult` whose ``rows()`` / ``count()`` /
-``explain()`` agree bit-for-bit with the legacy ``Program.solve`` /
-``IncrementalSession`` results, for interpreted, JIT, AOT and
-``parallel(shards ∈ {1, 2, 4})`` configurations alike.
+For randomized fact bases and insert batches, one round trip through a
+connection — ``Database(...).connect()`` → ``insert_facts`` →
+``query("path")`` — must return a :class:`QueryResult` whose ``rows()`` /
+``count()`` / ``explain()`` agree bit-for-bit with a hand-driven
+``IncrementalSession`` and with a one-shot evaluation of the DSL program
+over the final fact base, for interpreted, JIT and AOT configurations
+alike.
 """
-
-import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -31,11 +30,12 @@ def build_tc_dsl(edges) -> Program:
 
 MODE_CONFIGS = [
     EngineConfig.interpreted(),
+    EngineConfig.interpreted().with_(executor="vectorized"),
     EngineConfig.jit("lambda"),
+    EngineConfig.jit("bytecode"),
+    EngineConfig.jit("quotes", asynchronous=True),
     EngineConfig.aot(),
-    EngineConfig.parallel(shards=1),
-    EngineConfig.parallel(shards=2),
-    EngineConfig.parallel(shards=4),
+    EngineConfig.interpreted().with_(interning=False),
 ]
 
 edges_strategy = st.lists(
@@ -52,7 +52,7 @@ batch_strategy = st.lists(
 @pytest.mark.parametrize("config", MODE_CONFIGS, ids=lambda c: c.describe())
 @settings(max_examples=5, deadline=None)
 @given(edges=edges_strategy, batch=batch_strategy)
-def test_database_roundtrip_matches_legacy_api(config, edges, batch):
+def test_database_roundtrip_matches_session_and_one_shot(config, edges, batch):
     edges = sorted(set(edges))
     batch = sorted(set(batch))
 
@@ -63,26 +63,24 @@ def test_database_roundtrip_matches_legacy_api(config, edges, batch):
             conn.insert_facts("edge", batch)
         result = conn.query("path")
 
-    # -- legacy path 1: an IncrementalSession driven by hand -------------------
-    with IncrementalSession(build_transitive_closure_program(edges), config) as session:
-        if batch:
-            session.insert_facts("edge", batch)
-        legacy_session_rows = session.fetch("path")
+    # -- path 2: an IncrementalSession driven by hand --------------------------
+    session = IncrementalSession(build_transitive_closure_program(edges), config)
+    if batch:
+        session.insert_facts("edge", batch)
+    session_rows = session.fetch("path")
 
-    # -- legacy path 2: Program.solve over the full fact base ------------------
+    # -- path 3: the DSL program evaluated once over the full fact base --------
     final_edges = sorted(set(edges) | set(batch))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        legacy_solve_rows = build_tc_dsl(final_edges).solve("path", config)
+    one_shot_rows = build_tc_dsl(final_edges).database(config).query("path").to_set()
 
     # bit-for-bit agreement across all three paths
-    assert result.to_set() == set(legacy_session_rows) == legacy_solve_rows
+    assert result.to_set() == set(session_rows) == one_shot_rows
 
     # QueryResult invariants: count/rows/take agree with the row set and with
     # the canonical deterministic order.
-    assert result.count() == len(legacy_solve_rows)
+    assert result.count() == len(one_shot_rows)
     ordered = list(result.rows())
-    assert ordered == sorted(legacy_solve_rows)
+    assert ordered == sorted(one_shot_rows)
     assert list(result) == ordered
     assert result.take(3) == ordered[:3]
 

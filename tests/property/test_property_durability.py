@@ -13,9 +13,9 @@ recovery that misaligned symbol ids would decode to different values and
 fail the equality even if the encoded row sets happened to match.
 
 The truncation sweep is exhaustive (every byte offset) for the
-interpreted single-shard engine, and at every record boundary (±1 byte,
-catching off-by-one framing bugs) for the vectorized and sharded
-engines — the WAL bytes are engine-independent, so the cheap sweep covers
+interpreted engine, and at every record boundary (±1 byte, catching
+off-by-one framing bugs) for both executors, the raw-value store and the
+JIT — the WAL bytes are engine-independent, so the cheap sweep covers
 the scanner and the matrix covers replay through each execution mode.
 """
 
@@ -47,15 +47,14 @@ BATCHES = [
 RELATIONS = ("edge", "path")
 
 ENGINE_MATRIX = [
-    pytest.param(EngineConfig.interpreted(), id="interpreted-shards1"),
+    pytest.param(EngineConfig.interpreted(), id="interpreted"),
     pytest.param(
-        EngineConfig().with_(executor="vectorized"), id="vectorized-shards1"
+        EngineConfig().with_(executor="vectorized"), id="vectorized"
     ),
-    pytest.param(EngineConfig.parallel(shards=4), id="interpreted-shards4"),
     pytest.param(
-        EngineConfig.parallel(shards=4, executor="vectorized"),
-        id="vectorized-shards4",
+        EngineConfig.interpreted().with_(interning=False), id="interpreted-raw"
     ),
+    pytest.param(EngineConfig.jit("lambda"), id="jit-lambda"),
 ]
 
 
@@ -157,7 +156,7 @@ class TestCrashPoints:
         self, tmp_path, oracle, wal_bytes
     ):
         """Exhaustive sweep: every truncation offset from the end of the
-        header to the full file, interpreted single-shard engine."""
+        header to the full file, interpreted engine."""
         boundaries = record_boundaries(wal_bytes)
         mismatches = []
         for length in range(_HEADER_LEN, len(wal_bytes) + 1):

@@ -9,7 +9,7 @@ replayed over two workloads with very different shapes: transitive closure
 analysis (multiple mutually recursive relations, 3-way joins) — and, for the
 set-at-a-time re-derivation of retractions, over the positive rule shapes of
 the block-kernel suite (head constants, repeated variables, comparisons,
-symbol-allocating assignments, a key-only body atom) at one and two shards.
+symbol-allocating assignments, a key-only body atom).
 """
 
 import random
@@ -121,34 +121,33 @@ def test_streamed_batches_match_scratch(config):
 
 
 @pytest.mark.parametrize("executor", ["pushdown", "vectorized"])
-@pytest.mark.parametrize("shards", [1, 2])
+@pytest.mark.parametrize("mode", ["interpreted", "jit"])
 @pytest.mark.parametrize("rule_shape", DRED_SHAPES)
 @settings(max_examples=5, deadline=None)
 @given(edges=edges_strategy, mutations=mutations_strategy)
-def test_rule_shapes_replay_update_sequences(rule_shape, shards, executor,
-                                             edges, mutations):
-    """Retractions over every head/body shape re-derive exactly the scratch fixpoint."""
-    config = EngineConfig.interpreted().with_(executor=executor)
-    if shards > 1:
-        config = EngineConfig.parallel(shards=shards, base=config)
+def test_rule_shapes_replay_update_sequences(rule_shape, mode, executor, edges, mutations):
+    """Retractions over every head/body shape re-derive exactly the scratch
+    fixpoint, whether the session's engine interprets or JIT-compiles."""
+    base = EngineConfig.jit("lambda") if mode == "jit" else EngineConfig.interpreted()
+    config = base.with_(executor=executor)
     program = build_random_program(edges, rule_shape)
-    with IncrementalSession(program, config) as session:
-        assert session.incremental_capable
-        live = set(edges)
-        for retract, a, b in mutations:
-            if retract and live:
-                victim = sorted(live)[(a * 8 + b) % len(live)]
-                report = session.retract_facts("edge", [victim])
-                assert report.strategy.startswith("incremental")
-                live.discard(victim)
-            else:
-                session.insert_facts("edge", [(a, b)])
-                live.add((a, b))
-            expected = ExecutionEngine(
-                build_random_program(sorted(live), rule_shape),
-                EngineConfig.interpreted(),
-            ).evaluate()
-            for relation, rows in expected.items():
-                assert set(session.fetch(relation)) == set(rows), (
-                    f"{rule_shape}: {relation} diverged"
-                )
+    session = IncrementalSession(program, config)
+    assert session.incremental_capable
+    live = set(edges)
+    for retract, a, b in mutations:
+        if retract and live:
+            victim = sorted(live)[(a * 8 + b) % len(live)]
+            report = session.retract_facts("edge", [victim])
+            assert report.strategy == "incremental"
+            live.discard(victim)
+        else:
+            session.insert_facts("edge", [(a, b)])
+            live.add((a, b))
+        expected = ExecutionEngine(
+            build_random_program(sorted(live), rule_shape),
+            EngineConfig.interpreted(),
+        ).evaluate()
+        for relation, rows in expected.items():
+            assert set(session.fetch(relation)) == set(rows), (
+                f"{rule_shape}: {relation} diverged"
+            )

@@ -7,8 +7,8 @@ and the deterministic iteration order — is bit-for-bit what the raw-object
 engine (``interning=False``, the PR-4 behaviour, kept alive precisely as
 this oracle) computes.  The harness replays randomized programs including
 negation, comparisons and arithmetic over encoded ints, and incremental
-insert/retract sequences, across interpreted/JIT/AOT × both executors ×
-shards ∈ {1, 2, 4}.  See ``tests/README.md`` for the oracle table.
+insert/retract sequences, across interpreted/JIT/AOT × both executors.
+See ``tests/README.md`` for the oracle table.
 """
 
 import pytest
@@ -23,7 +23,6 @@ from repro.datalog.terms import Variable
 from repro.engine.engine import ExecutionEngine
 from repro.incremental import IncrementalSession
 
-SHARD_COUNTS = (1, 2, 4)
 RULE_SHAPES = ("linear", "nonlinear", "filtered", "negated", "symbolic")
 
 edges_strategy = st.lists(
@@ -112,60 +111,59 @@ def test_interning_matches_raw_oracle_across_shapes(rule_shape, edges):
     EngineConfig.jit("lambda"),
     EngineConfig.jit("bytecode"),
     EngineConfig.jit("quotes"),
+    EngineConfig.jit("irgen"),
+    EngineConfig.jit("lambda", asynchronous=True),
     EngineConfig.aot(),
 ], ids=lambda c: c.describe())
 @pytest.mark.parametrize("executor", ["pushdown", "vectorized"])
 @settings(max_examples=4, deadline=None)
 @given(edges=edges_strategy)
-def test_interning_matches_across_modes_executors_shards(base, executor, edges):
-    """Encoded {interpreted, JIT, AOT} × executors × shards equals the oracle."""
+def test_interning_matches_across_modes_and_executors(base, executor, edges):
+    """Encoded {interpreted, JIT, AOT} × executors equals the oracle."""
     program = build_random_program(edges, "filtered")
     raw = evaluate(
         program.copy(),
         EngineConfig.interpreted().with_(interning=False),
     )
-    for shards in SHARD_COUNTS:
-        config = EngineConfig.parallel(shards=shards, base=base).with_(
-            executor=executor
-        )
-        assert evaluate(program.copy(), config) == raw, (
-            f"{config.describe()} diverged at {shards} shards"
-        )
+    config = base.with_(executor=executor)
+    assert evaluate(program.copy(), config) == raw, (
+        f"{config.describe()} diverged"
+    )
 
 
-@pytest.mark.parametrize("shards", [1, 2])
+@pytest.mark.parametrize("config", [
+    EngineConfig.interpreted(),
+    EngineConfig.interpreted().with_(executor="vectorized"),
+    EngineConfig.jit("lambda"),
+], ids=lambda c: c.describe())
 @settings(max_examples=6, deadline=None)
 @given(edges=edges_strategy, mutations=mutations_strategy)
-def test_interned_sessions_replay_update_sequences(shards, edges, mutations):
+def test_interned_sessions_replay_update_sequences(config, edges, mutations):
     """Incremental insert/retract sequences decode to the raw oracle's rows."""
     edges = [e for e in edges if e[0] != e[1]] or [(0, 1)]
-    base = EngineConfig.interpreted()
-    config = (
-        EngineConfig.parallel(shards=shards, base=base) if shards > 1 else base
-    )
     oracle_config = EngineConfig.interpreted().with_(interning=False)
-    with IncrementalSession(build_transitive_closure_program(edges), config) as session:
-        live = set(edges)
-        for retract, a, b in mutations:
-            if retract and live:
-                victim = sorted(live)[(a * 8 + b) % len(live)]
-                session.retract_facts("edge", [victim])
-                live.discard(victim)
-            elif a != b:
-                session.insert_facts("edge", [(a, b)])
-                live.add((a, b))
-            else:
-                continue
-            expected = evaluate(
-                build_transitive_closure_program(sorted(live)), oracle_config
-            )["path"]
-            assert session.fetch("path") == expected.to_frozenset()
+    session = IncrementalSession(build_transitive_closure_program(edges), config)
+    live = set(edges)
+    for retract, a, b in mutations:
+        if retract and live:
+            victim = sorted(live)[(a * 8 + b) % len(live)]
+            session.retract_facts("edge", [victim])
+            live.discard(victim)
+        elif a != b:
+            session.insert_facts("edge", [(a, b)])
+            live.add((a, b))
+        else:
+            continue
+        expected = evaluate(
+            build_transitive_closure_program(sorted(live)), oracle_config
+        )["path"]
+        assert session.fetch("path") == expected.to_frozenset()
 
 
 def test_symbol_table_is_shared_across_the_whole_engine():
-    """One global table: storage, shard replicas and results share it."""
+    """One global table: storage and results share it."""
     program = build_random_program([(0, 1), (1, 2)], "symbolic")
-    engine = ExecutionEngine(program, EngineConfig.parallel(shards=2))
+    engine = ExecutionEngine(program, EngineConfig.interpreted())
     engine.evaluate()
     table = engine.storage.symbols
     assert not table.identity and len(table) >= 3

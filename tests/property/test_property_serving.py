@@ -10,9 +10,9 @@ hammer acquire/read/release against a live session while a writer thread
 replays the batches, and every observation ``(version, rows)`` must equal
 the oracle at exactly that version.
 
-Runs across the physical executors (pushdown and vectorized) and shard
-counts {1, 4}, since each pair exercises a different storage write path
-under the same MVCC layer.
+Runs across the physical executors (pushdown and vectorized), the
+raw-value store and the JIT, since each exercises a different storage
+write path under the same MVCC layer.
 
 The second half holds the *maintained order* to the same standard: a
 snapshot result derives its canonical row order from the previous ordered
@@ -81,14 +81,12 @@ BATCHES = [
 READERS = 4
 
 CONFIGS = [
-    pytest.param(lambda: EngineConfig.interpreted(),
-                 id="pushdown-shards1"),
+    pytest.param(lambda: EngineConfig.interpreted(), id="pushdown"),
     pytest.param(lambda: EngineConfig.interpreted().with_(
-        executor="vectorized"), id="vectorized-shards1"),
-    pytest.param(lambda: EngineConfig.parallel(shards=4),
-                 id="pushdown-shards4"),
-    pytest.param(lambda: EngineConfig.parallel(shards=4).with_(
-        executor="vectorized"), id="vectorized-shards4"),
+        executor="vectorized"), id="vectorized"),
+    pytest.param(lambda: EngineConfig.interpreted().with_(
+        interning=False), id="pushdown-raw"),
+    pytest.param(lambda: EngineConfig.jit("lambda"), id="jit-lambda"),
 ]
 
 

@@ -1,14 +1,9 @@
 """Property tests: trace structure invariants over randomized programs.
 
-Three invariants, each over random edge sets:
+Two invariants, each over random edge sets:
 
 * **Interval nesting** — every child span's ``[start_ns, end_ns]`` lies
-  within its parent's interval (timestamps are ``perf_counter_ns``, shared
-  across threads and — via ``CLOCK_MONOTONIC`` — across forked workers).
-* **Worker reparenting** — merged shard-worker spans are connected: one
-  trace id, every parent id resolvable, worker iteration spans under the
-  coordinator stratum span, for the thread AND the process pool (pytest
-  degrades ``pool="auto"`` to serial, so both are forced explicitly).
+  within its parent's interval (timestamps are ``perf_counter_ns``).
 * **Cross-executor shape** — the pushdown and vectorized executors emit
   identically shaped traces at the ``query``/``stratum``/``iteration``
   levels: semi-naive runs the same rounds whatever evaluates the bodies.
@@ -43,25 +38,16 @@ def traced_query(edges, config_builder):
     return trace
 
 
-def serial_vectorized(telemetry):
+def vectorized(telemetry):
     return EngineConfig.interpreted().with_(
         executor="vectorized", telemetry=telemetry,
     )
 
 
-def sharded(pool):
-    def build(telemetry):
-        return EngineConfig.parallel(shards=3, pool=pool).with_(
-            executor="vectorized", telemetry=telemetry,
-        )
-
-    return build
-
-
 @settings(max_examples=15, deadline=None)
 @given(edges=edges_strategy)
 def test_child_intervals_nest_inside_their_parents(edges):
-    trace = traced_query(edges, serial_vectorized)
+    trace = traced_query(edges, vectorized)
     by_id = {span.span_id: span for span in trace}
     for span in trace:
         if span.parent_id is None:
@@ -73,37 +59,6 @@ def test_child_intervals_nest_inside_their_parents(edges):
         assert span.end_ns <= parent.end_ns, (
             f"{span.name} ends after its parent {parent.name}"
         )
-
-
-@settings(max_examples=8, deadline=None)
-@given(edges=edges_strategy)
-def test_thread_pool_worker_spans_reparent_into_one_trace(edges):
-    _assert_connected_worker_trace(traced_query(edges, sharded("thread")))
-
-
-@settings(max_examples=4, deadline=None)
-@given(edges=edges_strategy)
-def test_process_pool_worker_spans_reparent_into_one_trace(edges):
-    # The fork pool may degrade to threads when plans allocate symbols; both
-    # pools drain worker buffers the same way, so the invariant holds either
-    # way — this case pins the cross-process id remap when the fork sticks.
-    _assert_connected_worker_trace(traced_query(edges, sharded("process")))
-
-
-def _assert_connected_worker_trace(trace):
-    assert len({span.trace_id for span in trace}) == 1
-    by_id = {span.span_id: span for span in trace}
-    assert len(by_id) == len(trace), "merged span ids collide"
-    for span in trace:
-        assert span.parent_id is None or span.parent_id in by_id, (
-            f"orphan span {span.name}"
-        )
-    stratum_ids = {span.span_id for span in trace.find("stratum")}
-    for span in trace.find("iteration"):
-        if "shard" in span.attributes:
-            assert span.parent_id in stratum_ids, (
-                "worker iteration span not reparented under a stratum"
-            )
 
 
 @settings(max_examples=10, deadline=None)
@@ -124,5 +79,5 @@ def test_executors_emit_identically_shaped_traces(edges):
         return sorted(skeleton)
 
     assert shape(traced_query(edges, pushdown)) == shape(
-        traced_query(edges, serial_vectorized)
+        traced_query(edges, vectorized)
     )

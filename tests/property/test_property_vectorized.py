@@ -3,8 +3,7 @@
 The vectorized batch executor's contract is *exact* equivalence: for any
 program and any fact base, ``EngineConfig.with_(executor="vectorized")``
 computes bit-for-bit the fixpoint of the tuple-at-a-time pushdown executor
-— whatever the execution mode (interpreted, JIT, AOT), whatever the shard
-count, and also inside an :class:`~repro.incremental.IncrementalSession`
+— whatever the execution mode (interpreted, JIT, AOT), and also inside an :class:`~repro.incremental.IncrementalSession`
 absorbing randomized insert/retract sequences.  The lambda JIT backend
 stitches its artifacts from the same lowered kernels, so full-mode
 ``jit("lambda")`` is held to the same oracle here, over rule shapes that
@@ -31,7 +30,6 @@ from repro.incremental import IncrementalSession
 from repro.ir.ops import JoinProjectOp, find_nodes
 from repro.relational.operators import join_layouts, lower_plan, new_block_stats
 
-SHARD_COUNTS = (1, 2, 4)
 RULE_SHAPES = ("linear", "nonlinear", "mutual", "filtered", "negated")
 #: Shapes whose interesting literal sits in a *recursive* rule, i.e. inside
 #: the loop the JIT compiles (the five above keep theirs in the seed stage
@@ -58,8 +56,8 @@ mutations_strategy = st.lists(
 def build_random_program(edges, rule_shape):
     """One rule shape over the same random edge set.
 
-    ``linear``/``nonlinear``/``mutual`` mirror the shard-parallel property
-    suite (aligned pivot, self-join, two-relation stratum); ``filtered``
+    ``linear``/``nonlinear``/``mutual`` are a linear recursion, a self-join
+    and a two-relation stratum; ``filtered``
     adds comparison and assignment literals (batch filter/extend
     operators); ``negated`` adds a stratified anti-join (batch negation).
     The :data:`LOOP_SHAPES` move those literals — plus repeated variables,
@@ -150,7 +148,7 @@ def evaluate(program, config):
     return ExecutionEngine(program, config).evaluate()
 
 
-@pytest.mark.parametrize("rule_shape", RULE_SHAPES)
+@pytest.mark.parametrize("rule_shape", RULE_SHAPES + LOOP_SHAPES)
 @settings(max_examples=10, deadline=None)
 @given(edges=edges_strategy)
 def test_vectorized_matches_pushdown_across_shapes(rule_shape, edges):
@@ -170,35 +168,47 @@ def test_vectorized_matches_pushdown_across_shapes(rule_shape, edges):
     EngineConfig.interpreted(),
     EngineConfig.jit("lambda"),
     EngineConfig.jit("bytecode"),
+    EngineConfig.jit("quotes"),
+    EngineConfig.jit("irgen"),
     EngineConfig.aot(),
 ], ids=lambda c: c.describe())
 @settings(max_examples=6, deadline=None)
 @given(edges=edges_strategy)
-def test_vectorized_matches_across_modes_and_shards(base, edges):
-    """Vectorized x {interpreted, JIT, AOT} x shards {1,2,4} equals the oracle."""
+def test_vectorized_matches_across_modes(base, edges):
+    """Vectorized x {interpreted, JIT, AOT} equals the oracle."""
     program = build_random_program(edges, "nonlinear")
     reference = evaluate(program.copy(), EngineConfig.interpreted())
-    for shards in SHARD_COUNTS:
-        config = EngineConfig.parallel(shards=shards, base=base).with_(
-            executor="vectorized"
-        )
-        assert evaluate(program.copy(), config) == reference, (
-            f"{config.describe()} diverged at {shards} shards"
-        )
+    config = base.with_(executor="vectorized")
+    assert evaluate(program.copy(), config) == reference, (
+        f"{config.describe()} diverged"
+    )
 
 
 @pytest.mark.parametrize("interning", [True, False], ids=["interned", "raw"])
-@pytest.mark.parametrize("shards", [1, 4])
 @pytest.mark.parametrize("rule_shape", RULE_SHAPES + LOOP_SHAPES)
 @settings(max_examples=5, deadline=None)
 @given(edges=edges_strategy)
-def test_lambda_artifacts_match_pushdown_oracle(rule_shape, shards, interning, edges):
+def test_lambda_artifacts_match_pushdown_oracle(rule_shape, interning, edges):
     """Full-mode lambda artifacts, bit-for-bit, over every kernel variant."""
+    assert_jit_matches_oracle("lambda", rule_shape, interning, edges)
+
+
+@pytest.mark.parametrize("interning", [True, False], ids=["interned", "raw"])
+@pytest.mark.parametrize("rule_shape", RULE_SHAPES + LOOP_SHAPES)
+@pytest.mark.parametrize("backend", ["quotes", "bytecode", "irgen"])
+@settings(max_examples=3, deadline=None)
+@given(edges=edges_strategy)
+def test_other_backends_match_pushdown_oracle(backend, rule_shape, interning, edges):
+    """The staged executor is shared by every JIT backend: quotes and
+    bytecode compile the same block kernels lambda does, and irgen
+    interprets its IR on them, so each is held to the same oracle."""
+    assert_jit_matches_oracle(backend, rule_shape, interning, edges)
+
+
+def assert_jit_matches_oracle(backend, rule_shape, interning, edges):
     program = build_random_program(edges, rule_shape)
     reference = evaluate(program.copy(), EngineConfig.interpreted())
-    config = EngineConfig.jit("lambda").with_(interning=interning)
-    if shards > 1:
-        config = EngineConfig.parallel(shards=shards, base=config)
+    config = EngineConfig.jit(backend).with_(interning=interning)
     compiled = evaluate(program.copy(), config)
     assert compiled == reference, f"{rule_shape} diverged under {config.describe()}"
     for relation in reference:
@@ -239,32 +249,31 @@ def test_predicted_block_strategies_are_what_the_kernels_do(rule_shape, use_inde
 
 @pytest.mark.parametrize("base", [
     EngineConfig.interpreted().with_(executor="vectorized"),
+    EngineConfig.interpreted().with_(executor="vectorized", interning=False),
     EngineConfig.jit("lambda"),
     EngineConfig.jit("lambda").with_(interning=False),
+    EngineConfig.jit("quotes"),
+    EngineConfig.jit("bytecode", asynchronous=True),
 ], ids=lambda c: c.describe())
-@pytest.mark.parametrize("shards", [1, 2])
 @settings(max_examples=6, deadline=None)
 @given(edges=edges_strategy, mutations=mutations_strategy)
-def test_block_kernel_sessions_replay_update_sequences(base, shards, edges, mutations):
+def test_block_kernel_sessions_replay_update_sequences(base, edges, mutations):
     """Incremental insert/retract sequences through the block kernels."""
     edges = [e for e in edges if e[0] != e[1]] or [(0, 1)]
-    config = (
-        EngineConfig.parallel(shards=shards, base=base) if shards > 1 else base
-    )
-    with IncrementalSession(build_transitive_closure_program(edges), config) as session:
-        live = set(edges)
-        for retract, a, b in mutations:
-            if retract and live:
-                victim = sorted(live)[(a * 8 + b) % len(live)]
-                session.retract_facts("edge", [victim])
-                live.discard(victim)
-            elif a != b:
-                session.insert_facts("edge", [(a, b)])
-                live.add((a, b))
-            else:
-                continue
-            expected = evaluate(
-                build_transitive_closure_program(sorted(live)),
-                EngineConfig.interpreted(),
-            )["path"]
-            assert set(session.fetch("path")) == set(expected)
+    session = IncrementalSession(build_transitive_closure_program(edges), base)
+    live = set(edges)
+    for retract, a, b in mutations:
+        if retract and live:
+            victim = sorted(live)[(a * 8 + b) % len(live)]
+            session.retract_facts("edge", [victim])
+            live.discard(victim)
+        elif a != b:
+            session.insert_facts("edge", [(a, b)])
+            live.add((a, b))
+        else:
+            continue
+        expected = evaluate(
+            build_transitive_closure_program(sorted(live)),
+            EngineConfig.interpreted(),
+        )["path"]
+        assert set(session.fetch("path")) == set(expected)

@@ -12,6 +12,7 @@ from repro.relational.operators import (
     PullSubqueryEvaluator,
     PushSubqueryEvaluator,
     SubqueryEvaluator,
+    VectorizedSubqueryEvaluator,
     bound_constraints,
     evaluate_subquery,
     join_layouts,
@@ -518,3 +519,45 @@ class TestLoweredBuiltins:
         plan = plan_of((x,), Atom("src", (x,)), Comparison("<", x, z))
         with pytest.raises(KeyError, match="unbound variable"):
             lower_plan(plan)
+
+
+def empty_graph_storage():
+    storage = StorageManager()
+    storage.declare("edge", 2)
+    storage.declare("path", 2)
+    return storage
+
+
+class TestVectorizedEvaluator:
+    def plan(self):
+        return JoinPlan(
+            head_relation="path",
+            head_terms=(x, z),
+            sources=(
+                AtomSource(Atom("path", (x, y)), DatabaseKind.DELTA_KNOWN),
+                AtomSource(Atom("edge", (y, z)), DatabaseKind.DERIVED),
+            ),
+        )
+
+    def test_matches_pushdown(self):
+        storage = empty_graph_storage()
+        storage.derived("edge").insert_many([(1, 2), (2, 3), (3, 4)])
+        storage.force_delta("path", [(1, 2), (2, 3)])
+        reference = evaluate_subquery(storage, self.plan(), executor="pushdown")
+        vectorized = evaluate_subquery(storage, self.plan(), executor="vectorized")
+        assert vectorized == reference == {(1, 3), (2, 4)}
+
+    def test_stats_count_batches_and_strategies(self):
+        storage = empty_graph_storage()
+        storage.register_index("edge", 0)
+        storage.derived("edge").insert_many([(1, 2), (2, 3)])
+        storage.force_delta("path", [(1, 2)])
+        evaluator = VectorizedSubqueryEvaluator(storage)
+        evaluator.evaluate(self.plan())
+        assert evaluator.stats["batches"] == 1
+        assert (evaluator.stats["scan"], evaluator.stats["index"]) == (1, 1)
+        assert evaluator.stats["candidates"] == evaluator.stats["projected"] == 1
+
+    def test_unknown_executor_rejected(self):
+        with pytest.raises(ValueError, match="unknown executor"):
+            SubqueryEvaluator(empty_graph_storage(), executor="simd")

@@ -143,6 +143,30 @@ class TestBatchWriterNormalisation:
         assert ("c", "d") in storage.new("path")
 
 
+class TestBulkWriters:
+    """absorb_rows / force_delta: the bulk-load and DRed re-seed paths."""
+
+    def _storage(self):
+        storage = make_storage()
+        for row in [(i, i + 1) for i in range(20)]:
+            storage.insert_derived("path", row)
+        return storage
+
+    def test_absorb_rows_bumps_generation_once(self):
+        storage = self._storage()
+        generation = storage.generation("path")
+        added = storage.absorb_rows("path", [(50, 51), (52, 53), (0, 1)])
+        assert added == 2  # (0, 1) was already present
+        assert storage.generation("path") == generation + 1
+        assert storage.absorb_rows("path", [(50, 51)]) == 0
+        assert storage.generation("path") == generation + 1
+
+    def test_force_delta_ignores_derived_membership(self):
+        storage = self._storage()
+        assert storage.force_delta("path", [(0, 1)]) == 1
+        assert (0, 1) in storage.tuples("path", DatabaseKind.DELTA_KNOWN)
+
+
 class TestTrustedBatchSinks:
     """insert_new_batch / seed_delta_batch: the executor's validated sinks."""
 

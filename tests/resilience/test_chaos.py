@@ -7,7 +7,8 @@ with that point scheduled to fail once (``fail_nth=1``).  The property:
   ``OSError``/``RuntimeError`` leaking out of the middle of a subsystem),
 * one retry after the injected failure succeeds (the schedule recovers),
 * the final state is bit-for-bit equal to a never-faulted oracle — across
-  both executors and shard counts, including a durable restart.
+  both executors, interpreted and JIT-compiled, including a durable
+  restart.
 
 The wire-side points (``server.send``, ``queue.enqueue``) run the same
 property through a real TCP server and a retrying client.
@@ -35,21 +36,18 @@ ENGINE_POINTS = (
     "wal.fsync",
     "checkpoint.rename",
     "symbols.extend",
-    "pool.invoke",
 )
 
 CONFIG_GRID = [
-    pytest.param(executor, shards, id=f"{executor}-shards{shards}")
+    pytest.param(executor, mode, id=f"{executor}-{mode}")
     for executor in ("pushdown", "vectorized")
-    for shards in (1, 4)
+    for mode in ("interpreted", "jit")
 ]
 
 
-def make_config(executor: str, shards: int) -> EngineConfig:
-    config = EngineConfig(executor=executor)
-    if shards > 1:
-        config = EngineConfig.parallel(shards=shards, base=config)
-    return config
+def make_config(executor: str, mode: str) -> EngineConfig:
+    base = EngineConfig.jit("lambda") if mode == "jit" else EngineConfig()
+    return base.with_(executor=executor)
 
 
 def run_workload(config, durability_dir, aborted=None):
@@ -102,21 +100,21 @@ def oracle(tmp_path_factory):
 
 
 class TestEnginePoints:
-    @pytest.mark.parametrize("executor,shards", CONFIG_GRID)
+    @pytest.mark.parametrize("executor,mode", CONFIG_GRID)
     def test_never_faulted_runs_agree_across_configurations(
-        self, executor, shards, tmp_path, oracle
+        self, executor, mode, tmp_path, oracle
     ):
-        assert run_workload(make_config(executor, shards), tmp_path) == oracle
+        assert run_workload(make_config(executor, mode), tmp_path) == oracle
 
     @pytest.mark.parametrize("point", ENGINE_POINTS)
-    @pytest.mark.parametrize("executor,shards", CONFIG_GRID)
+    @pytest.mark.parametrize("executor,mode", CONFIG_GRID)
     def test_one_injected_fault_never_costs_the_answer(
-        self, point, executor, shards, tmp_path, oracle
+        self, point, executor, mode, tmp_path, oracle
     ):
         aborted = []
         with fault_scope(f"{point}:fail_nth=1") as registry:
             final = run_workload(
-                make_config(executor, shards), tmp_path, aborted
+                make_config(executor, mode), tmp_path, aborted
             )
             fired = registry.injected(point)
         assert final == oracle
@@ -127,13 +125,12 @@ class TestEnginePoints:
             assert error.code in TAXONOMY
             assert error.reason == "injected"
 
-    @pytest.mark.parametrize("executor,shards", CONFIG_GRID)
-    def test_durability_points_actually_fire(self, executor, shards, tmp_path):
+    @pytest.mark.parametrize("executor,mode", CONFIG_GRID)
+    def test_durability_points_actually_fire(self, executor, mode, tmp_path):
         """Guard against silently-vacuous chaos: the workload must hit the
-        WAL points on every configuration (sharding has its own hits test
-        in the degradation suite)."""
+        WAL points on every configuration."""
         with fault_scope() as registry:  # passive: count hits, fail nothing
-            run_workload(make_config(executor, shards), tmp_path)
+            run_workload(make_config(executor, mode), tmp_path)
             assert registry.hits("wal.append") > 0
             assert registry.hits("wal.fsync") > 0
             assert registry.hits("checkpoint.rename") > 0

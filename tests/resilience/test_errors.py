@@ -9,7 +9,6 @@ from repro.resilience.errors import (
     ResilienceError,
     ResourceExhausted,
     TAXONOMY,
-    WorkerFailed,
     error_from_code,
 )
 
@@ -19,7 +18,6 @@ EXPECTED_CODES = {
     DeadlineExceeded: "deadline_exceeded",
     ResourceExhausted: "resource_exhausted",
     Cancelled: "cancelled",
-    WorkerFailed: "worker_failed",
     DurabilityError: "durability_error",
 }
 
@@ -44,20 +42,20 @@ class TestCodes:
 class TestWire:
     @pytest.mark.parametrize("cls", sorted(EXPECTED_CODES, key=lambda c: c.code))
     def test_round_trip_preserves_class_message_reason_details(self, cls):
-        error = cls("it broke", reason="why", shard=3)
+        error = cls("it broke", reason="why", attempt=3)
         wire = error.to_wire()
         assert wire["code"] == cls.code
         assert wire["message"] == "it broke"
         assert wire["reason"] == "why"
-        assert wire["shard"] == 3
+        assert wire["attempt"] == 3
 
         rebuilt = error_from_code(
-            wire["code"], wire["message"], reason=wire["reason"], shard=wire["shard"]
+            wire["code"], wire["message"], reason=wire["reason"], attempt=wire["attempt"]
         )
         assert type(rebuilt) is cls
         assert str(rebuilt) == "it broke"
         assert rebuilt.reason == "why"
-        assert rebuilt.details == {"shard": 3}
+        assert rebuilt.details == {"attempt": 3}
 
     def test_reason_and_details_are_optional_on_the_wire(self):
         wire = Cancelled("gone").to_wire()

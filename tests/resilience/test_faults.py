@@ -3,7 +3,7 @@
 import pytest
 
 from repro.resilience import faults
-from repro.resilience.errors import DurabilityError, WorkerFailed
+from repro.resilience.errors import DurabilityError
 from repro.resilience.faults import (
     FAULT_POINTS,
     FaultRegistry,
@@ -22,8 +22,8 @@ class TestSpecGrammar:
         )
 
     def test_parse_point_only_is_a_passive_counter(self):
-        spec = FaultSpec.parse("pool.invoke")
-        assert spec == FaultSpec("pool.invoke")
+        spec = FaultSpec.parse("wal.fsync")
+        assert spec == FaultSpec("wal.fsync")
 
     def test_unknown_point_rejected_up_front(self):
         with pytest.raises(ValueError, match="unknown fault point"):
@@ -63,14 +63,14 @@ class TestSchedules:
     def test_fail_rate_is_deterministic_for_a_seed(self):
         def pattern(seed):
             registry = FaultRegistry(
-                ["pool.invoke:fail_rate=0.3"], seed=seed
+                ["wal.fsync:fail_rate=0.3"], seed=seed
             )
             outcomes = []
             for _ in range(50):
                 try:
-                    registry.fire("pool.invoke", WorkerFailed)
+                    registry.fire("wal.fsync", DurabilityError)
                     outcomes.append(False)
-                except WorkerFailed:
+                except DurabilityError:
                     outcomes.append(True)
             return outcomes
 
@@ -80,28 +80,28 @@ class TestSchedules:
         assert not all(pattern(7))
 
     def test_unconfigured_points_count_hits_but_never_fire(self):
-        registry = FaultRegistry(["wal.fsync:fail_nth=1"])
-        registry.fire("pool.invoke", WorkerFailed)
-        assert registry.hits("pool.invoke") == 1
+        registry = FaultRegistry(["wal.append:fail_nth=1"])
+        registry.fire("wal.fsync", DurabilityError)
+        assert registry.hits("wal.fsync") == 1
         assert registry.injected() == 0
 
     def test_injected_error_is_the_sites_taxonomy_class(self):
-        registry = FaultRegistry(["pool.invoke:fail_nth=1"])
-        with pytest.raises(WorkerFailed):
-            registry.fire("pool.invoke", WorkerFailed)
+        registry = FaultRegistry(["wal.fsync:fail_nth=1"])
+        with pytest.raises(DurabilityError):
+            registry.fire("wal.fsync", DurabilityError)
 
     def test_stat_rows_cover_configured_points(self):
         registry = FaultRegistry(
-            ["wal.fsync:fail_nth=1", "pool.invoke:fail_nth=99"]
+            ["wal.append:fail_nth=1", "wal.fsync:fail_nth=99"]
         )
         with pytest.raises(DurabilityError):
-            registry.fire("wal.fsync", DurabilityError)
-        registry.fire("pool.invoke", WorkerFailed)
+            registry.fire("wal.append", DurabilityError)
+        registry.fire("wal.fsync", DurabilityError)
         assert registry.stat_rows() == [
+            ("fault_hits", "wal.append", 1),
+            ("fault_injected", "wal.append", 1),
             ("fault_hits", "wal.fsync", 1),
-            ("fault_injected", "wal.fsync", 1),
-            ("fault_hits", "pool.invoke", 1),
-            ("fault_injected", "pool.invoke", 0),
+            ("fault_injected", "wal.fsync", 0),
         ]
 
 
@@ -125,21 +125,21 @@ class TestActivation:
 
     def test_nested_scopes_restore_the_outer_registry(self):
         with fault_scope("wal.fsync:fail_nth=5") as outer:
-            with fault_scope("pool.invoke:fail_nth=5") as inner:
+            with fault_scope("wal.fsync:fail_nth=5") as inner:
                 assert faults.active() is inner
             assert faults.active() is outer
         assert faults.active() is NOOP_FAULTS
 
     def test_install_from_env_parses_specs_and_seed(self):
-        environ = {"REPRO_FAULTS": "wal.fsync:fail_nth=1; seed=42; "
-                                   "pool.invoke:fail_rate=0.25"}
+        environ = {"REPRO_FAULTS": "wal.append:fail_nth=1; seed=42; "
+                                   "wal.fsync:fail_rate=0.25"}
         try:
             registry = install_from_env(environ)
             assert registry is faults.active()
             assert registry.seed == 42
             assert registry.specs() == (
-                FaultSpec("wal.fsync", fail_nth=1),
-                FaultSpec("pool.invoke", fail_rate=0.25),
+                FaultSpec("wal.append", fail_nth=1),
+                FaultSpec("wal.fsync", fail_rate=0.25),
             )
         finally:
             faults.clear()

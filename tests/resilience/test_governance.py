@@ -3,7 +3,7 @@
 The acceptance bar for the resilience layer: a deadline-governed query over
 an unbounded-growth program must come back as a typed
 :class:`DeadlineExceeded`, having run fewer fixpoint rounds than the
-ungoverned evaluation, on *every* executor x shard configuration — and the
+ungoverned evaluation, on *every* executor, interpreted or JIT — and the
 session must stay fully usable afterwards.  (That it comes back within 2x
 the deadline is a wall-clock gate: ``benchmarks/bench_resilience.py``.)
 """
@@ -37,17 +37,15 @@ FAST_CLOSURE = {(1, 2), (2, 3), (3, 4), (1, 3), (2, 4), (1, 4)}
 DEADLINE = 0.05
 
 CONFIG_GRID = [
-    pytest.param(executor, shards, id=f"{executor}-shards{shards}")
+    pytest.param(executor, mode, id=f"{executor}-{mode}")
     for executor in ("pushdown", "vectorized")
-    for shards in (1, 4)
+    for mode in ("interpreted", "jit")
 ]
 
 
-def make_config(executor: str, shards: int) -> EngineConfig:
-    config = EngineConfig(executor=executor)
-    if shards > 1:
-        config = EngineConfig.parallel(shards=shards, base=config)
-    return config
+def make_config(executor: str, mode: str) -> EngineConfig:
+    base = EngineConfig.jit("lambda") if mode == "jit" else EngineConfig()
+    return base.with_(executor=executor)
 
 
 @contextmanager
@@ -87,12 +85,12 @@ class TestDeadline:
     # other timing gates (benchmarks/bench_resilience.py); here only what
     # does not depend on the machine: the typed error, that the deadline cut
     # the fixpoint short, and that the session survives it.
-    @pytest.mark.parametrize("executor,shards", CONFIG_GRID)
+    @pytest.mark.parametrize("executor,mode", CONFIG_GRID)
     def test_deadline_cuts_the_fixpoint_short_on_every_configuration(
-        self, executor, shards
+        self, executor, mode
     ):
         database = Database(build_transitive_closure_program(SLOW_EDGES),
-                            make_config(executor, shards))
+                            make_config(executor, mode))
         try:
             with database.connect() as conn:
                 with counted_rounds() as governed:
@@ -118,12 +116,12 @@ class TestDeadline:
         finally:
             database.close()
 
-    @pytest.mark.parametrize("executor,shards", CONFIG_GRID)
+    @pytest.mark.parametrize("executor,mode", CONFIG_GRID)
     def test_session_recovers_to_ground_state_after_a_deadline(
-        self, executor, shards
+        self, executor, mode
     ):
         database = Database(build_transitive_closure_program(FAST_EDGES),
-                            make_config(executor, shards))
+                            make_config(executor, mode))
         try:
             with database.connect() as conn:
                 # An impossible deadline aborts even this tiny program ...

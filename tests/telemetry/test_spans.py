@@ -1,11 +1,10 @@
-"""Unit tests for the tracing core: Tracer, Span, Trace, SpanBuffer."""
+"""Unit tests for the tracing core: Tracer, Span, Trace."""
 
 import json
-import pickle
 
 import pytest
 
-from repro.telemetry import NOOP_TRACER, SpanBuffer, Tracer, current_span
+from repro.telemetry import NOOP_TRACER, Tracer, current_span
 from repro.telemetry.sinks import RingBufferSink
 
 
@@ -129,7 +128,6 @@ class TestNoopTracer:
             assert s.set(x=1) is s
             s.event("nope")
             s.finish()
-        assert NOOP_TRACER.merge_buffer([{"span_id": 1}], parent=span) == []
 
     def test_noop_span_never_becomes_ambient_parent(self):
         tracer, ring = make_traced()
@@ -138,64 +136,6 @@ class TestNoopTracer:
             assert span.parent_id is None
             span.finish()
         assert ring.latest().root is span
-
-
-class TestSpanBufferAndMerge:
-    def drained_worker_records(self):
-        buffer = SpanBuffer()
-        with buffer.span("iteration", shard=0, round=1):
-            buffer.span("op:join", ambient=False, rows_in=3).set(rows_out=5).finish()
-        with buffer.span("iteration", shard=0, round=2) as it2:
-            it2.set(promoted=4)
-        return buffer.drain()
-
-    def test_records_are_picklable_dicts(self):
-        records = self.drained_worker_records()
-        assert pickle.loads(pickle.dumps(records)) == records
-        assert [r["name"] for r in records] == [
-            "iteration", "op:join", "iteration",
-        ]
-        assert records[1]["parent_id"] == records[0]["span_id"]
-        assert records[2]["parent_id"] is None
-        assert records[2]["attributes"]["promoted"] == 4
-
-    def test_drain_resets_the_buffer(self):
-        buffer = SpanBuffer()
-        buffer.span("iteration", ambient=False).finish()
-        assert len(buffer.drain()) == 1
-        assert buffer.drain() == []
-
-    def test_merge_reparents_buffer_roots_and_remaps_ids(self):
-        tracer, ring = make_traced()
-        records = self.drained_worker_records()
-        with tracer.span("query", root=True):
-            with tracer.span("stratum", index=0) as stratum:
-                merged = tracer.merge_buffer(records, parent=stratum)
-        trace = ring.latest()
-        assert len(trace) == 2 + len(records)
-        iterations = trace.find("iteration")
-        assert all(s.parent_id == stratum.span_id for s in iterations)
-        assert all(s.trace_id == trace.trace_id for s in merged)
-        (join,) = trace.find("op:join")
-        assert join.parent_id == iterations[0].span_id
-        # Worker-local ids were remapped into the coordinator's id space.
-        coordinator_ids = {s.span_id for s in trace}
-        assert len(coordinator_ids) == len(trace)
-
-    def test_merge_without_parent_is_dropped(self):
-        tracer, _ = make_traced()
-        assert tracer.merge_buffer(self.drained_worker_records()) == []
-
-    def test_buffered_span_error_status_survives_merge(self):
-        tracer, ring = make_traced()
-        buffer = SpanBuffer()
-        with pytest.raises(RuntimeError):
-            with buffer.span("iteration", shard=1):
-                raise RuntimeError("shard died")
-        with tracer.span("query", root=True) as root:
-            tracer.merge_buffer(buffer.drain(), parent=root)
-        (iteration,) = ring.latest().find("iteration")
-        assert iteration.status == "error:RuntimeError"
 
 
 class TestTabularViews:
