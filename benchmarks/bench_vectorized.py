@@ -100,10 +100,10 @@ def test_duplicate_heavy_join_is_distinct_priced():
         # its surplus rows are cartesian intermediates, not duplicates.)
         return build_cspa_program(dataset, Ordering.OPTIMIZED)
 
-    interpreted = EngineConfig.interpreted()
-    _, reference, _ = _measure(build_program, "VAlias", interpreted, 1)
+    oracle = EngineConfig.interpreted().with_(executor="pushdown")
+    _, reference, _ = _measure(build_program, "VAlias", oracle, 1)
     _, rows, profile = _measure(
-        build_program, "VAlias", interpreted.with_(executor="vectorized"), 1
+        build_program, "VAlias", EngineConfig.interpreted(), 1
     )
     assert rows == reference, "vectorized result diverged from pushdown"
     ratio = profile.candidates_per_head_row()
@@ -148,16 +148,16 @@ def test_vectorized_bitwise_equal_across_modes():
     """Every mode computes the identical fixpoint."""
     edges = random_edges(2_000, 1_500, seed=11)
     reference = ExecutionEngine(
-        build_transitive_closure_program(edges), EngineConfig.interpreted()
+        build_transitive_closure_program(edges),
+        EngineConfig.interpreted().with_(executor="pushdown"),
     ).evaluate()["path"]
-    bases = [
+    configs = [
         EngineConfig.interpreted(),
         EngineConfig.jit("bytecode"),
         EngineConfig.jit("lambda"),
         EngineConfig.aot(),
     ]
-    for base in bases:
-        config = base.with_(executor="vectorized")
+    for config in configs:
         engine = ExecutionEngine(build_transitive_closure_program(edges), config)
         assert engine.evaluate()["path"] == reference, (
             f"{config.describe()} diverged"

@@ -331,8 +331,9 @@ class Connection:
         per-operator timings and row counts from the most recent trace,
         lined up with the join-order optimizer's cardinality predictions,
         flagging misestimated operators (see :mod:`repro.introspect`).
-        Needs telemetry for the trace and ``executor='vectorized'`` for
-        per-operator spans; the section says so when either is missing.
+        Needs telemetry for the trace and the block kernels (the default
+        executor, not ``"pushdown"``) for per-operator spans; the section
+        says so when either is missing.
         """
         self._check_open()
         row_count = None

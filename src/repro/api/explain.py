@@ -64,8 +64,8 @@ def render_explain(
         lines.append(f"relation: {relation}{suffix}")
     lines.append(f"configuration: {config.describe()}")
     detail = f"mode={config.mode.value}"
-    if config.executor != "pushdown":
-        detail += f" executor={config.executor}"
+    if config.executor == "pushdown":
+        detail += " executor=pushdown"
     if config.mode.value == "jit":
         detail += (
             f" backend={config.backend}"

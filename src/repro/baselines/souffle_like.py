@@ -20,11 +20,11 @@ engine but freezes the join order before execution:
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional, Set
 
 from repro.core.aot import apply_aot_optimization
-from repro.core.config import AOTSortMode, EngineConfig, ExecutionMode
+from repro.core.config import AOTSortMode, EngineConfig
 from repro.core.executor import IRExecutor
 from repro.core.join_order import JoinOrderOptimizer
 from repro.core.profile import RuntimeProfile
@@ -50,6 +50,8 @@ class SouffleLikeResult:
     evaluation_seconds: float
     toolchain_seconds: float = 0.0
     profiling_seconds: float = 0.0
+    #: The measured evaluation's runtime profile.
+    profile: Optional[RuntimeProfile] = None
 
     @property
     def reported_seconds(self) -> float:
@@ -76,11 +78,17 @@ class SouffleLikeEngine:
         self.toolchain_seconds = toolchain_seconds
         self.use_indexes = use_indexes
 
+    def _config(self) -> EngineConfig:
+        """Interpreted plans on the tuple-at-a-time ``pushdown`` executor:
+        this engine is also the reference evaluator of the benchmark
+        ledger, so it shares no operator with the block kernels."""
+        return EngineConfig.interpreted(self.use_indexes).with_(executor="pushdown")
+
     # -- profiling (auto-tuned mode) --------------------------------------------
 
     def _profile_orders(self, program: DatalogProgram) -> StorageManager:
         """Run the query once to collect the cardinalities a profile would hold."""
-        engine = ExecutionEngine(program.copy(), EngineConfig.interpreted(self.use_indexes))
+        engine = ExecutionEngine(program.copy(), self._config())
         engine.evaluate()
         return engine.storage
 
@@ -110,9 +118,8 @@ class SouffleLikeEngine:
                 use_indexes=self.use_indexes,
             )
 
-        config = EngineConfig.interpreted(self.use_indexes)
         profile = RuntimeProfile()
-        executor = IRExecutor(storage, config, profile)
+        executor = IRExecutor(storage, self._config(), profile)
         evaluation_start = time.perf_counter()
         executor.execute(tree)
         evaluation_seconds = time.perf_counter() - evaluation_start
@@ -130,4 +137,5 @@ class SouffleLikeEngine:
             evaluation_seconds=evaluation_seconds,
             toolchain_seconds=toolchain,
             profiling_seconds=profiling_seconds,
+            profile=profile,
         )

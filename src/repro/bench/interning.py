@@ -107,11 +107,11 @@ def cspa_workload(tuples: int = CSPA_TUPLES, seed: int = 2024) -> Tuple[str, Cal
 
 def raw_config() -> EngineConfig:
     """The PR-4 vectorized baseline: raw objects end-to-end."""
-    return EngineConfig.interpreted().with_(executor="vectorized", interning=False)
+    return EngineConfig.interpreted().with_(interning=False)
 
 
 def interned_config() -> EngineConfig:
-    return EngineConfig.interpreted().with_(executor="vectorized")
+    return EngineConfig.interpreted()
 
 
 def _measure_once(build_program: Callable, relation: str,

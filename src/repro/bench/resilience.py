@@ -73,7 +73,7 @@ def variant_config(variant: str) -> EngineConfig:
     densest round structure and so the most governance checkpoints per
     second of work.
     """
-    base = EngineConfig.interpreted().with_(executor="vectorized")
+    base = EngineConfig.interpreted()
     if variant == "off":
         return base
     if variant == "governed":

@@ -66,7 +66,7 @@ def variant_config(variant: str) -> EngineConfig:
     the densest instrumentation (a span per operator application) and so
     the worst case for overhead.
     """
-    base = EngineConfig.interpreted().with_(executor="vectorized")
+    base = EngineConfig.interpreted()
     if variant == "off":
         return base
     if variant == "noop":

@@ -4,7 +4,7 @@ Not a paper figure — this measures the repository's vectorized batch
 execution layer (:mod:`repro.relational.operators`): the same program and
 facts evaluated with the ``pushdown`` executor (the tuple-at-a-time binding
 recursion, which doubles as the correctness oracle) and with
-``EngineConfig.with_(executor="vectorized")``, per workload and execution
+the default ``executor="vectorized"``, per workload and execution
 mode, with bit-for-bit equality of the result sets verified per row.  The
 vectorized rows also report ``candidate_ratio``: rows the kernels handed to
 their head projections per row those returned — a count, so deterministic —
@@ -118,8 +118,7 @@ def run_vectorized(
                 build_program, relation, base.with_(executor="pushdown"), repeat
             )
             vectorized_seconds, vectorized_rows, profile = _measure(
-                build_program, relation,
-                base.with_(executor="vectorized"), repeat,
+                build_program, relation, base, repeat,
             )
             rows.append({
                 "workload": workload, "mode": label, "executor": "pushdown",

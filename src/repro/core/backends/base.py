@@ -74,7 +74,7 @@ class Backend(ABC):
         support snippets fall back to full compilation.
 
         ``evaluator`` is the configured interpreter of the execution the
-        artifact will run in (style, executor, tracer, governor, batch
+        artifact will run in (executor, tracer, governor, batch
         counters): ``irgen`` artifacts interpret on it, every other
         backend's artifacts are its block kernels.
         """

@@ -66,19 +66,16 @@ class EngineConfig:
     async_compilation: bool = False
     compile_mode: str = "full"                 # "full" or "snippet"
     use_indexes: bool = True
-    evaluator_style: str = "push"              # "push" or "pull"
-    #: Physical sub-query executor: ``"pushdown"`` is the tuple-at-a-time
-    #: binding recursion (the oracle every other executor is tested
-    #: against), ``"vectorized"`` the batch executor (lowered block kernels) —
-    #: ``EngineConfig.with_(executor="vectorized")`` turns it on over any
-    #: configuration, and :meth:`jit` configurations start with it.
-    #: Orthogonal to mode/backend: it changes how interpreted
+    #: Physical sub-query executor: ``"vectorized"`` (the default) runs
+    #: every interpreted sub-query on lowered block kernels — the engine's
+    #: one production interpreter, and what every compiling JIT backend
+    #: stitches its artifacts from.  ``"pushdown"`` is the tuple-at-a-time
+    #: binding recursion, kept as the reference the kernels are tested
+    #: against.  Orthogonal to mode/backend: it changes how interpreted
     #: sub-queries run (under the JIT: the seed stage, non-recursive strata,
     #: async waits, snippet continuations, ``irgen`` artifacts), never what
-    #: they compute.  Compiled artifacts of the other backends are block
-    #: kernels either way, so ``jit().with_(executor="pushdown")`` differs
-    #: from the default JIT only in those interpreted stages.
-    executor: str = "pushdown"                 # "pushdown" or "vectorized"
+    #: they compute.
+    executor: str = "vectorized"               # "vectorized" or "pushdown"
     #: Dictionary-encoded storage: intern every constant into a dense int
     #: domain at load/insert time and run the whole fixpoint over int
     #: tuples, decoding lazily at the QueryResult boundary.  On by default;
@@ -87,12 +84,10 @@ class EngineConfig:
     #: against.  Orthogonal to mode/backend/executor.
     interning: bool = True
     freshness_threshold: float = 0.2
-    optimize_seed: bool = True
     max_iterations: int = 1_000_000
     selectivity: SelectivityModel = field(default_factory=SelectivityModel)
     aot_sort: AOTSortMode = AOTSortMode.NONE
     aot_online: bool = False
-    collect_profile: bool = True
     #: Observability wiring (:class:`repro.telemetry.TelemetryConfig`).
     #: ``None`` (the default) means the zero-overhead no-op tracer and a
     #: private metrics registry — evaluation semantics never depend on it,
@@ -128,8 +123,13 @@ class EngineConfig:
                            token)
 
     def describe(self) -> str:
-        """A short configuration name for result tables."""
-        suffix = "+vec" if self.executor == "vectorized" else ""
+        """A short configuration name for result tables.
+
+        Suffixes mark departures from the production defaults:
+        ``+pushdown`` for the tuple-at-a-time executor, ``+raw`` for
+        un-interned storage.
+        """
+        suffix = "+pushdown" if self.executor == "pushdown" else ""
         if not self.interning:
             suffix += "+raw"
         if self.label:
@@ -137,7 +137,7 @@ class EngineConfig:
         if self.mode == ExecutionMode.INTERPRETED:
             return "interpreted" + ("+idx" if self.use_indexes else "") + suffix
         if self.mode == ExecutionMode.NAIVE:
-            return "naive"
+            return "naive" + suffix
         if self.mode == ExecutionMode.AOT:
             online = "+online" if self.aot_online else ""
             return f"macro-{self.aot_sort.value}{online}{suffix}"
@@ -163,16 +163,7 @@ class EngineConfig:
         use_indexes: bool = True,
         compile_mode: str = "full",
     ) -> "EngineConfig":
-        """A JIT configuration (the "JIT <backend> <blocking|async>" bars).
-
-        Whatever the JIT interprets — the seed stage, non-recursive strata,
-        sub-queries waiting on an asynchronous compilation, ``irgen``
-        artifacts — runs on the same block kernels its compiled artifacts
-        do (``executor="vectorized"``), so adapting never falls back to a
-        slower evaluator than the one it compiles for.
-        ``.with_(executor="pushdown")`` interprets tuple at a time instead:
-        the oracle the kernels are tested against.
-        """
+        """A JIT configuration (the "JIT <backend> <blocking|async>" bars)."""
         return EngineConfig(
             mode=ExecutionMode.JIT,
             backend=backend,
@@ -180,7 +171,6 @@ class EngineConfig:
             granularity=granularity,
             use_indexes=use_indexes,
             compile_mode=compile_mode,
-            executor="vectorized",
         )
 
     @staticmethod

@@ -106,7 +106,7 @@ class IRExecutor:
         #: per sub-query plan inside the evaluator).  NOOP when unbounded.
         self.governor = governor if governor is not None else config.governor()
         self.evaluator = SubqueryEvaluator(
-            storage, config.evaluator_style, executor=config.executor,
+            storage, executor=config.executor,
             tracer=self.tracer, governor=self.governor,
         )
         self.stats = StatisticsCollector()
@@ -282,7 +282,6 @@ class IRExecutor:
         if (
             stage == "seed"
             and self.optimizer is not None
-            and self.config.optimize_seed
             and self.config.mode in (ExecutionMode.JIT, ExecutionMode.AOT)
         ):
             optimized, decision = self.optimizer.optimize_plan(
@@ -432,7 +431,6 @@ class IRExecutor:
         if (
             stage == "seed"
             and self.optimizer is not None
-            and self.config.optimize_seed
             and self.config.mode in (ExecutionMode.JIT, ExecutionMode.AOT)
         ):
             plan, decision = self.optimizer.optimize_plan(
@@ -457,7 +455,8 @@ class IRExecutor:
             if i not in aggregate_positions
         ]
         groups: Dict[Tuple, Dict[int, List]] = {}
-        for bindings in self.evaluator.bindings(plan):
+
+        def collect(bindings) -> None:
             key = tuple(
                 bindings[term] if isinstance(term, Variable)
                 else symbols.intern(evaluate_raw_term(term, bindings, symbols))
@@ -469,6 +468,7 @@ class IRExecutor:
                     symbols.resolve(aggregate.target.substitute(bindings))
                 )
 
+        self.evaluator.each_binding(plan, collect)
         self.profile.record_interpreted()
         out: Set[Row] = set()
         for key, collected in groups.items():

@@ -94,9 +94,7 @@ def _config_cache_key(config: EngineConfig) -> str:
             config.async_compilation,
             config.compile_mode,
             config.use_indexes,
-            config.evaluator_style,
             config.executor,
-            config.optimize_seed,
             config.aot_sort.value,
             config.aot_online,
             config.interning,
@@ -212,8 +210,8 @@ class IncrementalSession:
             self._dred_rederive_plans = rederive_plans(self.program, symbols)
             self._dred_optimizer = JoinOrderOptimizer(self.config.selectivity)
             self._dred_evaluator = SubqueryEvaluator(
-                self.storage, self.config.evaluator_style,
-                executor=self.config.executor, tracer=self.tracer,
+                self.storage, executor=self.config.executor,
+                tracer=self.tracer,
             )
             apply_aot_if_configured(
                 self._update_tree, self.config, self.storage, self.profile

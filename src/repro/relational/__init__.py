@@ -15,7 +15,6 @@ from repro.relational.storage import DatabaseKind, StorageManager
 from repro.relational.operators import (
     AtomSource,
     JoinPlan,
-    PullSubqueryEvaluator,
     PushSubqueryEvaluator,
     SubqueryEvaluator,
     VectorizedSubqueryEvaluator,
@@ -33,7 +32,6 @@ __all__ = [
     "DatabaseKind",
     "HashIndex",
     "JoinPlan",
-    "PullSubqueryEvaluator",
     "PushSubqueryEvaluator",
     "Relation",
     "SelectivityModel",

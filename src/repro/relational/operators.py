@@ -6,11 +6,10 @@ with the database copy it reads (Derived or Delta-Known), plus the head
 projection.  This module provides the interchangeable implementations of
 the same physical plan:
 
-* a pull-based (iterator/generator) and a push-based (callback) evaluator,
-  mirroring the two engine styles Carac has been integrated with (§V-D).
-  Both perform left-deep index-nested-loop joins with binding propagation,
-  tuple at a time — the plan shape the join-order optimizer reasons about,
-  and the oracle everything else is tested against;
+* the pushdown evaluator: a push-based (callback) left-deep
+  index-nested-loop join with binding propagation, tuple at a time — the
+  plan shape the join-order optimizer reasons about, and the oracle
+  everything else is tested against;
 * the block executor, split into a **plan-time lowering**
   (:func:`lower_plan`: atom layouts, live columns, and per positive atom the
   *source* of one comprehension specialised to that layout — key slot, kept
@@ -34,7 +33,7 @@ import zlib
 from dataclasses import dataclass
 from itertools import repeat
 from operator import itemgetter
-from typing import Any, Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
+from typing import Any, Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.datalog.literals import Assignment, Atom, Comparison, Literal, comparison_operator
 from repro.datalog.terms import Aggregate, BinaryExpression, Constant, Term, Variable, binary_operator
@@ -47,8 +46,9 @@ from repro.telemetry.spans import NOOP_TRACER
 Bindings = Dict[Variable, Any]
 
 #: The two interchangeable physical executors for one :class:`JoinPlan`:
-#: ``"pushdown"`` is the tuple-at-a-time binding recursion (push/pull styles),
-#: ``"vectorized"`` the batch executor running lowered :class:`BlockKernel`s.
+#: ``"vectorized"`` (the production default) the batch executor running
+#: lowered :class:`BlockKernel`s, ``"pushdown"`` the tuple-at-a-time binding
+#: recursion it is tested against.
 EXECUTORS = ("pushdown", "vectorized")
 
 
@@ -239,104 +239,20 @@ def project_head(head_terms: Sequence[Term], bindings: Bindings,
     return tuple(values)
 
 
-class PullSubqueryEvaluator:
-    """Generator-based (pull) evaluation of a :class:`JoinPlan`."""
-
-    def __init__(self, storage: StorageManager) -> None:
-        self.storage = storage
-        self.symbols = storage.symbols
-
-    def bindings(self, plan: JoinPlan) -> Iterator[Bindings]:
-        """Yield every complete binding produced by the plan."""
-        yield from self._recurse(plan, 0, {})
-
-    def _recurse(self, plan: JoinPlan, position: int, bindings: Bindings) -> Iterator[Bindings]:
-        if position == len(plan.sources):
-            yield bindings
-            return
-        source = plan.sources[position]
-        literal = source.literal
-        if isinstance(literal, Atom):
-            if literal.negated:
-                yield from self._negated(plan, position, literal, bindings)
-                return
-            relation = self.storage.relation(literal.relation, source.kind or DatabaseKind.DERIVED)
-            constraints = bound_constraints(literal, bindings)
-            for row in relation.probe(constraints):
-                extended = match_atom(literal, row, bindings)
-                if extended is not None:
-                    yield from self._recurse(plan, position + 1, extended)
-            return
-        if isinstance(literal, Comparison):
-            if evaluate_comparison(literal, bindings, self.symbols):
-                yield from self._recurse(plan, position + 1, bindings)
-            return
-        if isinstance(literal, Assignment):
-            value = evaluate_raw_term(literal.expression, bindings, self.symbols)
-            existing = bindings.get(literal.target, _UNBOUND)
-            if existing is _UNBOUND:
-                extended = dict(bindings)
-                extended[literal.target] = self.symbols.intern(value)
-                yield from self._recurse(plan, position + 1, extended)
-            elif self.symbols.resolve(existing) == value:
-                yield from self._recurse(plan, position + 1, bindings)
-            return
-        raise TypeError(f"unsupported literal {literal!r}")  # pragma: no cover
-
-    def _negated(self, plan: JoinPlan, position: int, literal: Atom,
-                 bindings: Bindings) -> Iterator[Bindings]:
-        relation = self.storage.relation(literal.relation, DatabaseKind.DERIVED)
-        probe_row: List[Any] = []
-        for term in literal.terms:
-            if isinstance(term, Constant):
-                probe_row.append(term.value)
-            elif isinstance(term, Variable):
-                if term not in bindings:
-                    raise ValueError(
-                        f"negated atom {literal!r} reached with unbound variable "
-                        f"{term.name!r}; the planner must order it after its binders"
-                    )
-                probe_row.append(bindings[term])
-            else:  # pragma: no cover
-                raise TypeError(f"unexpected term {term!r} in negated atom")
-        if tuple(probe_row) not in relation:
-            yield from self._recurse(plan, position + 1, bindings)
-
-    def evaluate(self, plan: JoinPlan) -> Set[Row]:
-        """Evaluate the plan and project the head (no aggregation here)."""
-        results: Set[Row] = set()
-        symbols = self.symbols
-        for bindings in self.bindings(plan):
-            results.add(project_head(plan.head_terms, bindings, symbols))
-        return results
-
-
 class PushSubqueryEvaluator:
-    """Callback-based (push) evaluation of a :class:`JoinPlan`.
-
-    Produces exactly the same results as the pull evaluator; the difference
-    is purely the control-flow style: tuples are pushed into a consumer
-    callback as soon as they are produced, which is how Carac's default
-    push-based storage engine works.
+    """Callback-based (push) evaluation of a :class:`JoinPlan`, tuple at a
+    time: each complete binding is pushed into a consumer as soon as it is
+    produced, which is how Carac's default push-based storage engine works.
     """
 
     def __init__(self, storage: StorageManager) -> None:
         self.storage = storage
         self.symbols = storage.symbols
 
-    def evaluate_into(self, plan: JoinPlan, consumer: Callable[[Row], None]) -> int:
-        """Push every head tuple into ``consumer``; returns the tuple count."""
-        count = 0
-
-        symbols = self.symbols
-
-        def emit(bindings: Bindings) -> None:
-            nonlocal count
-            consumer(project_head(plan.head_terms, bindings, symbols))
-            count += 1
-
+    def each_binding(self, plan: JoinPlan,
+                     emit: Callable[[Bindings], None]) -> None:
+        """Push every complete binding of ``plan`` into ``emit``."""
         self._push(plan, 0, {}, emit)
-        return count
 
     def _push(self, plan: JoinPlan, position: int, bindings: Bindings,
               emit: Callable[[Bindings], None]) -> None:
@@ -348,11 +264,7 @@ class PushSubqueryEvaluator:
         if isinstance(literal, Atom):
             if literal.negated:
                 relation = self.storage.relation(literal.relation, DatabaseKind.DERIVED)
-                probe = tuple(
-                    term.value if isinstance(term, Constant) else bindings[term]
-                    for term in literal.terms
-                )
-                if probe not in relation:
+                if _negation_probe(literal, bindings) not in relation:
                     self._push(plan, position + 1, bindings, emit)
                 return
             relation = self.storage.relation(literal.relation, source.kind or DatabaseKind.DERIVED)
@@ -379,9 +291,26 @@ class PushSubqueryEvaluator:
         raise TypeError(f"unsupported literal {literal!r}")  # pragma: no cover
 
     def evaluate(self, plan: JoinPlan) -> Set[Row]:
+        """Project the head of every binding (no aggregation here)."""
         results: Set[Row] = set()
-        self.evaluate_into(plan, results.add)
+        add, head_terms, symbols = results.add, plan.head_terms, self.symbols
+        self._push(plan, 0, {},
+                   lambda bindings: add(project_head(head_terms, bindings, symbols)))
         return results
+
+
+def _negation_probe(literal: Atom, bindings: Bindings) -> Row:
+    """The fully bound row a negated atom tests for absence."""
+    try:
+        return tuple(
+            term.value if isinstance(term, Constant) else bindings[term]
+            for term in literal.terms
+        )
+    except KeyError as missing:
+        raise ValueError(
+            f"negated atom {literal!r} reached with unbound variable "
+            f"{missing.args[0].name!r}; the planner must order it after its binders"
+        ) from None
 
 
 # ---------------------------------------------------------------------------
@@ -1058,7 +987,7 @@ def lower_plan(plan: JoinPlan, symbols=IDENTITY, tracer=NOOP_TRACER,
 class VectorizedSubqueryEvaluator:
     """Batch (block-at-a-time) evaluation of a :class:`JoinPlan`.
 
-    Produces exactly the same result set as the push/pull evaluators — the
+    Produces exactly the same result set as the pushdown evaluator — the
     differential property suite holds it to bit-for-bit equality — but
     processes the whole intermediate result per body position instead of
     recursing per tuple.  Evaluation is "lower, then run": kernels are
@@ -1100,34 +1029,29 @@ class VectorizedSubqueryEvaluator:
 class SubqueryEvaluator:
     """Facade over the physical executors.
 
-    ``style`` selects between the push and pull tuple-at-a-time pipelines;
-    ``executor`` selects between that pushdown recursion (the oracle) and
-    the vectorized batch executor.  :meth:`bindings` always runs pull-style
-    — aggregation grouping needs complete per-tuple bindings, which a batch
-    pipeline does not materialise; everything else, DRed's over-deletion
-    and re-derivation included, goes through :meth:`evaluate`.  :meth:`lower`
+    ``executor`` selects between the vectorized batch executor (the
+    default) and the pushdown recursion (the oracle).
+    :meth:`each_binding` always runs the pushdown recursion — aggregation
+    grouping needs complete per-tuple bindings, which a batch pipeline does
+    not materialise; everything else, DRed's over-deletion and
+    re-derivation included, goes through :meth:`evaluate`.  :meth:`lower`
     hands out block kernels whatever the executor, which is how compiled
     artifacts share this evaluator's tracer, governor and batch counters.
     """
 
-    def __init__(self, storage: StorageManager, style: str = "push",
-                 executor: str = "pushdown", tracer=NOOP_TRACER,
-                 governor=NOOP_GOVERNOR) -> None:
-        if style not in ("push", "pull"):
-            raise ValueError(f"unknown evaluator style {style!r}")
+    def __init__(self, storage: StorageManager, executor: str = "vectorized",
+                 tracer=NOOP_TRACER, governor=NOOP_GOVERNOR) -> None:
         if executor not in EXECUTORS:
             raise ValueError(
                 f"unknown executor {executor!r}; expected one of {EXECUTORS}"
             )
         self.storage = storage
-        self.style = style
         self.executor = executor
         #: Cooperative cancellation: checked once per sub-query plan, the
         #: finest granularity at which storage is consistent (a plan either
         #: fully evaluates or contributes nothing).
         self.governor = governor
         self._push = PushSubqueryEvaluator(storage)
-        self._pull = PullSubqueryEvaluator(storage)
         self._blocks = VectorizedSubqueryEvaluator(
             storage, tracer=tracer, governor=governor
         )
@@ -1137,9 +1061,7 @@ class SubqueryEvaluator:
             return self._blocks.evaluate(plan)  # kernels check the governor
         if self.governor.active:
             self.governor.check()
-        if self.style == "push":
-            return self._push.evaluate(plan)
-        return self._pull.evaluate(plan)
+        return self._push.evaluate(plan)
 
     def lower(self, plan: JoinPlan,
               compile_kernel: KernelCompiler = _compile_kernel) -> BlockKernel:
@@ -1151,12 +1073,14 @@ class SubqueryEvaluator:
         """Batch/strategy counters of every kernel this evaluator lowered."""
         return self._blocks.stats
 
-    def bindings(self, plan: JoinPlan) -> Iterator[Bindings]:
-        """Complete bindings (always pull-style; used for aggregation)."""
-        return self._pull.bindings(plan)
+    def each_binding(self, plan: JoinPlan,
+                     emit: Callable[[Bindings], None]) -> None:
+        """Push every complete binding into ``emit`` (always tuple at a
+        time; used for aggregation)."""
+        self._push.each_binding(plan, emit)
 
 
 def evaluate_subquery(storage: StorageManager, plan: JoinPlan,
-                      style: str = "push", executor: str = "pushdown") -> Set[Row]:
+                      executor: str = "vectorized") -> Set[Row]:
     """One-shot convenience wrapper used by tests and the interpreter."""
-    return SubqueryEvaluator(storage, style, executor=executor).evaluate(plan)
+    return SubqueryEvaluator(storage, executor=executor).evaluate(plan)

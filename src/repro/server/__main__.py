@@ -27,7 +27,6 @@ import signal
 import sys
 
 from repro.api.database import Database
-from repro.core.config import EngineConfig
 from repro.durability import DurabilityConfig
 from repro.durability.config import FSYNC_POLICIES
 from repro.resilience.faults import ENV_VAR, install_from_env
@@ -85,10 +84,6 @@ def main(argv=None) -> int:
         help="mutation queue bound",
     )
     parser.add_argument(
-        "--executor", default=None, choices=["pushdown", "vectorized"],
-        help="engine executor override",
-    )
-    parser.add_argument(
         "--durability", default=None, metavar="DIR",
         help="durability directory (WAL + checkpoints); restarts recover",
     )
@@ -116,13 +111,10 @@ def main(argv=None) -> int:
         )
         print(f"fault injection active via {ENV_VAR}: {specs}", file=sys.stderr)
 
-    config = EngineConfig()
-    if args.executor:
-        config = config.with_(executor=args.executor)
     durability = None
     if args.durability is not None:
         durability = DurabilityConfig(dir=args.durability, fsync=args.fsync)
-    database = Database(source, config, durability=durability)
+    database = Database(source, durability=durability)
     server = QueryServer(
         database, host=args.host, port=args.port,
         backpressure=BackpressureConfig(

@@ -222,7 +222,8 @@ class TestResultSet:
         EngineConfig.jit("bytecode"),
         EngineConfig.jit("quotes", asynchronous=True),
         EngineConfig.aot(),
-        EngineConfig.interpreted().with_(executor="vectorized", interning=False),
+        EngineConfig.interpreted().with_(interning=False),
+        EngineConfig.interpreted().with_(executor="pushdown"),
     ], ids=lambda c: c.describe())
     def test_query_all_returns_same_idb_relations_in_every_mode(self, config):
         results = Database(TC_SOURCE, config).query()
@@ -329,16 +330,17 @@ class TestConnection:
             assert cache.stats.hits > hits_before
 
     @pytest.mark.parametrize("config", [
-        EngineConfig.interpreted().with_(executor="vectorized"),
+        EngineConfig.interpreted(),
         EngineConfig.jit("lambda"),
     ], ids=lambda c: c.describe())
     def test_connection_updates_match_a_fresh_database(self, config):
         program = build_reachability()
-        expected = Database(program).query("path")
+        oracle = EngineConfig(executor="pushdown")
+        expected = Database(program, oracle).query("path")
         with Database(program, config).connect() as conn:
             assert conn.query("path") == expected
             conn.insert_facts("edge", [(4, 5), (5, 6)])
-            reference = Database(conn.session.snapshot_program()).query("path")
+            reference = Database(conn.session.snapshot_program(), oracle).query("path")
             assert conn.query("path") == reference
 
 
@@ -365,9 +367,8 @@ class TestExplain:
             assert "configuration:" in conn.explain()
 
     def test_vectorized_explain_reports_batches_and_strategies(self):
-        config = EngineConfig.jit("lambda").with_(executor="vectorized")
-        text = Database(TC_SOURCE, config).query("path").explain()
-        assert "executor=vectorized" in text
+        text = Database(TC_SOURCE, EngineConfig.jit("lambda")).query("path").explain()
+        assert "executor=pushdown" not in text
         assert "vectorized batches:" in text
         assert "vectorized plan strategies (latest per rule):" in text
 
@@ -375,12 +376,12 @@ class TestExplain:
         """Lambda artifacts are block kernels whatever the interpreter is."""
         config = EngineConfig.jit("lambda").with_(executor="pushdown")
         text = Database(TC_SOURCE, config).query("path").explain()
-        assert "executor=vectorized" not in text
+        assert "executor=pushdown" in text
         assert "vectorized batches:" in text
         assert "vectorized plan strategies (latest per rule):" in text
 
     @pytest.mark.parametrize("config", [
-        EngineConfig.interpreted().with_(executor="vectorized"),
+        EngineConfig.interpreted(),
         EngineConfig.jit("lambda"),
         EngineConfig.jit("quotes"),
         EngineConfig.jit("bytecode"),
@@ -402,5 +403,6 @@ class TestExplain:
         assert any("candidates per head row)" in line for line in lines)
 
     def test_pushdown_explain_has_no_kernel_section(self):
-        text = Database(TC_SOURCE, EngineConfig.interpreted()).query("path").explain()
+        config = EngineConfig.interpreted().with_(executor="pushdown")
+        text = Database(TC_SOURCE, config).query("path").explain()
         assert "block kernels" not in text

@@ -136,8 +136,10 @@ def test_public_signatures_are_the_snapshot():
 
 
 #: Entry points removed from the surface: the three deprecated call forms
-#: (``evaluate()`` / ``fetch()`` / ``database().query()`` replace them) and
-#: the shard-parallel subsystem with everything that existed only for it.
+#: (``evaluate()`` / ``fetch()`` / ``database().query()`` replace them),
+#: the shard-parallel subsystem with everything that existed only for it,
+#: and the second tuple-at-a-time recursion with the configuration fields
+#: nothing read (``evaluator_style``, ``optimize_seed``, ``collect_profile``).
 REMOVED = [
     ("repro.datalog.dsl.Program", "solve"),
     ("repro.engine.engine.ExecutionEngine", "run"),
@@ -152,6 +154,19 @@ REMOVED = [
     ("repro.introspect.catalog", "bind_shards"),
     ("repro.relational.storage.StorageManager", "adopt_derived"),
     ("repro", "WorkerFailed"),
+    ("repro.core.config.EngineConfig", "evaluator_style"),
+    ("repro.core.config.EngineConfig", "optimize_seed"),
+    ("repro.core.config.EngineConfig", "collect_profile"),
+    ("repro.relational.operators", "PullSubqueryEvaluator"),
+    ("repro.relational", "PullSubqueryEvaluator"),
+    ("repro.relational.operators.SubqueryEvaluator", "bindings"),
+]
+
+#: Parameters removed from signatures that stay: ``style`` chose between
+#: the two tuple-at-a-time recursions.
+REMOVED_PARAMETERS = [
+    ("repro.relational.operators.SubqueryEvaluator", "style"),
+    ("repro.relational.operators.evaluate_subquery", "style"),
 ]
 
 
@@ -175,6 +190,21 @@ def test_removed_entry_points_stay_removed(owner, name):
     if dataclasses.is_dataclass(target):  # fields may live on instances only
         assert name not in {field.name for field in dataclasses.fields(target)}
     assert not hasattr(target, name)
+
+
+@pytest.mark.parametrize("owner,name", REMOVED_PARAMETERS,
+                         ids=lambda v: v.rsplit(".", 1)[-1])
+def test_removed_parameters_stay_removed(owner, name):
+    assert name not in inspect.signature(resolve(owner)).parameters
+
+
+def test_server_cli_has_no_executor_flag():
+    """``--executor`` could only select the tuple-at-a-time oracle."""
+    from repro.server.__main__ import main
+
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--program", "unused.dl", "--executor", "pushdown"])
+    assert exit_info.value.code == 2
 
 
 def test_result_schema_is_frozen_value_type():

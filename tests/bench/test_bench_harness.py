@@ -306,8 +306,9 @@ class TestDriversCheckTheirResults:
         assert rows and all(row["equal"] is True for row in rows)
         for row in rows:
             executors = row["executor"].split(",")
-            # The interpreted baseline first, then one per configuration.
-            assert executors[0] == "pushdown"
+            # The interpreted baseline first, on the production block
+            # kernels, then one per configuration.
+            assert executors[0] == "vectorized"
             assert executors[-len(labelled(True)):] == [
                 config.executor for _, config in labelled(True)
             ]

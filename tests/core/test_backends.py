@@ -79,7 +79,7 @@ class TestCompilationCorrectness:
 
         storage = graph_storage()
         for plan in (tc_plan(True), tc_plan(False), builtin_plan()):
-            reference = evaluate_subquery(storage, plan)
+            reference = evaluate_subquery(storage, plan, executor="pushdown")
             artifact = get_backend(name).compile_plans([plan], storage)
             assert artifact(storage) == reference
 
@@ -91,7 +91,7 @@ class TestCompilationCorrectness:
         plans = [tc_plan(True), builtin_plan()]
         reference = set()
         for plan in plans:
-            reference |= evaluate_subquery(storage, plan)
+            reference |= evaluate_subquery(storage, plan, executor="pushdown")
         artifact = get_backend(name).compile_plans(plans, storage)
         assert artifact(storage) == reference
 
@@ -140,7 +140,7 @@ class TestLambdaBlockKernels:
 
         def run():
             rows = artifact(storage)
-            assert rows == evaluate_subquery(storage, plan)
+            assert rows == evaluate_subquery(storage, plan, executor="pushdown")
             stats = evaluator.vectorized_stats
             return {key: stats[key] for key in ("batches", "index", "build")}
 

@@ -143,7 +143,8 @@ class TestArtifactReuse:
         result = engine.evaluate()[spec.query_relation]
         monkeypatch.undo()
         reference = ExecutionEngine(
-            spec.build(Ordering.WORST), EngineConfig.interpreted()
+            spec.build(Ordering.WORST),
+            EngineConfig.interpreted().with_(executor="pushdown"),
         ).evaluate()[spec.query_relation]
         assert result == reference
 
@@ -179,7 +180,7 @@ class TestArtifactReuse:
                 storage.insert_derived(relation, row)
             executor._current_iteration += 1
             assert executor._adaptive_rows(node, [node], "loop") == (
-                evaluate_subquery(storage, node.plan)
+                evaluate_subquery(storage, node.plan, executor="pushdown")
             )
             artifact = executor.compilation.current_artifact(node.node_id)
             first = artifact.plans[0].sources[0].literal.relation

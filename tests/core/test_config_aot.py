@@ -21,14 +21,31 @@ class TestEngineConfig:
     def test_describe_names(self):
         assert EngineConfig.interpreted().describe() == "interpreted+idx"
         assert EngineConfig.interpreted(False).describe() == "interpreted"
+        assert EngineConfig.interpreted().with_(executor="pushdown").describe() == (
+            "interpreted+idx+pushdown"
+        )
         assert EngineConfig.naive().describe() == "naive"
         assert EngineConfig.jit("quotes", asynchronous=True).describe() == (
-            "jit-quotes-async-rule+vec"
+            "jit-quotes-async-rule"
         )
         assert EngineConfig.aot(online=True).describe() == "macro-facts+online"
 
+    def test_naive_names_carry_their_suffixes(self):
+        names = {
+            EngineConfig.naive().describe(),
+            EngineConfig.naive().with_(executor="pushdown").describe(),
+            EngineConfig.naive().with_(interning=False).describe(),
+        }
+        assert names == {"naive", "naive+pushdown", "naive+raw"}
+        assert EngineConfig.naive().with_(
+            executor="pushdown", interning=False
+        ).describe() == "naive+pushdown+raw"
+
     def test_label_overrides_description(self):
         assert EngineConfig(label="custom").describe() == "custom"
+        assert EngineConfig(label="custom", executor="pushdown").describe() == (
+            "custom+pushdown"
+        )
 
     def test_with_creates_modified_copy(self):
         base = EngineConfig.jit("lambda")
@@ -115,7 +132,9 @@ class TestAOTOptimization:
         from repro.engine.engine import ExecutionEngine
 
         program = parse_program(SOURCE)
-        reference = ExecutionEngine(program.copy(), EngineConfig.interpreted()).evaluate()
+        reference = ExecutionEngine(
+            program.copy(), EngineConfig.interpreted().with_(executor="pushdown")
+        ).evaluate()
         for sort in (AOTSortMode.RULES_ONLY, AOTSortMode.FACTS_AND_RULES):
             result = ExecutionEngine(
                 program.copy(), EngineConfig.aot(sort=sort)

@@ -36,7 +36,8 @@ def run(source: str, config: EngineConfig):
     return ExecutionEngine(parse_program(source), config).evaluate()
 
 
-REFERENCE_TC = run(TC_SOURCE, EngineConfig.naive())["path"]
+#: The oracle: naive evaluation, tuple at a time.
+REFERENCE_TC = run(TC_SOURCE, EngineConfig.naive().with_(executor="pushdown"))["path"]
 
 ALL_CONFIGS = [
     EngineConfig.interpreted(),
@@ -54,7 +55,7 @@ ALL_CONFIGS = [
     EngineConfig.aot(sort=AOTSortMode.RULES_ONLY),
     EngineConfig.aot(sort=AOTSortMode.FACTS_AND_RULES),
     EngineConfig.aot(sort=AOTSortMode.FACTS_AND_RULES, online=True),
-    EngineConfig(mode=ExecutionMode.JIT, backend="lambda", evaluator_style="pull"),
+    EngineConfig.jit("lambda").with_(executor="pushdown"),
 ]
 
 
@@ -89,8 +90,24 @@ class TestAggregation:
 
 
 class TestProfileBookkeeping:
+    @pytest.mark.parametrize("config", [
+        None, EngineConfig.interpreted(), EngineConfig.naive(),
+        EngineConfig.aot(), EngineConfig.jit(),
+    ], ids=["default", "interpreted", "naive", "aot", "jit"])
+    def test_default_configurations_interpret_on_block_kernels(self, config):
+        from repro import Database
+
+        with Database(TC_SOURCE, config).connect() as conn:
+            assert conn.config.executor == "vectorized"
+            assert conn.query("path").to_set() == REFERENCE_TC
+            summary = conn.session.profile.summary()
+        assert summary["subqueries_vectorized"] > 0
+
     def test_interpreted_profile_has_no_compilations(self):
-        engine = ExecutionEngine(parse_program(TC_SOURCE), EngineConfig.interpreted())
+        engine = ExecutionEngine(
+            parse_program(TC_SOURCE),
+            EngineConfig.interpreted().with_(executor="pushdown"),
+        )
         engine.evaluate()
         summary = engine.profile.summary()
         assert summary["compilations"] == 0

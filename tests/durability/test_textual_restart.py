@@ -14,7 +14,7 @@ import subprocess
 import sys
 import textwrap
 
-from repro import Database, DurabilityConfig
+from repro import Database, DurabilityConfig, EngineConfig
 
 SOURCE = "path(X, Y) :- edge(X, Y).\npath(X, Z) :- path(X, Y), edge(Y, Z).\n" + "".join(
     f"edge({i}, {i + 1}).\nlabel({i}, 'n{i}').\n" for i in range(40)
@@ -51,7 +51,7 @@ def test_sigkilled_textual_server_reopens_warm(tmp_path):
         assert report.warm
         assert (report.checkpoint_records, report.replayed_records) == (3, 1)
 
-        oracle = Database(SOURCE).connect()
+        oracle = Database(SOURCE, EngineConfig(executor="pushdown")).connect()
         oracle.insert_facts("edge", [(40, 41), (41, 0)])
         oracle.insert_facts("label", [(40, "n40")])
         oracle.retract_facts("edge", [(3, 4)])

@@ -141,7 +141,7 @@ def run_dred(program, retraction, config):
 def brute_force_survivors(session, cone):
     """Asserted rows, plus every rule's whole body, as written, tuple at a time."""
     storage = session.storage
-    oracle = SubqueryEvaluator(storage, style="pull", executor="pushdown")
+    oracle = SubqueryEvaluator(storage, executor="pushdown")
     expected = {
         name: {row for row in rows if storage.is_base_row(name, row)}
         for name, rows in cone.deleted.items()

@@ -25,13 +25,13 @@ def fresh_session(config):
 #: Both run their sub-queries on the block kernels: the vectorized
 #: interpreter directly, the JIT in its interpreted stages.
 CONFIGS = pytest.mark.parametrize("config", [
-    EngineConfig.interpreted().with_(executor="vectorized"),
+    EngineConfig.interpreted(),
     EngineConfig.jit("lambda"),
 ], ids=lambda c: c.describe())
 
 
 @pytest.mark.parametrize("config,source", [
-    (EngineConfig.interpreted().with_(executor="vectorized"), "vectorized"),
+    (EngineConfig.interpreted(), "vectorized"),
     # The JIT runs update sub-queries through its compiled artifacts.
     (EngineConfig.jit("lambda"), "compiled"),
 ], ids=["vectorized", "jit-lambda"])

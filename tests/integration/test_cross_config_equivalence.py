@@ -22,8 +22,12 @@ from repro.engine.engine import ExecutionEngine
 # Workloads kept intentionally small so the whole matrix stays fast.
 WORKLOADS = ["fibonacci", "ackermann", "cspa_tiny", "andersen", "inverse_functions", "csda"]
 
+#: CONFIGS[0] is the reference every other configuration is held to: the
+#: as-written plans interpreted tuple at a time.
+REFERENCE = EngineConfig.interpreted().with_(executor="pushdown")
+
 CONFIGS = [
-    EngineConfig.interpreted(),
+    REFERENCE,
     EngineConfig.jit("irgen"),
     EngineConfig.jit("lambda"),
     EngineConfig.jit("quotes"),
@@ -33,8 +37,9 @@ CONFIGS = [
     EngineConfig.jit("bytecode", asynchronous=True),
     EngineConfig.aot(sort=AOTSortMode.FACTS_AND_RULES, online=True),
     EngineConfig.aot(sort=AOTSortMode.RULES_ONLY),
-    # The interpreter on block kernels, and the raw-value (uninterned) store.
-    EngineConfig.interpreted().with_(executor="vectorized"),
+    # The production interpreter (block kernels), and the raw-value
+    # (uninterned) store.
+    EngineConfig.interpreted(),
     EngineConfig.jit("lambda").with_(interning=False),
     # The JIT's interpreted stages tuple at a time: the oracle its default
     # (block-kernel) interpretation is held to.
@@ -48,7 +53,7 @@ def reference_results():
     results = {}
     for name in WORKLOADS:
         spec = get_benchmark(name)
-        engine = ExecutionEngine(spec.build(Ordering.WRITTEN), EngineConfig.interpreted())
+        engine = ExecutionEngine(spec.build(Ordering.WRITTEN), REFERENCE)
         results[name] = engine.evaluate()[spec.query_relation]
     return results
 

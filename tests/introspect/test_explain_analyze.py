@@ -184,7 +184,7 @@ class TestConnectionExplainAnalyze:
         assert "no trace captured" in text
 
     def test_analyze_under_pushdown_points_at_vectorized(self):
-        config = EngineConfig().with_(telemetry=tracing())
+        config = EngineConfig().with_(executor="pushdown", telemetry=tracing())
         with Database(tc_program(), config) as db, db.connect() as conn:
             conn.query("path")
             text = conn.explain(analyze=True)

@@ -29,8 +29,8 @@ def build_tc_dsl(edges) -> Program:
     return program
 
 MODE_CONFIGS = [
+    EngineConfig.interpreted().with_(executor="pushdown"),
     EngineConfig.interpreted(),
-    EngineConfig.interpreted().with_(executor="vectorized"),
     EngineConfig.jit("lambda"),
     EngineConfig.jit("bytecode"),
     EngineConfig.jit("quotes", asynchronous=True),

@@ -47,10 +47,10 @@ BATCHES = [
 RELATIONS = ("edge", "path")
 
 ENGINE_MATRIX = [
-    pytest.param(EngineConfig.interpreted(), id="interpreted"),
     pytest.param(
-        EngineConfig().with_(executor="vectorized"), id="vectorized"
+        EngineConfig.interpreted().with_(executor="pushdown"), id="pushdown"
     ),
+    pytest.param(EngineConfig(), id="vectorized"),
     pytest.param(
         EngineConfig.interpreted().with_(interning=False), id="interpreted-raw"
     ),
@@ -91,7 +91,10 @@ def write_crashed_wal(directory, config):
 
 def oracle_states():
     """State after each batch prefix, from a never-crashed plain database."""
-    database = Database(build_transitive_closure_program(SEED_EDGES))
+    database = Database(
+        build_transitive_closure_program(SEED_EDGES),
+        EngineConfig(executor="pushdown"),
+    )
     with database.connect() as conn:
         states = [capture(conn)]
         for inserts, retracts in BATCHES:

@@ -59,13 +59,20 @@ class TestStrategyInvariance:
     @given(edges=edges_strategy)
     @settings(max_examples=25, deadline=None)
     def test_interpreted_matches_reference(self, edges):
+        """The tuple-at-a-time oracle itself against the plain closure."""
+        oracle = EngineConfig.interpreted().with_(executor="pushdown")
+        assert run_closure(edges, oracle) == reference_closure(edges)
+
+    @given(edges=edges_strategy)
+    @settings(max_examples=25, deadline=None)
+    def test_block_kernels_match_reference(self, edges):
         assert run_closure(edges, EngineConfig.interpreted()) == reference_closure(edges)
 
     @given(edges=edges_strategy)
     @settings(max_examples=15, deadline=None)
     def test_naive_and_semi_naive_agree(self, edges):
         assert run_closure(edges, EngineConfig.naive()) == run_closure(
-            edges, EngineConfig.interpreted()
+            edges, EngineConfig.interpreted().with_(executor="pushdown")
         )
 
     @given(edges=edges_strategy,

@@ -145,7 +145,7 @@ def test_rule_shapes_replay_update_sequences(rule_shape, mode, executor, edges, 
             live.add((a, b))
         expected = ExecutionEngine(
             build_random_program(sorted(live), rule_shape),
-            EngineConfig.interpreted(),
+            EngineConfig.interpreted().with_(executor="pushdown"),
         ).evaluate()
         for relation, rows in expected.items():
             assert set(session.fetch(relation)) == set(rows), (

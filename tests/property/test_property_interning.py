@@ -90,13 +90,17 @@ def evaluate(program, config):
     return ExecutionEngine(program, config).evaluate()
 
 
+#: The oracle: raw (un-interned) values, interpreted tuple at a time.
+RAW_ORACLE = EngineConfig.interpreted().with_(executor="pushdown", interning=False)
+
+
 @pytest.mark.parametrize("rule_shape", RULE_SHAPES)
 @settings(max_examples=10, deadline=None)
 @given(edges=edges_strategy)
 def test_interning_matches_raw_oracle_across_shapes(rule_shape, edges):
     """Interpreted mode: identical relations, rows and deterministic order."""
     program = build_random_program(edges, rule_shape)
-    raw = evaluate(program.copy(), EngineConfig.interpreted().with_(interning=False))
+    raw = evaluate(program.copy(), RAW_ORACLE)
     interned = evaluate(program.copy(), EngineConfig.interpreted())
     assert interned == raw, f"{rule_shape} diverged"
     for relation in raw:
@@ -121,10 +125,7 @@ def test_interning_matches_raw_oracle_across_shapes(rule_shape, edges):
 def test_interning_matches_across_modes_and_executors(base, executor, edges):
     """Encoded {interpreted, JIT, AOT} × executors equals the oracle."""
     program = build_random_program(edges, "filtered")
-    raw = evaluate(
-        program.copy(),
-        EngineConfig.interpreted().with_(interning=False),
-    )
+    raw = evaluate(program.copy(), RAW_ORACLE)
     config = base.with_(executor=executor)
     assert evaluate(program.copy(), config) == raw, (
         f"{config.describe()} diverged"
@@ -132,8 +133,8 @@ def test_interning_matches_across_modes_and_executors(base, executor, edges):
 
 
 @pytest.mark.parametrize("config", [
+    EngineConfig.interpreted().with_(executor="pushdown"),
     EngineConfig.interpreted(),
-    EngineConfig.interpreted().with_(executor="vectorized"),
     EngineConfig.jit("lambda"),
 ], ids=lambda c: c.describe())
 @settings(max_examples=6, deadline=None)
@@ -141,7 +142,6 @@ def test_interning_matches_across_modes_and_executors(base, executor, edges):
 def test_interned_sessions_replay_update_sequences(config, edges, mutations):
     """Incremental insert/retract sequences decode to the raw oracle's rows."""
     edges = [e for e in edges if e[0] != e[1]] or [(0, 1)]
-    oracle_config = EngineConfig.interpreted().with_(interning=False)
     session = IncrementalSession(build_transitive_closure_program(edges), config)
     live = set(edges)
     for retract, a, b in mutations:
@@ -155,7 +155,7 @@ def test_interned_sessions_replay_update_sequences(config, edges, mutations):
         else:
             continue
         expected = evaluate(
-            build_transitive_closure_program(sorted(live)), oracle_config
+            build_transitive_closure_program(sorted(live)), RAW_ORACLE
         )["path"]
         assert session.fetch("path") == expected.to_frozenset()
 

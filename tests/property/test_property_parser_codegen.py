@@ -73,6 +73,6 @@ class TestCodegenProperties:
             Atom("path", (x, z)), (Atom("path", (x, y)), Atom("edge", (y, z))), "tc"
         )
         plan = build_join_plan(rule, delta_index=0)
-        reference = evaluate_subquery(storage, plan)
+        reference = evaluate_subquery(storage, plan, executor="pushdown")
         artifact = get_backend(backend).compile_plans([plan], storage)
         assert artifact(storage) == reference

@@ -81,11 +81,11 @@ BATCHES = [
 READERS = 4
 
 CONFIGS = [
-    pytest.param(lambda: EngineConfig.interpreted(), id="pushdown"),
     pytest.param(lambda: EngineConfig.interpreted().with_(
-        executor="vectorized"), id="vectorized"),
+        executor="pushdown"), id="pushdown"),
+    pytest.param(lambda: EngineConfig.interpreted(), id="vectorized"),
     pytest.param(lambda: EngineConfig.interpreted().with_(
-        interning=False), id="pushdown-raw"),
+        executor="pushdown", interning=False), id="pushdown-raw"),
     pytest.param(lambda: EngineConfig.jit("lambda"), id="jit-lambda"),
 ]
 

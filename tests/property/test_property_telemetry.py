@@ -39,9 +39,7 @@ def traced_query(edges, config_builder):
 
 
 def vectorized(telemetry):
-    return EngineConfig.interpreted().with_(
-        executor="vectorized", telemetry=telemetry,
-    )
+    return EngineConfig.interpreted().with_(telemetry=telemetry)
 
 
 @settings(max_examples=15, deadline=None)

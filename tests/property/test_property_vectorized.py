@@ -1,7 +1,7 @@
 """Property tests: the block kernels equal the pushdown oracle.
 
 The vectorized batch executor's contract is *exact* equivalence: for any
-program and any fact base, ``EngineConfig.with_(executor="vectorized")``
+program and any fact base, the default ``executor="vectorized"``
 computes bit-for-bit the fixpoint of the tuple-at-a-time pushdown executor
 — whatever the execution mode (interpreted, JIT, AOT), and also inside an :class:`~repro.incremental.IncrementalSession`
 absorbing randomized insert/retract sequences.  The lambda JIT backend
@@ -148,16 +148,18 @@ def evaluate(program, config):
     return ExecutionEngine(program, config).evaluate()
 
 
+#: The oracle: as-written plans, interpreted tuple at a time.
+ORACLE = EngineConfig.interpreted().with_(executor="pushdown")
+
+
 @pytest.mark.parametrize("rule_shape", RULE_SHAPES + LOOP_SHAPES)
 @settings(max_examples=10, deadline=None)
 @given(edges=edges_strategy)
 def test_vectorized_matches_pushdown_across_shapes(rule_shape, edges):
     """Interpreted mode: identical relations, rows and deterministic order."""
     program = build_random_program(edges, rule_shape)
-    reference = evaluate(program.copy(), EngineConfig.interpreted())
-    vectorized = evaluate(
-        program.copy(), EngineConfig.interpreted().with_(executor="vectorized")
-    )
+    reference = evaluate(program.copy(), ORACLE)
+    vectorized = evaluate(program.copy(), EngineConfig.interpreted())
     assert vectorized == reference, f"{rule_shape} diverged"
     for relation in reference:
         # Bit-for-bit including the deterministic iteration order.
@@ -177,10 +179,9 @@ def test_vectorized_matches_pushdown_across_shapes(rule_shape, edges):
 def test_vectorized_matches_across_modes(base, edges):
     """Vectorized x {interpreted, JIT, AOT} equals the oracle."""
     program = build_random_program(edges, "nonlinear")
-    reference = evaluate(program.copy(), EngineConfig.interpreted())
-    config = base.with_(executor="vectorized")
-    assert evaluate(program.copy(), config) == reference, (
-        f"{config.describe()} diverged"
+    reference = evaluate(program.copy(), ORACLE)
+    assert evaluate(program.copy(), base) == reference, (
+        f"{base.describe()} diverged"
     )
 
 
@@ -207,7 +208,7 @@ def test_other_backends_match_pushdown_oracle(backend, rule_shape, interning, ed
 
 def assert_jit_matches_oracle(backend, rule_shape, interning, edges):
     program = build_random_program(edges, rule_shape)
-    reference = evaluate(program.copy(), EngineConfig.interpreted())
+    reference = evaluate(program.copy(), ORACLE)
     config = EngineConfig.jit(backend).with_(interning=interning)
     compiled = evaluate(program.copy(), config)
     assert compiled == reference, f"{rule_shape} diverged under {config.describe()}"
@@ -223,7 +224,7 @@ def test_predicted_block_strategies_are_what_the_kernels_do(rule_shape, use_inde
     """EXPLAIN's per-atom strategy is static, so it is exact: per plan, the
     predicted tuple is the counters its kernel bumps (a batch that ran dry
     stopped after some prefix of it)."""
-    config = EngineConfig.interpreted(use_indexes=use_indexes).with_(executor="vectorized")
+    config = EngineConfig.interpreted(use_indexes=use_indexes)
     engine = ExecutionEngine(build_random_program(edges, rule_shape), config)
     engine.evaluate()
     storage = engine.storage
@@ -248,8 +249,8 @@ def test_predicted_block_strategies_are_what_the_kernels_do(rule_shape, use_inde
 
 
 @pytest.mark.parametrize("base", [
-    EngineConfig.interpreted().with_(executor="vectorized"),
-    EngineConfig.interpreted().with_(executor="vectorized", interning=False),
+    EngineConfig.interpreted(),
+    EngineConfig.interpreted().with_(interning=False),
     EngineConfig.jit("lambda"),
     EngineConfig.jit("lambda").with_(interning=False),
     EngineConfig.jit("quotes"),
@@ -273,7 +274,6 @@ def test_block_kernel_sessions_replay_update_sequences(base, edges, mutations):
         else:
             continue
         expected = evaluate(
-            build_transitive_closure_program(sorted(live)),
-            EngineConfig.interpreted(),
+            build_transitive_closure_program(sorted(live)), ORACLE,
         )["path"]
         assert set(session.fetch("path")) == set(expected)

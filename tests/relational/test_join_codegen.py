@@ -54,7 +54,7 @@ def run_counted(storage, plan):
     """Lower, run, compare with the pushdown oracle; rows and counters."""
     stats = new_block_stats()
     rows = lower_plan(plan, storage.symbols, stats=stats)(storage)
-    assert rows == evaluate_subquery(storage, plan)
+    assert rows == evaluate_subquery(storage, plan, executor="pushdown")
     return rows, stats
 
 
@@ -219,7 +219,7 @@ class TestProbeTheIndexThatExists:
         assert lower_plan(plan, stats=stats)(storage) == {(1, 9)}
         assert (stats["index"], stats["build"]) == ((1, 0) if indexed else (0, 1))
         assert storage.derived("t").indexed_columns() == indexed[:1]
-        assert evaluate_subquery(storage, plan) == {(1, 9)}
+        assert evaluate_subquery(storage, plan, executor="pushdown") == {(1, 9)}
 
     def test_the_static_rule_the_planner_and_the_kernel_share(self):
         plan = plan_of((x, z), Atom("src", (x, y)), Atom("t", (x, y, z)),

@@ -1,6 +1,6 @@
-"""Unit tests for the push/pull sub-query evaluators and the lowered block
-kernels (``lower_plan``) both the vectorized interpreter and the lambda
-backend run."""
+"""Unit tests for the pushdown sub-query evaluator (the tuple-at-a-time
+oracle) and the lowered block kernels (``lower_plan``) both the vectorized
+interpreter and the lambda backend run."""
 
 import pytest
 
@@ -9,7 +9,6 @@ from repro.datalog.terms import Constant, Variable
 from repro.relational.operators import (
     AtomSource,
     JoinPlan,
-    PullSubqueryEvaluator,
     PushSubqueryEvaluator,
     SubqueryEvaluator,
     VectorizedSubqueryEvaluator,
@@ -95,21 +94,21 @@ class TestJoinPlan:
 
 
 class TestEvaluation:
-    @pytest.mark.parametrize("style", ["push", "pull"])
-    def test_two_way_join(self, style):
+    @pytest.mark.parametrize("executor", ["pushdown", "vectorized"])
+    def test_two_way_join(self, executor):
         storage = storage_with_graph()
-        result = evaluate_subquery(storage, simple_plan(), style)
+        result = evaluate_subquery(storage, simple_plan(), executor)
         assert result == {(1, 3), (2, 4)}
 
-    @pytest.mark.parametrize("style", ["push", "pull"])
-    def test_delta_source_restricts_input(self, style):
+    @pytest.mark.parametrize("executor", ["pushdown", "vectorized"])
+    def test_delta_source_restricts_input(self, executor):
         storage = storage_with_graph()
         storage.swap_and_clear(["path"])  # delta becomes empty
-        assert evaluate_subquery(storage, simple_plan(delta=True), style) == set()
-        assert evaluate_subquery(storage, simple_plan(delta=False), style) == {(1, 3), (2, 4)}
+        assert evaluate_subquery(storage, simple_plan(delta=True), executor) == set()
+        assert evaluate_subquery(storage, simple_plan(delta=False), executor) == {(1, 3), (2, 4)}
 
-    @pytest.mark.parametrize("style", ["push", "pull"])
-    def test_negation_filters(self, style):
+    @pytest.mark.parametrize("executor", ["pushdown", "vectorized"])
+    def test_negation_filters(self, executor):
         storage = storage_with_graph()
         plan = JoinPlan(
             head_relation="ok",
@@ -119,10 +118,10 @@ class TestEvaluation:
                 AtomSource(Atom("blocked", (y,), negated=True), None),
             ),
         )
-        assert evaluate_subquery(storage, plan, style) == {(2,), (3,)}
+        assert evaluate_subquery(storage, plan, executor) == {(2,), (3,)}
 
-    @pytest.mark.parametrize("style", ["push", "pull"])
-    def test_comparison_and_assignment(self, style):
+    @pytest.mark.parametrize("executor", ["pushdown", "vectorized"])
+    def test_comparison_and_assignment(self, executor):
         storage = storage_with_graph()
         plan = JoinPlan(
             head_relation="succ",
@@ -133,10 +132,10 @@ class TestEvaluation:
                 AtomSource(Assignment(z, y * 10), None),
             ),
         )
-        assert evaluate_subquery(storage, plan, style) == {(1, 20), (2, 30)}
+        assert evaluate_subquery(storage, plan, executor) == {(1, 20), (2, 30)}
 
-    @pytest.mark.parametrize("style", ["push", "pull"])
-    def test_assignment_to_bound_variable_acts_as_filter(self, style):
+    @pytest.mark.parametrize("executor", ["pushdown", "vectorized"])
+    def test_assignment_to_bound_variable_acts_as_filter(self, executor):
         storage = storage_with_graph()
         plan = JoinPlan(
             head_relation="self_loop_next",
@@ -147,19 +146,19 @@ class TestEvaluation:
             ),
         )
         # Every edge in the chain graph satisfies y == x + 1.
-        assert evaluate_subquery(storage, plan, style) == {(1,), (2,), (3,)}
+        assert evaluate_subquery(storage, plan, executor) == {(1,), (2,), (3,)}
 
-    @pytest.mark.parametrize("style", ["push", "pull"])
-    def test_constants_in_atoms(self, style):
+    @pytest.mark.parametrize("executor", ["pushdown", "vectorized"])
+    def test_constants_in_atoms(self, executor):
         storage = storage_with_graph()
         plan = JoinPlan(
             head_relation="from_two",
             head_terms=(y,),
             sources=(AtomSource(Atom("edge", (Constant(2), y)), DatabaseKind.DERIVED),),
         )
-        assert evaluate_subquery(storage, plan, style) == {(3,)}
+        assert evaluate_subquery(storage, plan, executor) == {(3,)}
 
-    def test_push_and_pull_agree_on_three_way_join(self):
+    def test_pushdown_and_kernels_agree_on_three_way_join(self):
         storage = storage_with_graph()
         plan = JoinPlan(
             head_relation="two_hop",
@@ -171,8 +170,8 @@ class TestEvaluation:
             ),
         )
         push = PushSubqueryEvaluator(storage).evaluate(plan)
-        pull = PullSubqueryEvaluator(storage).evaluate(plan)
-        assert push == pull
+        blocks = VectorizedSubqueryEvaluator(storage).evaluate(plan)
+        assert push == blocks
 
     def test_negation_with_unbound_variable_raises(self):
         storage = storage_with_graph()
@@ -184,19 +183,14 @@ class TestEvaluation:
                 AtomSource(Atom("edge", (x, y)), DatabaseKind.DERIVED),
             ),
         )
-        with pytest.raises((ValueError, KeyError)):
-            PullSubqueryEvaluator(storage).evaluate(plan)
+        with pytest.raises(ValueError, match="unbound variable 'y'"):
+            PushSubqueryEvaluator(storage).evaluate(plan)
 
-    def test_unknown_style_rejected(self):
+    def test_each_binding_streams_complete_bindings(self):
         storage = storage_with_graph()
-        with pytest.raises(ValueError):
-            SubqueryEvaluator(storage, "vectorized")
-
-    def test_push_consumer_counts(self):
-        storage = storage_with_graph()
-        rows = []
-        count = PushSubqueryEvaluator(storage).evaluate_into(simple_plan(), rows.append)
-        assert count == len(rows) == 2
+        seen = []
+        SubqueryEvaluator(storage).each_binding(simple_plan(), seen.append)
+        assert sorted((b[x], b[y], b[z]) for b in seen) == [(1, 2, 3), (2, 3, 4)]
 
     def test_indexes_do_not_change_results(self):
         storage = storage_with_graph()
@@ -241,7 +235,7 @@ def plan_of(head_terms, *literals) -> JoinPlan:
 def run_kernel(storage, plan):
     """Lower and run; the pushdown oracle must agree."""
     rows = lower_plan(plan, storage.symbols)(storage)
-    assert rows == evaluate_subquery(storage, plan)
+    assert rows == evaluate_subquery(storage, plan, executor="pushdown")
     return rows
 
 
@@ -329,7 +323,7 @@ class TestWholeRowSemiJoin:
     def run(storage, plan):
         stats = new_block_stats()
         rows = lower_plan(plan, storage.symbols, stats=stats)(storage)
-        assert rows == evaluate_subquery(storage, plan)
+        assert rows == evaluate_subquery(storage, plan, executor="pushdown")
         assert stats["build"] == 0, "a whole-row key must never build a table"
         return rows, stats
 
@@ -400,7 +394,9 @@ class TestHeadShapedLastJoin:
         rows = [()]
         for step in kernel.steps:
             rows = step(storage, rows)
-        assert kernel(storage) == rows == evaluate_subquery(storage, plan)
+        assert kernel(storage) == rows == evaluate_subquery(
+            storage, plan, executor="pushdown"
+        )
         return kernel, rows
 
     def test_last_join_emits_head_rows(self):

@@ -95,7 +95,8 @@ def run_workload(config, durability_dir, aborted=None):
 @pytest.fixture(scope="module")
 def oracle(tmp_path_factory):
     return run_workload(
-        EngineConfig.interpreted(), tmp_path_factory.mktemp("oracle")
+        EngineConfig.interpreted().with_(executor="pushdown"),
+        tmp_path_factory.mktemp("oracle"),
     )
 
 

@@ -163,7 +163,8 @@ class TestDeadlineInsideCompiledIterations:
                 conn.self_check()
         finally:
             database.close()
-        with Database(build_transitive_closure_program(edges)) as oracle:
+        with Database(build_transitive_closure_program(edges),
+                      EngineConfig(executor="pushdown")) as oracle:
             assert rows == set(oracle.query("path").rows())
 
     def test_a_kernel_checks_its_governor_before_touching_storage(self):

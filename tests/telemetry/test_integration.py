@@ -98,7 +98,8 @@ class TestMetricsAgreement:
     def test_totals_agree_with_the_differential_oracle(self):
         program = tc_program()
         oracle = ExecutionEngine(
-            build_transitive_closure_program(EDGES), EngineConfig.interpreted()
+            build_transitive_closure_program(EDGES),
+            EngineConfig.interpreted().with_(executor="pushdown"),
         )
         oracle_rows = oracle.evaluate()["path"].to_set()
         oracle_derived = sum(
@@ -142,7 +143,8 @@ class TestMetricsAgreement:
             db.query("path")
             derived = db.metrics()["rows_derived_total"]
             oracle = ExecutionEngine(
-                chain_program(12).datalog, EngineConfig.interpreted()
+                chain_program(12).datalog,
+                EngineConfig.interpreted().with_(executor="pushdown"),
             )
             oracle.evaluate()
             expected = sum(r.promoted for r in oracle.profile.iterations)
